@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .wenum import WeightEnumerator
 
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
+_SCAN_WINDOW = 1 << 12
 
 
 def gl2_generators(m: int) -> list[Gf2Matrix]:
@@ -82,15 +82,40 @@ def _action_table(space: HomogeneousSpace, a: AffineMap, e: Anf | None = None) -
     return table
 
 
+def _next_unassigned(block_of: np.ndarray, start: int) -> int:
+    """Least index >= start with no block yet, or the space size if none.
+
+    Scans fixed-size windows so no temporary grows with the space.
+    """
+    size = block_of.size
+    while start < size:
+        window = block_of[start : start + _SCAN_WINDOW] < 0
+        k = int(window.argmax())
+        if window[k]:
+            return start + k
+        start += _SCAN_WINDOW
+    return size
+
+
+def _linear_table(g: Gf2Matrix) -> list[int]:
+    """lin[x] = XOR of g.rows over the set bits of x.
+
+    So (A @ g).rows == tuple(lin[r] for r in A.rows) for any A.
+    """
+    lin = [0]
+    for row in g.rows:
+        lin += [v ^ row for v in lin]
+    return lin
+
+
 def _close_orbits(tables: list[np.ndarray], size: int, want_parents: bool):
     """BFS closure over the whole index space; orbits appear in seed order."""
     block_of = np.full(size, -1, dtype=np.int32)
     parent = np.full(size, -1, dtype=np.int32) if want_parents else None
     pgen = np.full(size, -1, dtype=np.int8) if want_parents else None
     blocks = []
-    for seed in range(size):
-        if block_of[seed] >= 0:
-            continue
+    seed = _next_unassigned(block_of, 0)
+    while seed < size:
         cid = len(blocks)
         block_of[seed] = cid
         frontier = np.array([seed], dtype=np.uint32)
@@ -116,6 +141,7 @@ def _close_orbits(tables: list[np.ndarray], size: int, want_parents: bool):
             if frontier.size:
                 members.append(frontier)
         blocks.append(np.sort(np.concatenate(members)))
+        seed = _next_unassigned(block_of, seed + 1)
     return block_of, blocks, parent, pgen
 
 
@@ -256,6 +282,12 @@ class QuotientClassification:
         self._pgen = pgen
         self.gens = gens
         self.seeds = seeds
+        # Zero-copy views that index to plain ints for the transversal walk.
+        self._parent_view = memoryview(parent)
+        self._pgen_view = memoryview(pgen)
+        self._lin = [_linear_table(g) for g in gens]
+        self._identity_rows = Gf2Matrix.identity(m).rows
+        self._memo = {}
 
     @staticmethod
     def compute(
@@ -280,19 +312,31 @@ class QuotientClassification:
             rep_idx = int(members[0])
             rep = space.anf_of(rep_idx)
             stab = cls._schreier_sample(cid, members, tables, rng, max_gens)
+            cls._memo.clear()
             cls.records.append(ClassRecord(rep=rep, size=len(members), gens=tuple(stab)))
         return cls
 
     def transversal(self, idx: int) -> Gf2Matrix:
-        """Matrix carrying the class representative of idx onto idx."""
+        """Matrix carrying the class representative of idx onto idx.
+
+        It is the product of the edge generators on the BFS path from the
+        class seed to idx, in seed-to-idx order. Each step maps packed rows
+        through the generator's linear table, and the rows of every node on
+        the path are memoised. compute() clears the memo after each class;
+        calls made later keep their entries, at most one per index.
+        """
+        memo, parent = self._memo, self._parent_view
         path = []
-        node = idx
-        while self._parent[node] >= 0:
-            path.append(self.gens[int(self._pgen[node])])
-            node = int(self._parent[node])
-        # path holds the edge generators from idx back to the seed; the
-        # transversal applies them in seed-to-idx order.
-        return reduce(lambda acc, g: acc @ g, reversed(path), Gf2Matrix.identity(self.m))
+        node = int(idx)
+        while node not in memo and parent[node] >= 0:
+            path.append(node)
+            node = parent[node]
+        rows = memo.get(node, self._identity_rows)
+        pgen, lin = self._pgen_view, self._lin
+        for node in reversed(path):
+            rows = tuple(map(lin[pgen[node]].__getitem__, rows))
+            memo[node] = rows
+        return Gf2Matrix(self.m, rows)
 
     def class_index_of(self, a: Anf) -> int:
         return int(self.class_of[self.space.index_of(a)])
@@ -317,14 +361,16 @@ class QuotientClassification:
             si = rng.randrange(len(self.gens))
             t_y = self.transversal(y)
             ys = int(tables[si][y])
-            sigma = t_y @ self.gens[si] @ self.transversal(ys).inverse()
+            # sigma = t_y @ gens[si] @ t_ys^-1, multiplied as packed rows.
+            inv_lin = _linear_table(self.transversal(ys).inverse())
+            sigma = Gf2Matrix(self.m, tuple(inv_lin[self._lin[si][r]] for r in t_y.rows))
             if sigma.rows in seen:
                 continue
             seen.add(sigma.rows)
             a = AffineMap(sigma, 0)
             if not stabilizer_check(rep, a):
                 raise AssertionError("Schreier element failed the stabilizer check")
-            if sigma == Gf2Matrix.identity(self.m):
+            if sigma.rows == self._identity_rows:
                 continue
             out.append(a)
         return out

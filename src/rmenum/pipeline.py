@@ -40,7 +40,7 @@ from .classify import (
     orbit_partition,
     singleton_partition,
 )
-from .cosetenum import DEFAULT_CAP, batch_coset_enumerators
+from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, rm_dimension
 from .gf2 import AffineMap, find_equivalence, top_image
 from .oracle import divisibility_exponent
 from .wenum import (
@@ -167,7 +167,13 @@ def _checkpoint_path(directory: str, cid: int) -> str:
     return os.path.join(directory, f"class_{cid:05d}.txt")
 
 
-def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int):
+def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, square_total: int):
+    """A finished class contribution, or None when the class has no checkpoint.
+
+    Headers must name this class, and the total must be rec.size times
+    square_total, the total of one squared coset enumerator; a file that
+    fails either check raises instead of changing the result.
+    """
     path = _checkpoint_path(directory, cid)
     if not os.path.exists(path):
         return None
@@ -190,12 +196,23 @@ def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int):
     dist = read_distribution(path)
     if dist.n != n:
         raise ValueError(f"checkpoint {path} has length {dist.n}, expected {n}")
+    if dist.total() != rec.size * square_total:
+        raise ValueError(
+            f"checkpoint {path} totals {dist.total()}, expected {rec.size * square_total}"
+        )
     return dist
 
 
 def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, contribution: WeightEnumerator):
+    """Write to a temp file beside the checkpoint, then rename it into place.
+
+    The rename is atomic, so the checkpoint name only ever holds a whole
+    file; a temp file left by an interrupted write is never read.
+    """
+    path = _checkpoint_path(directory, cid)
     comments = [f"class {cid}", f"rep {format_anf(rec.rep)}", f"size {rec.size}"]
-    write_distribution(_checkpoint_path(directory, cid), contribution, comments=comments)
+    write_distribution(path + ".tmp", contribution, comments=comments)
+    os.replace(path + ".tmp", path)
 
 
 def distribution_from_classes(
@@ -213,7 +230,7 @@ def distribution_from_classes(
     2**C(m1,d) before any work is done. Class order is canonical (packed
     representative index), each contribution is exact, and the result is
     identical for every jobs value. With a checkpoint directory, finished
-    per-class contributions are persisted and resumed after header checks;
+    per-class contributions are persisted and resumed after header and total checks;
     the counter only sees multiplications actually performed.
     """
     space = HomogeneousSpace(m1, d)
@@ -225,8 +242,9 @@ def distribution_from_classes(
     contributions: dict[int, WeightEnumerator] = {}
     if checkpoint:
         os.makedirs(checkpoint, exist_ok=True)
+        square_total = 1 << (2 * rm_dimension(d - 1, m1))
         for cid, rec in enumerate(ordered):
-            got = _read_checkpoint(checkpoint, cid, rec, n_out)
+            got = _read_checkpoint(checkpoint, cid, rec, n_out, square_total)
             if got is not None:
                 contributions[cid] = got
     pending = [cid for cid in range(len(ordered)) if cid not in contributions]
@@ -327,7 +345,8 @@ def run_pipeline(
     degrade to singleton blocks. Both strategies produce identical output.
 
     The recursion peels two variables, so m >= 3 is required; use the brute
-    oracle for anything smaller.
+    oracle for anything smaller. The result is checked before it is
+    returned: W_0 = 1, total 2**dim R(r,m), and 2**k weight divisibility.
     """
     if not 2 <= r <= m or m < 3:
         raise ValueError(f"need 2 <= r <= m and m >= 3, got r={r} m={m}")
@@ -364,6 +383,12 @@ def run_pipeline(
     dist = distribution_from_classes(
         classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
     )
+    dim = rm_dimension(r, m)
+    if dist.coeffs[0] != 1 or dist.total() != 1 << dim:
+        raise ValueError(
+            f"distribution has W_0 = {dist.coeffs[0]} and total {dist.total()}, "
+            f"expected 1 and 2**{dim}"
+        )
     step = 1 << divisibility_exponent(r, m)
     bad = [w for w, c in dist.nonzero_items() if w % step]
     if bad:

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import random
+from functools import reduce
 
 import pytest
 
@@ -74,16 +76,26 @@ def test_class_membership_is_closed_under_action():
         assert cls.class_index_of(f) == cls.class_index_of(g)
 
 
+def reference_transversal(cls, idx):
+    # validated products of the edge generators along the parent forest
+    path = []
+    node = idx
+    while cls._parent[node] >= 0:
+        path.append(cls.gens[int(cls._pgen[node])])
+        node = int(cls._parent[node])
+    return reduce(lambda acc, g: acc @ g, reversed(path), Gf2Matrix.identity(cls.m))
+
+
 def test_transversal_property():
-    cls = QuotientClassification.compute(3, 5)
-    rng = random.Random(6)
-    for _ in range(40):
-        idx = rng.randrange(cls.space.size)
-        cid = int(cls.class_of[idx])
-        rep = cls.records[cid].rep
-        mat = cls.transversal(idx)
-        moved = homogeneous_part(transform_anf(rep, AffineMap(mat, 0)), 3)
-        assert cls.space.index_of(moved) == idx
+    for d in (2, 3):
+        cls = QuotientClassification.compute(d, 5)
+        for idx in range(cls.space.size):
+            cid = int(cls.class_of[idx])
+            rep = cls.records[cid].rep
+            mat = cls.transversal(idx)
+            assert mat == reference_transversal(cls, idx)
+            moved = homogeneous_part(transform_anf(rep, AffineMap(mat, 0)), d)
+            assert cls.space.index_of(moved) == idx
 
 
 def test_representatives_are_least_members():
@@ -204,3 +216,18 @@ def test_classification_is_seed_deterministic():
     write_classification(a, classify_quotient(2, 5, random.Random(9)), 2, 5, seed=9)
     write_classification(b, classify_quotient(2, 5, random.Random(9)), 2, 5, seed=9)
     assert a.getvalue() == b.getvalue()
+
+
+@pytest.mark.parametrize(
+    "d, m, digest",
+    [
+        (3, 6, "6c094962fac17002e1dae0273f4c45b11fa3c9a2958ee20073609508864f1a58"),
+        (2, 7, "2da5d70e2c03a1cfc878aaa7d7b039ba34a0f9d8320945ca4b7e127d4645fb15"),
+    ],
+    ids=["d3m6", "d2m7"],
+)
+def test_classification_file_is_pinned(d, m, digest):
+    # pins classes, sizes, representatives, generators and the RNG stream
+    buf = io.StringIO()
+    write_classification(buf, classify_quotient(d, m, random.Random(1)), d, m, seed=1)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -163,6 +164,40 @@ def test_pipeline_checkpoint_rejects_foreign_files(tmp_path):
     victim.write_text(text.replace("# size", "# size 9"))
     with pytest.raises(ValueError, match="header"):
         run_pipeline(3, 5, checkpoint=str(ckpt))
+
+
+def test_pipeline_checkpoint_torn_writes(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    want = run_pipeline(3, 6, checkpoint=str(ckpt))
+    victim = ckpt / "class_00002.txt"
+    whole = victim.read_text()
+    # a write cut short keeps the headers but loses weights: rejected on resume
+    victim.write_text("".join(whole.splitlines(keepends=True)[:-3]))
+    with pytest.raises(ValueError, match="totals"):
+        run_pipeline(3, 6, checkpoint=str(ckpt))
+    # a temp file left by an interrupted write is never read; the class is redone
+    victim.unlink()
+    leftover = ckpt / "class_00002.txt.tmp"
+    leftover.write_text(whole[: len(whole) // 2])
+    counter = MulCounter()
+    assert run_pipeline(3, 6, checkpoint=str(ckpt), counter=counter) == want
+    assert counter.count > 0
+    assert victim.read_text() == whole
+    assert not leftover.exists()
+
+
+def test_pipeline_final_check_rejects_wrong_sizes():
+    # swapping the zero class's size with another keeps the size sum right
+    # but makes W_0 wrong
+    records = classify_quotient(3, 5)
+    assert records[0].rep.is_zero()
+    swapped = [
+        replace(records[0], size=records[1].size),
+        replace(records[1], size=records[0].size),
+        *records[2:],
+    ]
+    with pytest.raises(ValueError, match="W_0"):
+        run_pipeline(3, 6, classes=swapped)
 
 
 def test_rebase_onto_classified_targets():
