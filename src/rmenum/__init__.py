@@ -37,6 +37,7 @@ from .oracle import (
 from .pipeline import coset_enum_blocks, coset_enum_split, run_pipeline
 from .wenum import (
     WeightEnumerator,
+    macwilliams,
     polynomial_text,
     read_distribution,
     write_distribution,
@@ -66,6 +67,7 @@ __all__ = [
     "find_equivalence",
     "format_anf",
     "ingest_classification",
+    "macwilliams",
     "min_weight_count",
     "orbit_partition",
     "parse_anf",

@@ -165,7 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full R(r,m) distribution via the doubling recursion")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--classes", help="classification file for H^(r)(m-1); omit to self-classify")
+    p.add_argument(
+        "--classes",
+        help=(
+            "classification file for H^(r)(m-1), summed class by class; omit it to "
+            "self-classify (with the blocks strategy and no --checkpoint, only "
+            "H^(r)(m-2) is classified and the Fourier route sums its classes)"
+        ),
+    )
     p.add_argument("--strategy", choices=("direct", "blocks"), default="blocks")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", help="directory for per-class resume files")

@@ -13,14 +13,31 @@ computed either directly over all g, or ("blocks") with g grouped by the
 orbit partition above e so equal factors are fetched instead of recomputed;
 then the number of polynomial multiplications per coset drops to the
 merged block count.
+
+With A_g = W[z; e+g + R(r-2,m-2)], the product-sum is the XOR
+autocorrelation of A over GF(2)^N, N = C(m-2, r-1), so Parseval collapses
+the whole outer sum over the f of one e:
+
+    sum_f W^2[z; (e + f x) + R(r-1,m-1)] = 2**-N * sum_u Ahat_u**4,
+
+where Ahat is the Walsh-Hadamard transform of A (MacWilliams & Sloane,
+ch. 5 and 13). Summed over the classes of e in H^(r)(m-2), weighted by
+size, this is W[z; R(r,m)] without classifying H^(r)(m-1) at all.
+run_pipeline takes that Fourier route for self-classified "blocks" runs
+without checkpoints, and the class sum over H^(r)(m-1) otherwise; see its
+docstring for what each route's counter counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
+
+import numpy as np
 
 from .boolfn import (
     Anf,
@@ -32,6 +49,7 @@ from .boolfn import (
 )
 from .classify import (
     DEFAULT_MAX_GENS,
+    MAX_INDEX_BITS,
     ClassRecord,
     Partition,
     QuotientClassification,
@@ -248,23 +266,21 @@ def distribution_from_classes(
             if got is not None:
                 contributions[cid] = got
     pending = [cid for cid in range(len(ordered)) if cid not in contributions]
-    if jobs <= 1 or len(pending) <= 1:
-        results = map(_class_contribution, [(ordered[cid], enum_fn) for cid in pending])
+    parallel = jobs > 1 and len(pending) > 1
+    pool_cm = (
+        ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+        if parallel
+        else contextlib.nullcontext()
+    )
+    with pool_cm as pool:
+        mapper = pool.map if parallel else map
+        results = mapper(_class_contribution, [(ordered[cid], enum_fn) for cid in pending])
         for cid, (coeffs, mults) in zip(pending, results):
             contributions[cid] = WeightEnumerator(n_out, coeffs)
             if counter is not None:
                 counter.tick(mults)
             if checkpoint:
                 _write_checkpoint(checkpoint, cid, ordered[cid], contributions[cid])
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            results = pool.map(_class_contribution, [(ordered[cid], enum_fn) for cid in pending])
-            for cid, (coeffs, mults) in zip(pending, results):
-                contributions[cid] = WeightEnumerator(n_out, coeffs)
-                if counter is not None:
-                    counter.tick(mults)
-                if checkpoint:
-                    _write_checkpoint(checkpoint, cid, ordered[cid], contributions[cid])
     acc = WeightEnumerator.zero(n_out)
     for cid in range(len(ordered)):
         acc = acc + contributions[cid]
@@ -324,6 +340,128 @@ def rebase_representatives(
     return out
 
 
+def _lower_block_tables(r, m0, rng, max_gens, cap, jobs):
+    """Classify H^(r)(m0) and build the merged block table above each class.
+
+    Returns the classification and {packed index of rep: (merged partition,
+    per-block enumerators)}, where the partition is the orbit partition of
+    H^(r-1)(m0) under the rep's stabilizer (singleton blocks when the rep
+    has no gens) and each enumerator is W[z; rep + g + R(r-2, m0)] for the
+    g of its block.
+    """
+    r0 = r - 2
+    lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
+    espace = HomogeneousSpace(m0, r)
+    gtables = HomogeneousSpace(m0, r0 + 1).all_tables()
+    tables = {}
+    for rec in lower.records:
+        part = (
+            orbit_partition(rec.rep, rec.gens, r0, m0)
+            if rec.gens
+            else singleton_partition(rec.rep, r0, m0)
+        )
+        e_bits = truth_table_from_anf(rec.rep).bits
+        rep_words = [e_bits ^ gtables[b[0]] for b in part.blocks]
+        raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap, jobs=jobs)
+        merged, menums = merge_by_enumerator(part, raw)
+        tables[espace.index_of(rec.rep)] = (merged, tuple(menums))
+    return lower, tables
+
+
+def _check_fourier_size(r: int, m: int):
+    """Refuse a Fourier run whose transform table is past the caps.
+
+    The table has 2**N rows of 2**(m-2)+1 int64 coefficients, N =
+    C(m-2, r-1), and its entries reach 2**(N + dim R(r-2,m-2)) in size.
+    """
+    nbits, n0 = comb(m - 2, r - 1), 1 << (m - 2)
+    entries = (1 << nbits) * (n0 + 1)
+    if entries > 1 << MAX_INDEX_BITS:
+        raise ValueError(
+            f"R({r},{m}) needs a transform table of 2**{nbits} x {n0 + 1} entries, "
+            f"past the cap of 2**{MAX_INDEX_BITS}"
+        )
+    headroom = nbits + rm_dimension(r - 2, m - 2)
+    if headroom > 61:
+        raise ValueError(f"R({r},{m}) transform values reach 2**{headroom}, past int64")
+
+
+def _walsh_hadamard(table: np.ndarray):
+    """Unnormalised Walsh-Hadamard transform of table over axis 0, in place."""
+    rows, cols = table.shape
+    half = 1
+    while half < rows:
+        view = table.reshape(-1, 2, half, cols)
+        lo, hi = view[:, 0], view[:, 1]
+        lo += hi  # a + b
+        hi *= -2
+        hi += lo  # (a + b) - 2b = a - b
+        half *= 2
+
+
+def _kronecker_pack(rows: np.ndarray, width: int) -> list[int]:
+    """Each row of signed coefficients c_w as the integer sum of c_w * 2**(width*w).
+
+    width is a whole number of bytes, and every |c_w| is below 2**min(width, 63).
+    """
+    nbytes = width // 8
+    keep = min(nbytes, 8)
+    row_bytes = rows.shape[1] * nbytes
+
+    def pack(mags):
+        # little-endian digits of nbytes each, the value in the low keep bytes
+        digits = np.zeros(mags.shape + (nbytes,), dtype=np.uint8)
+        digits[..., :keep] = mags.astype("<u8")[..., None].view(np.uint8)[..., :keep]
+        blob = digits.tobytes()
+        starts = range(0, len(blob), row_bytes)
+        return [int.from_bytes(blob[i : i + row_bytes], "little") for i in starts]
+
+    return [p - q for p, q in zip(pack(np.maximum(rows, 0)), pack(np.maximum(-rows, 0)))]
+
+
+def _fourier_distribution(r, m, lower, tables, counter=None) -> WeightEnumerator:
+    """W[z; R(r,m)] from the lower classes alone, by Parseval over H^(r-1)(m-2).
+
+    Per lower class (rep e, size s) the table A_g = W[z; e+g+R(r-2,m-2)]
+    goes through a Walsh-Hadamard transform, and the class adds
+    s * 2**-N * sum_u Ahat_u**4. Polynomials are evaluated at z = 2**width
+    (Kronecker packing), so each fourth power is two big-int squarings;
+    equal transform rows are powered once and weighted by their count.
+    """
+    m0, r0 = m - 2, r - 2
+    nbits, n = comb(m0, r0 + 1), 1 << m
+    width = max(5 * nbits + 4 * rm_dimension(r0, m0), rm_dimension(r, m)) + 1
+    width = -(-width // 8) * 8
+    low_bits = sum(((1 << nbits) - 1) << (width * w) for w in range(n + 1))
+    espace = HomogeneousSpace(m0, r)
+    acc = 0
+    for rec in lower.records:
+        merged, menums = tables[espace.index_of(rec.rep)]
+        coeffs = np.array([enum.coeffs for enum in menums], dtype=np.int64)
+        table = coeffs[merged.block_of]
+        _walsh_hadamard(table)
+        # Equal rows are found by their bytes: a void view sorts far faster
+        # than np.unique(axis=0), which compares column by column.
+        keys = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        rows = table[first]
+        power_sum = 0
+        for packed, count in zip(_kronecker_pack(rows, width), counts.tolist()):
+            packed *= packed
+            power_sum += count * (packed * packed)
+        if counter is not None:
+            counter.tick(2 * len(rows))
+        if power_sum < 0 or power_sum & low_bits:
+            raise ValueError(
+                f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{nbits}"
+            )
+        acc += rec.size * (power_sum >> nbits)
+    if acc >> (width * (n + 1)):
+        raise ValueError(f"packed distribution overflows {n + 1} digits of {width} bits")
+    digit = (1 << width) - 1
+    return WeightEnumerator(n, [(acc >> (width * w)) & digit for w in range(n + 1)])
+
+
 def run_pipeline(
     r: int,
     m: int,
@@ -338,11 +476,23 @@ def run_pipeline(
 ) -> WeightEnumerator:
     """Full W[z; R(r,m)] via the doubling recursion, r >= 2.
 
-    classes may be None (self-classify H^(r)(m-1)), a classification file
-    path, or a list of ClassRecord. The blocks strategy self-classifies
-    H^(r)(m-2) for the lower forms, rebases representatives onto those, and
-    precomputes the per-form block tables; classes lacking stabilizer gens
-    degrade to singleton blocks. Both strategies produce identical output.
+    Two routes give identical output:
+
+    * Fourier (strategy "blocks", classes None, no checkpoint): classify
+      only H^(r)(m-2), build its block tables, and sum size * 2**-N *
+      sum_u Ahat_u**4 over its classes (see the module docstring). The
+      counter counts big-int squarings, two per distinct Ahat_u. Runs whose
+      transform table is past 2**MAX_INDEX_BITS entries or past int64
+      headroom are refused before any classification.
+    * Class sum (every other call): classes of H^(r)(m-1) are self-computed
+      (classes None), read from a classification file path, or given as a
+      list of ClassRecord, and distribution_from_classes sums size *
+      W^2[z; rep + R(r-1,m-1)] over them, with per-class checkpoints and
+      --jobs workers. "direct" evaluates each coset enumerator by the plain
+      product-sum; "blocks" rebases representatives onto the lower forms
+      and reads the block tables, so classes lacking stabilizer gens
+      degrade to singleton blocks. The counter counts polynomial
+      multiplications of the product-sums.
 
     The recursion peels two variables, so m >= 3 is required; use the brute
     oracle for anything smaller. The result is checked before it is
@@ -350,39 +500,29 @@ def run_pipeline(
     """
     if not 2 <= r <= m or m < 3:
         raise ValueError(f"need 2 <= r <= m and m >= 3, got r={r} m={m}")
-    rng = random.Random(seed)
-    m1, m0, r0 = m - 1, m - 2, r - 2
-    if isinstance(classes, (str, os.PathLike)):
-        classes, _, _ = ingest_classification(classes, expect_d=r, expect_m=m1)
-    elif classes is None:
-        classes = QuotientClassification.compute(r, m1, rng, max_gens=max_gens).records
-    if strategy == "direct":
-        enum_fn = DirectStrategy(r0, m0, cap)
-    elif strategy == "blocks":
-        lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
-        targets = [rec.rep for rec in lower.records]
-        classes = rebase_representatives(classes, targets, rng, lookup=lower)
-        espace = HomogeneousSpace(m0, r)
-        gspace = HomogeneousSpace(m0, r0 + 1)
-        gtables = gspace.all_tables()
-        tables = {}
-        for rec in lower.records:
-            part = (
-                orbit_partition(rec.rep, rec.gens, r0, m0)
-                if rec.gens
-                else singleton_partition(rec.rep, r0, m0)
-            )
-            e_bits = truth_table_from_anf(rec.rep).bits
-            rep_words = [e_bits ^ gtables[b[0]] for b in part.blocks]
-            raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap, jobs=jobs)
-            merged, menums = merge_by_enumerator(part, raw)
-            tables[espace.index_of(rec.rep)] = (merged, tuple(menums))
-        enum_fn = BlockStrategy(r=r0, m=m0, space=espace, tables=tables)
-    else:
+    if strategy not in ("direct", "blocks"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    dist = distribution_from_classes(
-        classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
-    )
+    m1, m0, r0 = m - 1, m - 2, r - 2
+    if strategy == "blocks" and classes is None and checkpoint is None:
+        _check_fourier_size(r, m)
+        lower, tables = _lower_block_tables(r, m0, random.Random(seed), max_gens, cap, jobs)
+        dist = _fourier_distribution(r, m, lower, tables, counter=counter)
+    else:
+        rng = random.Random(seed)
+        if isinstance(classes, (str, os.PathLike)):
+            classes, _, _ = ingest_classification(classes, expect_d=r, expect_m=m1)
+        elif classes is None:
+            classes = QuotientClassification.compute(r, m1, rng, max_gens=max_gens).records
+        if strategy == "direct":
+            enum_fn = DirectStrategy(r0, m0, cap)
+        else:
+            lower, tables = _lower_block_tables(r, m0, rng, max_gens, cap, jobs)
+            targets = [rec.rep for rec in lower.records]
+            classes = rebase_representatives(classes, targets, rng, lookup=lower)
+            enum_fn = BlockStrategy(r=r0, m=m0, space=HomogeneousSpace(m0, r), tables=tables)
+        dist = distribution_from_classes(
+            classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
+        )
     dim = rm_dimension(r, m)
     if dist.coeffs[0] != 1 or dist.total() != 1 << dim:
         raise ValueError(

@@ -105,6 +105,36 @@ def scale(a: WeightEnumerator, c: int) -> WeightEnumerator:
     return a.scale(c)
 
 
+def macwilliams(a: WeightEnumerator, dim: int) -> WeightEnumerator:
+    """Distribution of the dual code, by the MacWilliams identity, exact.
+
+    a is the distribution of a linear code of dimension dim and length n.
+    The dual has W_j = 2**-dim * sum_i a_i K_j(i), with the Krawtchouk
+    values K_j(i) = sum_s (-1)**s C(i,s) C(n-i,j-s) built by the three-term
+    recurrence (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i). Every
+    division is exact and checked.
+    """
+    n = a.n
+    if a.total() != 1 << dim:
+        raise ValueError(f"distribution totals {a.total()}, expected 2**{dim}")
+    prev = [0] * (n + 1)
+    cur = [1] * (n + 1)
+    out = []
+    for j in range(n + 1):
+        value, rem = divmod(sum(c * k for c, k in zip(a.coeffs, cur) if c), 1 << dim)
+        if rem:
+            raise ValueError(f"dual weight {j} is not an integer: the input is not a code")
+        out.append(value)
+        nxt = []
+        for i in range(n + 1):
+            q, rem = divmod((n - 2 * i) * cur[i] - (n - j + 1) * prev[i], j + 1)
+            if rem:
+                raise AssertionError(f"Krawtchouk recurrence inexact at j={j + 1}, i={i}")
+            nxt.append(q)
+        prev, cur = cur, nxt
+    return WeightEnumerator(n, out)
+
+
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)

@@ -18,8 +18,8 @@ from rmenum.classify import (
     orbit_partition,
     write_classification,
 )
-from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator
-from rmenum.oracle import brute_force_distribution
+from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator, rm_dimension
+from rmenum.oracle import brute_force_distribution, min_weight_count, validate_reference
 from rmenum.pipeline import (
     MulCounter,
     coset_enum_blocks,
@@ -244,3 +244,100 @@ def test_pipeline_multiplication_counts():
     # merged block counts
     assert direct.count == len(classify_quotient(3, 4)) * HomogeneousSpace(3, 2).size
     assert 0 < blocks.count < direct.count
+
+
+# Every (r, m) with 3 <= m <= 7 whose block sweeps over R(r-2, m-2) visit at
+# most 2**16 words; R(5,7) would sweep 2**26 words per block in both routes.
+SMALL_CODES = [
+    (r, m) for m in range(3, 8) for r in range(2, m + 1) if rm_dimension(r - 2, m - 2) <= 16
+]
+# Codes whose direct product-sums take well under a second.
+DIRECT_CHEAP = {(r, m) for r, m in SMALL_CODES if m <= 6} | {(2, 7)}
+
+
+def test_fourier_route_equals_class_sum_and_direct():
+    assert {(2, 3), (4, 5), (5, 5), (6, 6)} <= set(SMALL_CODES)
+    for r, m in SMALL_CODES:
+        fourier = run_pipeline(r, m)
+        class_sum = run_pipeline(r, m, classes=classify_quotient(r, m - 1))
+        assert fourier == class_sum, (r, m)
+        if (r, m) in DIRECT_CHEAP:
+            assert fourier == run_pipeline(r, m, strategy="direct"), (r, m)
+
+
+def test_fourier_route_classifies_only_the_lower_forms(monkeypatch):
+    import rmenum.pipeline as pipeline
+
+    seen = []
+    compute = QuotientClassification.compute
+
+    def spy(d, m, *args, **kwargs):
+        seen.append((d, m))
+        return compute(d, m, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Fourier route took a class-sum step")
+
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(spy))
+    monkeypatch.setattr(pipeline, "rebase_representatives", forbidden)
+    monkeypatch.setattr(pipeline, "distribution_from_classes", forbidden)
+    counter = MulCounter()
+    assert run_pipeline(2, 6, counter=counter) == brute_force_distribution(2, 6)
+    assert seen == [(2, 4)]
+    # two squarings per distinct transform row
+    assert counter.count > 0 and counter.count % 2 == 0
+
+
+def test_r38_at_desk_scale():
+    dist = run_pipeline(3, 8)
+    assert validate_reference(dist, 3, 8).ok
+    assert dist.coeffs[32] == min_weight_count(3, 8) == 777240
+
+
+def test_fourier_route_refuses_oversized_runs_before_classifying(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classification started")
+
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
+    # R(4,8): 2**20 x 65 table entries; R(5,9): 2**35 x 129
+    for r, m in ((4, 8), (5, 9)):
+        with pytest.raises(ValueError, match="cap"):
+            run_pipeline(r, m)
+    # R(9,10): a 2 x 257 table, but its entries reach 2**256
+    with pytest.raises(ValueError, match="int64"):
+        run_pipeline(9, 10)
+
+
+def test_fourier_route_rejects_a_corrupted_block_table(monkeypatch):
+    import rmenum.pipeline as pipeline
+
+    def bumped(partition, enums):
+        merged, menums = merge_by_enumerator(partition, enums)
+        last = menums[-1]
+        coeffs = list(last.coeffs)
+        coeffs[-1] += 1
+        return merged, [*menums[:-1], WeightEnumerator(last.n, coeffs)]
+
+    monkeypatch.setattr(pipeline, "merge_by_enumerator", bumped)
+    with pytest.raises(ValueError):
+        run_pipeline(3, 6)
+
+
+def test_fourier_route_rejects_an_inexact_transform(monkeypatch):
+    import rmenum.pipeline as pipeline
+
+    # without the butterfly the fourth-power sum is not a multiple of 2**N
+    monkeypatch.setattr(pipeline, "_walsh_hadamard", lambda table: None)
+    with pytest.raises(ValueError, match="divisible"):
+        run_pipeline(3, 6)
+
+
+def test_kronecker_pack_signed_rows():
+    import numpy as np
+
+    from rmenum.pipeline import _kronecker_pack
+
+    rows = np.array([[3, -1, 0, 2**40], [-(2**61), 0, 1, -7]], dtype=np.int64)
+    for width in (64, 72, 128):
+        want = [sum(int(c) << (width * w) for w, c in enumerate(row)) for row in rows]
+        assert _kronecker_pack(rows, width) == want

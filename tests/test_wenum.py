@@ -6,6 +6,7 @@ from rmenum.wenum import (
     WeightEnumerator,
     add,
     distribution_text,
+    macwilliams,
     mul,
     polynomial_text,
     read_distribution,
@@ -119,3 +120,29 @@ def test_validate_code_enumerator_failures():
 
     no_ones = WeightEnumerator.from_pairs(4, [(0, 1), (2, 1)])
     assert validate_code_enumerator(no_ones, expect_all_ones=False).ok
+
+
+def test_macwilliams_maps_rm_codes_to_their_duals():
+    from rmenum.cosetenum import rm_dimension
+    from rmenum.oracle import brute_force_distribution
+    from rmenum.pipeline import run_pipeline
+
+    # R(r,m)'s dual is R(m-r-1,m)
+    assert macwilliams(run_pipeline(2, 6), rm_dimension(2, 6)) == run_pipeline(3, 6)
+    r37 = run_pipeline(3, 7)
+    assert macwilliams(r37, rm_dimension(3, 7)) == r37
+    brute15 = brute_force_distribution(1, 5)
+    assert macwilliams(brute15, rm_dimension(1, 5)) == brute_force_distribution(3, 5)
+
+
+def test_macwilliams_small_cases_and_errors():
+    # the [8,4] extended Hamming code R(1,3) is self-dual
+    assert macwilliams(R13, 4) == R13
+    # the repetition code's dual is the even-weight code
+    rep = WeightEnumerator.from_pairs(3, [(0, 1), (3, 1)])
+    assert macwilliams(rep, 1).coeffs == (1, 0, 3, 0)
+    with pytest.raises(ValueError, match="totals"):
+        macwilliams(R13, 5)
+    # totals 4 but is no linear code: 2**-2 * sum is not an integer
+    with pytest.raises(ValueError, match="integer"):
+        macwilliams(WeightEnumerator.from_pairs(3, [(0, 1), (1, 3)]), 2)
