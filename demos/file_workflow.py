@@ -18,10 +18,10 @@ with tempfile.TemporaryDirectory() as tmp:
     dist = tmp / "r35.txt"
     oracle = tmp / "r35_brute.txt"
 
-    print("$ rm classify --d 3 --m 4 --out h34.txt")
+    print("$ rmenum classify --d 3 --m 4 --out h34.txt")
     main(["classify", "--d", "3", "--m", "4", "--out", str(classes)])
 
-    print("\n$ rm pipeline --r 3 --m 5 --classes h34.txt --checkpoint ckpt --out r35.txt")
+    print("\n$ rmenum pipeline --r 3 --m 5 --classes h34.txt --checkpoint ckpt --out r35.txt")
     main([
         "pipeline", "--r", "3", "--m", "5",
         "--classes", str(classes),
@@ -29,10 +29,10 @@ with tempfile.TemporaryDirectory() as tmp:
         "--out", str(dist),
     ])
 
-    print("\n$ rm brute --r 3 --m 5 --out r35_brute.txt")
+    print("\n$ rmenum brute --r 3 --m 5 --out r35_brute.txt")
     main(["brute", "--r", "3", "--m", "5", "--out", str(oracle)])
 
-    print("\n$ rm verify --dist r35.txt --r 3 --m 5")
+    print("\n$ rmenum verify --dist r35.txt --r 3 --m 5")
     code = main(["verify", "--dist", str(dist), "--r", "3", "--m", "5"])
     print("exit code:", code)
 

@@ -1,4 +1,4 @@
-"""Command-line surface: `rm` (also available as `python -m rmenum`).
+"""Command-line surface: `rmenum` (also available as `python -m rmenum`).
 
 Subcommands cover the whole workflow: brute-force distributions, single
 coset enumerators, quotient classification, the doubling pipeline, file
@@ -130,12 +130,9 @@ def _cmd_dualcheck(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rm",
+        prog="rmenum",
         description="Exact weight distributions of Reed-Muller codes and their cosets.",
-        epilog=(
-            "Installed as `rm`, which may shadow the coreutils rm depending on "
-            "PATH order; `python -m rmenum` always works."
-        ),
+        epilog="Installed as `rmenum`; `python -m rmenum` works as well.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

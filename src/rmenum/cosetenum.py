@@ -1,22 +1,34 @@
 """Exhaustive coset weight distributions by Gray-code sweeps.
 
 A coset f + R(r,m) is walked by enumerating all 2**dim codewords of
-R(r,m) in reflected Gray order, so each step XORs a single basis table
-into the running word and pays one popcount per tracked representative.
-A batch call amortises one sweep over many representatives, which is how
-the product-sum recursion consumes whole families of cosets at once.
+R(r,m). One engine, _gray_histograms, serves every sweep in the package:
+the span of the low (at most 16) basis tables is laid out once as a packed
+numpy block of words in reflected Gray order, and the Gray sequence over
+the high basis tables is cut into segments, each adding one XOR offset to
+the representatives. Representatives are swept in chunks of whole blocks,
+popcounted in numpy, and histogrammed by a single bincount per chunk. A
+batch call amortises one sweep over many representatives, which is how
+the product-sum recursion consumes whole families of cosets at once; the
+brute-force oracle is the same sweep of the zero representative.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from math import comb
+
+import numpy as np
 
 from .boolfn import Anf, TruthTable, monomial_table, truth_table_from_anf
 from .wenum import WeightEnumerator
 
 DEFAULT_CAP = 1 << 30
+# Basis tables spanned by the in-memory block; the rest index segments.
+# Representatives are chunked so that no more words than one full block
+# (2**_LOW_BITS) are popcounted at once.
+_LOW_BITS = 16
 
 
 def rm_dimension(r: int, m: int) -> int:
@@ -49,25 +61,43 @@ def _rep_bits(rep, m: int) -> int:
     return bits
 
 
-def _sweep(rep_bits: list[int], r: int, m: int) -> list[list[int]]:
-    """Histogram per representative over one Gray sweep of R(r,m)."""
+def _pack(words, lanes: int) -> np.ndarray:
+    buf = b"".join(w.to_bytes(lanes * 8, "little") for w in words)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(words), lanes)
+
+
+def _gray_histograms(rep_bits: list[int], r: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """Weight histograms of each rep + R(r,m) over Gray segments lo..hi-1.
+
+    Returns an int64 array of shape (len(rep_bits), 2**m + 1). Segment s
+    covers the low block XORed with the high basis tables selected by the
+    bits of gray(s); there are 2**max(0, dim - _LOW_BITS) segments, so a
+    full sweep is segments 0..that-1, and any split of that range sums to
+    the same histograms.
+    """
     n = 1 << m
-    tables = [monomial_table(mask, m) for mask in rm_basis_masks(r, m)]
-    hists = [[0] * (n + 1) for _ in rep_bits]
-    words = list(rep_bits)
-    for hist, w in zip(hists, words):
-        hist[w.bit_count()] += 1
-    for step in range(1, 1 << len(tables)):
-        t = tables[(step & -step).bit_length() - 1]
-        for k, w in enumerate(words):
-            w ^= t
-            words[k] = w
-            hists[k][w.bit_count()] += 1
+    lanes = max(1, n // 64)
+    tables = _pack([monomial_table(mask, m) for mask in rm_basis_masks(r, m)], lanes)
+    nlow = min(len(tables), _LOW_BITS)
+    # reflected Gray order: the block so far, then its mirror XOR the next table
+    low = np.zeros((1 << nlow, lanes), dtype="<u8")
+    for i in range(nlow):
+        low[1 << i : 2 << i] = low[(1 << i) - 1 :: -1] ^ tables[i]
+    high = tables[nlow:]
+    reps = _pack(rep_bits, lanes)
+    chunk = 1 << (_LOW_BITS - nlow)
+    hists = np.zeros((len(rep_bits), n + 1), dtype=np.int64)
+    for seg in range(lo, hi):
+        gray = seg ^ (seg >> 1)
+        offset = np.bitwise_xor.reduce(high[[i for i in range(len(high)) if gray >> i & 1]])
+        shifted = reps ^ offset
+        for c0 in range(0, len(rep_bits), chunk):
+            part = shifted[c0 : c0 + chunk]
+            weights = np.bitwise_count(part[:, None, :] ^ low).sum(axis=2, dtype=np.int64)
+            weights += np.arange(len(part), dtype=np.int64)[:, None] * (n + 1)
+            counts = np.bincount(weights.ravel(), minlength=len(part) * (n + 1))
+            hists[c0 : c0 + len(part)] += counts.reshape(len(part), n + 1)
     return hists
-
-
-def _sweep_job(args):
-    return _sweep(*args)
 
 
 def coset_enumerator(rep, r: int, m: int, cap: int = DEFAULT_CAP) -> WeightEnumerator:
@@ -94,13 +124,14 @@ def batch_coset_enumerators(
     n = 1 << m
     if not rep_bits:
         return []
+    nseg = 1 << max(0, dim - _LOW_BITS)
     if jobs <= 1 or len(rep_bits) == 1:
-        hists = _sweep(rep_bits, r, m)
+        hists = _gray_histograms(rep_bits, r, m, 0, nseg)
     else:
         jobs = min(jobs, len(rep_bits))
         chunk = (len(rep_bits) + jobs - 1) // jobs
         parts = [rep_bits[i : i + chunk] for i in range(0, len(rep_bits), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_job, [(part, r, m) for part in parts]))
-        hists = [h for part in results for h in part]
-    return [WeightEnumerator(n, h) for h in hists]
+            sweep = partial(_gray_histograms, r=r, m=m, lo=0, hi=nseg)
+            hists = np.concatenate(list(pool.map(sweep, parts)))
+    return [WeightEnumerator(n, h) for h in hists.tolist()]

@@ -1,88 +1,50 @@
-"""Independent ground truth for small parameters.
+"""Brute-force ground truth for small parameters.
 
-brute_force_distribution enumerates every codeword of R(r,m), nothing
-derived from the recursion machinery, so the two routes can be compared
-coefficient for coefficient. The Gray sequence over the 2**dim coefficient
-vectors is cut into segments: a segment is all words sharing a prefix
-state over the high basis elements, and the low span of each segment is
-swept as one vectorised block. Segments are independent, which is also
-what makes the sweep restartable and splittable across processes.
+brute_force_distribution enumerates every codeword of R(r,m): it is the
+coset enumerator of the zero representative, computed by the same Gray
+sweep engine as cosetenum (cosetenum._gray_histograms), with the segments
+of the sweep split across processes. It shares no code with the doubling
+recursion, classification or product-sums, so the two routes can be
+compared coefficient for coefficient. What stays independent of the sweep
+engine itself: the plain subset-XOR reference enumerator in the tests, the
+closed forms here (minimum-weight count, divisibility exponent), the
+identities validate_reference checks, and MacWilliams duality
+(wenum.macwilliams).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-import numpy as np
-
-from .cosetenum import rm_basis_masks, rm_dimension
-from .boolfn import monomial_table
+from .cosetenum import _LOW_BITS, _gray_histograms, rm_dimension
 from .wenum import ValidationReport, WeightEnumerator, read_distribution, validate_code_enumerator
 
 DEFAULT_DIM_CAP = 28
-_LOW_BITS = 16
-
-
-def _pack(words: list[int], lanes: int) -> np.ndarray:
-    buf = b"".join(w.to_bytes(lanes * 8, "little") for w in words)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(words), lanes)
-
-
-def _low_block(tables: list[int], lanes: int) -> np.ndarray:
-    """All XOR combinations of the given tables, in Gray order."""
-    words = [0] * (1 << len(tables))
-    w = 0
-    for step in range(1, len(words)):
-        w ^= tables[(step & -step).bit_length() - 1]
-        words[step] = w
-    return _pack(words, lanes)
-
-
-def _segment_counts(r: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """Histogram over Gray segments lo..hi-1 of the high prefix space."""
-    n = 1 << m
-    lanes = max(1, n // 64)
-    tables = [monomial_table(mask, m) for mask in rm_basis_masks(r, m)]
-    nlow = min(len(tables), _LOW_BITS)
-    low = _low_block(tables[:nlow], lanes)
-    high_tables = tables[nlow:]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for seg in range(lo, hi):
-        gray = seg ^ (seg >> 1)
-        offset = 0
-        g = gray
-        while g:
-            bit = g & -g
-            offset ^= high_tables[bit.bit_length() - 1]
-            g ^= bit
-        block = low ^ _pack([offset], lanes)
-        weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-        counts += np.bincount(weights, minlength=n + 1)
-    return counts
-
-
-def _segment_job(args):
-    return _segment_counts(*args)
 
 
 def brute_force_distribution(
     r: int, m: int, cap_dim: int = DEFAULT_DIM_CAP, jobs: int = 1
 ) -> WeightEnumerator:
-    """Exact W[z; R(r,m)] by enumerating all 2**dim codewords."""
+    """Exact W[z; R(r,m)] by enumerating all 2**dim codewords.
+
+    The Gray sweep of the zero coset; with jobs > 1 its segments are split
+    into contiguous ranges, one per worker, and the histograms summed.
+    """
     dim = rm_dimension(r, m)
     if dim > cap_dim:
         raise ValueError(f"dim R({r},{m}) = {dim} exceeds the cap of {cap_dim}")
     n = 1 << m
     nseg = 1 << max(0, dim - _LOW_BITS)
     if jobs <= 1 or nseg == 1:
-        counts = _segment_counts(r, m, 0, nseg)
+        counts = _gray_histograms([0], r, m, 0, nseg)
     else:
         jobs = min(jobs, nseg)
         bounds = [nseg * k // jobs for k in range(jobs + 1)]
-        work = [(r, m, bounds[k], bounds[k + 1]) for k in range(jobs)]
+        sweep = partial(_gray_histograms, [0], r, m)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = sum(pool.map(_segment_job, work))
-    return WeightEnumerator(n, [int(c) for c in counts])
+            counts = sum(pool.map(sweep, bounds[:-1], bounds[1:]))
+    return WeightEnumerator(n, counts[0].tolist())
 
 
 def min_weight_count(r: int, m: int) -> int:

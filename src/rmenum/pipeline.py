@@ -35,6 +35,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -135,44 +136,28 @@ def coset_enum_blocks(
     return out
 
 
-@dataclass(frozen=True)
-class DirectStrategy:
-    """Evaluate every coset enumerator by the plain product-sum."""
-
-    r: int
-    m: int
-    cap: int = DEFAULT_CAP
-
-    def __call__(self, p: Anf) -> tuple[WeightEnumerator, int]:
-        e, f = decompose_top(p)
-        counter = MulCounter()
-        enum = coset_enum_split(e, f, self.r, self.m, counter=counter, cap=self.cap)
-        return enum, counter.count
+def _direct_enum(r: int, m: int, cap: int, p: Anf) -> tuple[WeightEnumerator, int]:
+    """Coset enumerator of p + R(r+1,m+1) by the plain product-sum, and its multiplications."""
+    e, f = decompose_top(p)
+    counter = MulCounter()
+    enum = coset_enum_split(e, f, r, m, counter=counter, cap=cap)
+    return enum, counter.count
 
 
-@dataclass(frozen=True)
-class BlockStrategy:
-    """Evaluate coset enumerators through precomputed per-e block tables.
+def _block_enum(space: HomogeneousSpace, tables: dict, p: Anf) -> tuple[WeightEnumerator, int]:
+    """Coset enumerator of p through the block table of its lower part, and its multiplications.
 
-    Representatives must be rebased so that their lower part is exactly one
-    of the keyed forms; lookup is by packed index in H^(r+2)(m).
+    p must be rebased so that its lower part is exactly one of the keyed
+    forms; lookup is by packed index in space.
     """
-
-    r: int
-    m: int
-    space: HomogeneousSpace
-    tables: dict
-
-    def __call__(self, p: Anf) -> tuple[WeightEnumerator, int]:
-        e, f = decompose_top(p)
-        key = self.space.index_of(e)
-        entry = self.tables.get(key)
-        if entry is None:
-            raise ValueError(f"representative {format_anf(p)} was not rebased onto a known form")
-        partition, block_enums = entry
-        counter = MulCounter()
-        enum = coset_enum_blocks(f, partition, block_enums, counter=counter)
-        return enum, counter.count
+    e, f = decompose_top(p)
+    entry = tables.get(space.index_of(e))
+    if entry is None:
+        raise ValueError(f"representative {format_anf(p)} was not rebased onto a known form")
+    partition, block_enums = entry
+    counter = MulCounter()
+    enum = coset_enum_blocks(f, partition, block_enums, counter=counter)
+    return enum, counter.count
 
 
 def _class_contribution(args):
@@ -514,12 +499,12 @@ def run_pipeline(
         elif classes is None:
             classes = QuotientClassification.compute(r, m1, rng, max_gens=max_gens).records
         if strategy == "direct":
-            enum_fn = DirectStrategy(r0, m0, cap)
+            enum_fn = partial(_direct_enum, r0, m0, cap)
         else:
             lower, tables = _lower_block_tables(r, m0, rng, max_gens, cap, jobs)
             targets = [rec.rep for rec in lower.records]
             classes = rebase_representatives(classes, targets, rng, lookup=lower)
-            enum_fn = BlockStrategy(r=r0, m=m0, space=HomogeneousSpace(m0, r), tables=tables)
+            enum_fn = partial(_block_enum, HomogeneousSpace(m0, r), tables)
         dist = distribution_from_classes(
             classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
         )

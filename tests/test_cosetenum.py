@@ -63,6 +63,12 @@ def test_matches_slow_reference():
         for _ in range(5):
             rep = rng.getrandbits(1 << m)
             assert coset_enumerator(rep, r, m) == slow_coset_enumerator(rep, r, m)
+    # the sweep engine's edges: more representatives than one chunk (1024 for
+    # R(1,5)), a dimension of exactly the block's 16 tables, and two 64-bit lanes
+    for r, m, count in [(1, 5, 1100), (2, 5, 1), (1, 7, 1)]:
+        reps = [rng.getrandbits(1 << m) for _ in range(count)]
+        got = batch_coset_enumerators(reps, r, m)
+        assert got == [slow_coset_enumerator(rep, r, m) for rep in reps]
 
 
 def test_rep_argument_forms_agree():

@@ -44,6 +44,11 @@ def test_jobs_invariance():
     assert brute_force_distribution(2, 5, jobs=4) == brute_force_distribution(2, 5)
 
 
+def test_jobs_split_segments():
+    # dim R(3,5) = 26 gives 1024 sweep segments, split over the workers
+    assert brute_force_distribution(3, 5, jobs=2) == brute_force_distribution(3, 5)
+
+
 def test_cap():
     with pytest.raises(ValueError, match="exceeds the cap"):
         brute_force_distribution(3, 8)
