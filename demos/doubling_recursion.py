@@ -50,7 +50,7 @@ print(f"  equal results: {a == b};"
 print("\nfull distribution of R(3,6) via the recursion (dim 42, no enumeration):")
 counter = MulCounter()
 dist = run_pipeline(3, 6, counter=counter)
-print(f"  {counter.count} polynomial multiplications, total 2^42:",
+print(f"  {counter.count} {counter.label}, total 2^42:",
       dist.total() == 1 << 42)
 
 print("\nagainst the 2^26-word brute-force oracle at R(3,5):")

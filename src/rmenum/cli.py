@@ -86,7 +86,7 @@ def _cmd_pipeline(args) -> int:
     )
     comments = [f"R({args.r},{args.m})", f"seed {args.seed}"]
     _emit_distribution(dist, args.out, comments)
-    print(f"{counter.count} polynomial multiplications")
+    print(f"{counter.count} {counter.label}")
     return 0
 
 

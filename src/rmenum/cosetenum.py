@@ -117,21 +117,28 @@ def batch_coset_enumerators(
     The result list is aligned with reps and identical for any jobs value;
     workers replay the same codeword sequence on disjoint slices of reps.
     """
+    n = 1 << m
+    return [WeightEnumerator(n, h) for h in coset_histograms(reps, r, m, cap, jobs).tolist()]
+
+
+def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
+    """The sweep of batch_coset_enumerators as int64 rows, one per rep, of 2**m + 1 counts.
+
+    For callers that pack the rows straight into big ints rather than
+    building a WeightEnumerator per coset.
+    """
     dim = rm_dimension(r, m)
     if 1 << dim > cap:
         raise ValueError(f"2**{dim} codewords exceed the cap of {cap}")
     rep_bits = [_rep_bits(rep, m) for rep in reps]
-    n = 1 << m
     if not rep_bits:
-        return []
+        return np.zeros((0, (1 << m) + 1), dtype=np.int64)
     nseg = 1 << max(0, dim - _LOW_BITS)
     if jobs <= 1 or len(rep_bits) == 1:
-        hists = _gray_histograms(rep_bits, r, m, 0, nseg)
-    else:
-        jobs = min(jobs, len(rep_bits))
-        chunk = (len(rep_bits) + jobs - 1) // jobs
-        parts = [rep_bits[i : i + chunk] for i in range(0, len(rep_bits), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sweep = partial(_gray_histograms, r=r, m=m, lo=0, hi=nseg)
-            hists = np.concatenate(list(pool.map(sweep, parts)))
-    return [WeightEnumerator(n, h) for h in hists.tolist()]
+        return _gray_histograms(rep_bits, r, m, 0, nseg)
+    jobs = min(jobs, len(rep_bits))
+    chunk = (len(rep_bits) + jobs - 1) // jobs
+    parts = [rep_bits[i : i + chunk] for i in range(0, len(rep_bits), chunk)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        sweep = partial(_gray_histograms, r=r, m=m, lo=0, hi=nseg)
+        return np.concatenate(list(pool.map(sweep, parts)))

@@ -12,7 +12,10 @@ down as a product-sum over H^(r-1)(m-2):
 computed either directly over all g, or ("blocks") with g grouped by the
 orbit partition above e so equal factors are fetched instead of recomputed;
 then the number of polynomial multiplications per coset drops to the
-merged block count.
+merged block count. Both run on wenum's Kronecker kernel: each factor is
+packed once into a big int with digits as wide as the exact total of the
+product-sum (rounded up to whole bytes), the products are summed as ints,
+and the sum is unpacked once, so one multiplication is one big-int product.
 
 With A_g = W[z; e+g + R(r-2,m-2)], the product-sum is the XOR
 autocorrelation of A over GF(2)^N, N = C(m-2, r-1), so Parseval collapses
@@ -59,21 +62,30 @@ from .classify import (
     orbit_partition,
     singleton_partition,
 )
-from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, rm_dimension
+from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, coset_histograms, rm_dimension
 from .gf2 import AffineMap, find_equivalence, top_image
 from .oracle import divisibility_exponent
 from .wenum import (
     WeightEnumerator,
+    _digit_width,
+    _kronecker_pack,
+    _kronecker_unpack,
+    _pack_coeffs,
     read_distribution,
     scale,
     square,
     write_distribution,
 )
 
+FOURIER_LABEL = "big-int multiplications (squarings, Fourier route)"
+
 
 @dataclass
 class MulCounter:
+    """Multiplications a run performed; label names what was counted."""
+
     count: int = 0
+    label: str = "polynomial multiplications"
 
     def tick(self, n: int = 1):
         self.count += n
@@ -86,8 +98,8 @@ def coset_enum_split(
 
     One Gray sweep of R(r,m) collects the enumerators of every coset
     e + g + R(r,m) at once; the factor at g+f is then a lookup because
-    adding f is XOR on packed indices. Exactly 2**C(m,r+1) polynomial
-    multiplications are performed.
+    adding f is XOR on packed indices. Each enumerator is packed into one
+    big int once, and exactly 2**C(m,r+1) packed products are summed.
     """
     if not e.is_zero() and not e.is_homogeneous(r + 2):
         raise ValueError("e must be homogeneous of degree r+2")
@@ -96,14 +108,18 @@ def coset_enum_split(
     space = HomogeneousSpace(m, r + 1)
     e_bits = truth_table_from_anf(e).bits
     tables = space.all_tables()
-    enums = batch_coset_enumerators([e_bits ^ t for t in tables], r, m, cap=cap)
+    hists = coset_histograms([e_bits ^ t for t in tables], r, m, cap=cap)
     f_idx = space.index_of(f)
-    out = WeightEnumerator.zero(1 << (m + 1))
+    # every coset totals 2**dim, so the product-sum totals size * 2**(2*dim)
+    width = _digit_width(space.size << (2 * rm_dimension(r, m)))
+    packed = _kronecker_pack(hists, width)
+    acc = 0
     for g in range(space.size):
-        out = out + enums[g] * enums[g ^ f_idx]
-        if counter is not None:
-            counter.tick()
-    return out
+        acc += packed[g] * packed[g ^ f_idx]
+    if counter is not None:
+        counter.tick(space.size)
+    n = 1 << (m + 1)
+    return WeightEnumerator(n, _kronecker_unpack(acc, n, width))
 
 
 def coset_enum_blocks(
@@ -116,24 +132,35 @@ def coset_enum_blocks(
 
     partition must be the (merged) orbit partition above e = partition.e
     and block_enums its per-block coset enumerators; all g in a block share
-    their factor, so the inner factor is accumulated by block lookup and
-    the multiplication count equals the block count.
+    their factor, so the inner factor of block b is the sum, over the g of
+    b, of the factor of the block holding g+f. The enumerators are packed
+    into big ints once, the inner sums are accumulated packed, and each
+    block costs one big-int product, so the multiplication count equals
+    the block count.
     """
-    if len(block_enums) != partition.block_count:
+    nblocks = partition.block_count
+    if len(block_enums) != nblocks:
         raise ValueError("one enumerator per block required")
     space = HomogeneousSpace(partition.m, partition.d)
     f_idx = space.index_of(f)
-    block_of = partition.block_of
-    n_half = 1 << partition.m
-    out = WeightEnumerator.zero(2 * n_half)
-    for bid, members in enumerate(partition.blocks):
-        inner = WeightEnumerator.zero(n_half)
-        for g in members:
-            inner = inner + block_enums[int(block_of[g ^ f_idx])]
-        out = out + block_enums[bid] * inner
-        if counter is not None:
-            counter.tick()
-    return out
+    block_of = partition.block_of.astype(np.int64)
+    # (b, c, k): k indices g lie in block b with g+f in block c
+    keys, ks = np.unique(
+        block_of * nblocks + block_of[np.arange(block_of.size) ^ f_idx], return_counts=True
+    )
+    rows, cols = np.divmod(keys, nblocks)
+    pairs = list(zip(rows.tolist(), cols.tolist(), ks.tolist()))
+    totals = [enum.total() for enum in block_enums]
+    width = _digit_width(sum(totals[b] * k * totals[c] for b, c, k in pairs))
+    packed = [_pack_coeffs(enum.coeffs, width) for enum in block_enums]
+    inner = [0] * nblocks
+    for b, c, k in pairs:
+        inner[b] += k * packed[c]
+    acc = sum(p * q for p, q in zip(packed, inner))
+    if counter is not None:
+        counter.tick(nblocks)
+    n = 2 << partition.m
+    return WeightEnumerator(n, _kronecker_unpack(acc, n, width))
 
 
 def _direct_enum(r: int, m: int, cap: int, p: Anf) -> tuple[WeightEnumerator, int]:
@@ -325,14 +352,15 @@ def rebase_representatives(
     return out
 
 
-def _lower_block_tables(r, m0, rng, max_gens, cap, jobs):
+def _lower_block_tables(r, m0, rng, max_gens, cap):
     """Classify H^(r)(m0) and build the merged block table above each class.
 
     Returns the classification and {packed index of rep: (merged partition,
     per-block enumerators)}, where the partition is the orbit partition of
     H^(r-1)(m0) under the rep's stabilizer (singleton blocks when the rep
     has no gens) and each enumerator is W[z; rep + g + R(r-2, m0)] for the
-    g of its block.
+    g of its block. Each class's sweep takes milliseconds, so it runs in
+    this process: a worker pool per class would cost more than the sweep.
     """
     r0 = r - 2
     lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
@@ -347,7 +375,7 @@ def _lower_block_tables(r, m0, rng, max_gens, cap, jobs):
         )
         e_bits = truth_table_from_anf(rec.rep).bits
         rep_words = [e_bits ^ gtables[b[0]] for b in part.blocks]
-        raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap, jobs=jobs)
+        raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
         merged, menums = merge_by_enumerator(part, raw)
         tables[espace.index_of(rec.rep)] = (merged, tuple(menums))
     return lower, tables
@@ -384,41 +412,27 @@ def _walsh_hadamard(table: np.ndarray):
         half *= 2
 
 
-def _kronecker_pack(rows: np.ndarray, width: int) -> list[int]:
-    """Each row of signed coefficients c_w as the integer sum of c_w * 2**(width*w).
-
-    width is a whole number of bytes, and every |c_w| is below 2**min(width, 63).
-    """
-    nbytes = width // 8
-    keep = min(nbytes, 8)
-    row_bytes = rows.shape[1] * nbytes
-
-    def pack(mags):
-        # little-endian digits of nbytes each, the value in the low keep bytes
-        digits = np.zeros(mags.shape + (nbytes,), dtype=np.uint8)
-        digits[..., :keep] = mags.astype("<u8")[..., None].view(np.uint8)[..., :keep]
-        blob = digits.tobytes()
-        starts = range(0, len(blob), row_bytes)
-        return [int.from_bytes(blob[i : i + row_bytes], "little") for i in starts]
-
-    return [p - q for p, q in zip(pack(np.maximum(rows, 0)), pack(np.maximum(-rows, 0)))]
-
-
 def _fourier_distribution(r, m, lower, tables, counter=None) -> WeightEnumerator:
     """W[z; R(r,m)] from the lower classes alone, by Parseval over H^(r-1)(m-2).
 
     Per lower class (rep e, size s) the table A_g = W[z; e+g+R(r-2,m-2)]
     goes through a Walsh-Hadamard transform, and the class adds
-    s * 2**-N * sum_u Ahat_u**4. Polynomials are evaluated at z = 2**width
-    (Kronecker packing), so each fourth power is two big-int squarings;
-    equal transform rows are powered once and weighted by their count.
+    s * 2**-N * sum_u Ahat_u**4. Polynomials are packed into big ints
+    (wenum's Kronecker kernel), so each fourth power is two big-int
+    squarings; equal transform rows are powered once and weighted by their
+    count. The digit width comes from the larger of two totals: a class's
+    sum_u Ahat_u**4, 2**N * sum_f W^2 = 2**(4N + 4 dim R(r-2,m-2)), and the
+    result, 2**dim R(r,m). Signed intermediate terms may carry between
+    digits; the class sums and the result have proper digits.
     """
     m0, r0 = m - 2, r - 2
     nbits, n = comb(m0, r0 + 1), 1 << m
-    width = max(5 * nbits + 4 * rm_dimension(r0, m0), rm_dimension(r, m)) + 1
-    width = -(-width // 8) * 8
+    class_total = 1 << (4 * nbits + 4 * rm_dimension(r0, m0))
+    width = _digit_width(max(class_total, 1 << rm_dimension(r, m)))
     low_bits = sum(((1 << nbits) - 1) << (width * w) for w in range(n + 1))
     espace = HomogeneousSpace(m0, r)
+    if counter is not None:
+        counter.label = FOURIER_LABEL
     acc = 0
     for rec in lower.records:
         merged, menums = tables[espace.index_of(rec.rep)]
@@ -441,10 +455,7 @@ def _fourier_distribution(r, m, lower, tables, counter=None) -> WeightEnumerator
                 f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{nbits}"
             )
         acc += rec.size * (power_sum >> nbits)
-    if acc >> (width * (n + 1)):
-        raise ValueError(f"packed distribution overflows {n + 1} digits of {width} bits")
-    digit = (1 << width) - 1
-    return WeightEnumerator(n, [(acc >> (width * w)) & digit for w in range(n + 1)])
+    return WeightEnumerator(n, _kronecker_unpack(acc, n, width))
 
 
 def run_pipeline(
@@ -466,7 +477,8 @@ def run_pipeline(
     * Fourier (strategy "blocks", classes None, no checkpoint): classify
       only H^(r)(m-2), build its block tables, and sum size * 2**-N *
       sum_u Ahat_u**4 over its classes (see the module docstring). The
-      counter counts big-int squarings, two per distinct Ahat_u. Runs whose
+      counter counts big-int squarings, two per distinct Ahat_u, and its
+      label says so (FOURIER_LABEL). Runs whose
       transform table is past 2**MAX_INDEX_BITS entries or past int64
       headroom are refused before any classification.
     * Class sum (every other call): classes of H^(r)(m-1) are self-computed
@@ -490,7 +502,7 @@ def run_pipeline(
     m1, m0, r0 = m - 1, m - 2, r - 2
     if strategy == "blocks" and classes is None and checkpoint is None:
         _check_fourier_size(r, m)
-        lower, tables = _lower_block_tables(r, m0, random.Random(seed), max_gens, cap, jobs)
+        lower, tables = _lower_block_tables(r, m0, random.Random(seed), max_gens, cap)
         dist = _fourier_distribution(r, m, lower, tables, counter=counter)
     else:
         rng = random.Random(seed)
@@ -501,7 +513,7 @@ def run_pipeline(
         if strategy == "direct":
             enum_fn = partial(_direct_enum, r0, m0, cap)
         else:
-            lower, tables = _lower_block_tables(r, m0, rng, max_gens, cap, jobs)
+            lower, tables = _lower_block_tables(r, m0, rng, max_gens, cap)
             targets = [rec.rep for rec in lower.records]
             classes = rebase_representatives(classes, targets, rng, lookup=lower)
             enum_fn = partial(_block_enum, HomogeneousSpace(m0, r), tables)

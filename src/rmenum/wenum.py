@@ -3,12 +3,27 @@
 A distribution over codeword length n is the coefficient vector of
 W[z] = sum_i W_i z^i, stored as a tuple of n+1 Python ints so nothing is
 ever rounded; coefficients at full scale reach past 2**250.
+
+Every polynomial product in the package runs on one kernel, Kronecker
+packing: a polynomial is evaluated at z = 2**width, which lays its
+coefficients side by side as digits of one big int, the product (or a
+whole product-sum) is a big-int product (or sum of them), and the digits
+of the result are read back. The digits come out exact when every
+coefficient of the result fits in width bits. A nonnegative polynomial
+has no coefficient above its total, so width is taken from the exact
+total of the result (its bit length, rounded up to whole bytes so that
+packing and unpacking are byte copies); intermediate sums of signed
+polynomials may carry between digits, since evaluation at 2**width is a
+ring homomorphism and only the result needs proper digits. Unpacking
+raises if the value does not fit in its n+1 digits.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class WeightEnumerator:
@@ -18,7 +33,7 @@ class WeightEnumerator:
         coeffs = tuple(coeffs)
         if len(coeffs) != n + 1:
             raise ValueError(f"need {n + 1} coefficients for length {n}")
-        if any(c < 0 for c in coeffs):
+        if min(coeffs, default=0) < 0:
             raise ValueError("negative coefficient")
         self.n = n
         self.coeffs = coeffs
@@ -84,17 +99,62 @@ def add(a: WeightEnumerator, b: WeightEnumerator) -> WeightEnumerator:
     return a + b
 
 
+def _digit_width(total: int) -> int:
+    """Packed digit width for a nonnegative result of this total: whole bytes, at least one."""
+    return max(8, -(-total.bit_length() // 8) * 8)
+
+
+def _pack_coeffs(coeffs, width: int) -> int:
+    """sum of c_w * 2**(width*w) for nonnegative Python ints c_w below 2**width."""
+    nbytes = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in coeffs), "little")
+
+
+def _kronecker_pack(rows: np.ndarray, width: int) -> list[int]:
+    """Each row of signed coefficients c_w as the integer sum of c_w * 2**(width*w).
+
+    width is a whole number of bytes, and every |c_w| is below 2**min(width, 63).
+    """
+    nbytes = width // 8
+    keep = min(nbytes, 8)
+    row_bytes = rows.shape[1] * nbytes
+
+    def pack(mags):
+        # little-endian digits of nbytes each, the value in the low keep bytes
+        digits = np.zeros(mags.shape + (nbytes,), dtype=np.uint8)
+        digits[..., :keep] = mags.astype("<u8")[..., None].view(np.uint8)[..., :keep]
+        blob = digits.tobytes()
+        starts = range(0, len(blob), row_bytes)
+        return [int.from_bytes(blob[i : i + row_bytes], "little") for i in starts]
+
+    return [p - q for p, q in zip(pack(np.maximum(rows, 0)), pack(np.maximum(-rows, 0)))]
+
+
+def _kronecker_unpack(value: int, n: int, width: int) -> list[int]:
+    """The n+1 digits of width bits of a packed value.
+
+    Raises ValueError unless 0 <= value < 2**(width*(n+1)), so a sum that
+    overflowed its digits never reads back as a wrong polynomial.
+    """
+    nbytes = width // 8
+    try:
+        blob = value.to_bytes(nbytes * (n + 1), "little")
+    except OverflowError:
+        raise ValueError(f"packed value does not fit {n + 1} digits of {width} bits") from None
+    return [int.from_bytes(blob[i : i + nbytes], "little") for i in range(0, len(blob), nbytes)]
+
+
 def mul(a: WeightEnumerator, b: WeightEnumerator) -> WeightEnumerator:
-    """Product enumerator over length a.n + b.n (convolution of coefficients)."""
+    """Product enumerator over length a.n + b.n, as one packed big-int product."""
     n = a.n + b.n
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj:
-                out[i + j] += ai * bj
-    return WeightEnumerator(n, out)
+    total = a.total() * b.total()
+    if not total:
+        return WeightEnumerator.zero(n)
+    width = _digit_width(total)
+    pa = _pack_coeffs(a.coeffs, width)
+    # the same object on both sides lets the big-int product take its squaring path
+    pb = pa if b is a else _pack_coeffs(b.coeffs, width)
+    return WeightEnumerator(n, _kronecker_unpack(pa * pb, n, width))
 
 
 def square(a: WeightEnumerator) -> WeightEnumerator:

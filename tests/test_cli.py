@@ -83,6 +83,20 @@ def test_pipeline_matches_brute_data(tmp_path, capsys):
     assert "# seed 0" in pipe.read_text()
 
 
+def test_pipeline_fourier_route_counts_big_int_squarings(capsys):
+    code, stdout, _ = run(capsys, "pipeline", "--r", "3", "--m", "7")
+    assert code == 0
+    assert "26 big-int multiplications (squarings, Fourier route)" in stdout
+    assert "polynomial multiplications" not in stdout
+
+
+def test_pipeline_class_sum_counts_polynomial_multiplications(capsys):
+    code, stdout, _ = run(capsys, "pipeline", "--r", "3", "--m", "5", "--strategy", "direct")
+    assert code == 0
+    assert "polynomial multiplications" in stdout
+    assert "Fourier" not in stdout
+
+
 def test_pipeline_strategies_byte_identical(tmp_path, capsys):
     a = tmp_path / "blocks.txt"
     b = tmp_path / "direct.txt"

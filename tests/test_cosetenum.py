@@ -1,12 +1,14 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from rmenum.boolfn import TruthTable, monomial_table, parse_anf, truth_table_from_anf
 from rmenum.cosetenum import (
     batch_coset_enumerators,
     coset_enumerator,
+    coset_histograms,
     rm_basis_masks,
     rm_dimension,
 )
@@ -86,6 +88,15 @@ def test_batch_matches_singles():
     batch = batch_coset_enumerators(reps, 2, 5)
     for rep, got in zip(reps, batch):
         assert got == coset_enumerator(rep, 2, 5)
+
+
+def test_histograms_are_the_batch_rows():
+    rng = random.Random(31)
+    reps = [rng.getrandbits(32) for _ in range(5)]
+    hists = coset_histograms(reps, 2, 5)
+    assert hists.dtype == np.int64 and hists.shape == (5, 33)
+    assert [WeightEnumerator(32, h) for h in hists.tolist()] == batch_coset_enumerators(reps, 2, 5)
+    assert coset_histograms([], 2, 5).shape == (0, 33)
 
 
 def test_batch_jobs_invariance():

@@ -16,11 +16,13 @@ from rmenum.classify import (
     classify_quotient,
     merge_by_enumerator,
     orbit_partition,
+    singleton_partition,
     write_classification,
 )
 from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator, rm_dimension
 from rmenum.oracle import brute_force_distribution, min_weight_count, validate_reference
 from rmenum.pipeline import (
+    FOURIER_LABEL,
     MulCounter,
     coset_enum_blocks,
     coset_enum_split,
@@ -88,6 +90,20 @@ def test_blocks_equal_split_with_fewer_multiplications():
         assert c_blocks.count == merged.block_count < c_split.count
 
 
+def test_blocks_on_singleton_blocks_equal_split():
+    # unmerged singleton blocks: one product per index of H^(2)(4)
+    e = parse_anf("123", 4)
+    part = singleton_partition(e, 1, 4)
+    e_bits = truth_table_from_anf(e).bits
+    enums = batch_coset_enumerators([e_bits ^ t for t in HomogeneousSpace(4, 2).all_tables()], 1, 4)
+    rng = random.Random(37)
+    for _ in range(4):
+        f = HomogeneousSpace(4, 2).anf_of(rng.randrange(64))
+        counter = MulCounter()
+        assert coset_enum_blocks(f, part, enums, counter=counter) == coset_enum_split(e, f, 1, 4)
+        assert counter.count == 64
+
+
 def test_blocks_requires_aligned_enums():
     part = orbit_partition(parse_anf("0", 3), [], 0, 3)
     with pytest.raises(ValueError, match="per block"):
@@ -141,6 +157,19 @@ def test_pipeline_accepts_classification_records_and_files(tmp_path):
 
 def test_pipeline_jobs_invariance():
     assert run_pipeline(2, 6, jobs=3) == run_pipeline(2, 6)
+
+
+def test_lower_block_sweeps_open_no_pool(monkeypatch, tmp_path):
+    import rmenum.cosetenum as cosetenum
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a lower-class sweep opened a process pool")
+
+    # --jobs parallelises the class loop only; every coset sweep stays serial
+    monkeypatch.setattr(cosetenum, "ProcessPoolExecutor", no_pool)
+    want = run_pipeline(3, 6)
+    assert run_pipeline(3, 6, jobs=2) == want
+    assert run_pipeline(3, 6, jobs=2, checkpoint=str(tmp_path / "ckpt")) == want
 
 
 def test_pipeline_checkpoint_resume(tmp_path):
@@ -244,6 +273,14 @@ def test_pipeline_multiplication_counts():
     # merged block counts
     assert direct.count == len(classify_quotient(3, 4)) * HomogeneousSpace(3, 2).size
     assert 0 < blocks.count < direct.count
+
+
+def test_counter_label_names_the_route():
+    fourier, class_sum = MulCounter(), MulCounter()
+    run_pipeline(3, 5, counter=fourier)
+    run_pipeline(3, 5, classes=classify_quotient(3, 4), counter=class_sum)
+    assert fourier.label == FOURIER_LABEL
+    assert class_sum.label == "polynomial multiplications"
 
 
 # Every (r, m) with 3 <= m <= 7 whose block sweeps over R(r-2, m-2) visit at

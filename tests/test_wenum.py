@@ -1,9 +1,15 @@
 import io
+import random
 
+import numpy as np
 import pytest
 
 from rmenum.wenum import (
     WeightEnumerator,
+    _digit_width,
+    _kronecker_pack,
+    _kronecker_unpack,
+    _pack_coeffs,
     add,
     distribution_text,
     macwilliams,
@@ -52,6 +58,60 @@ def test_mul_is_convolution():
     assert sq.coeffs[8] == 14 * 14 + 2
     assert sq.total() == 16 * 16
     assert mul(R13, WeightEnumerator.from_pairs(0, [(0, 1)])) == R13
+
+
+def schoolbook(a, b):
+    out = [0] * (a.n + b.n + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_mul_matches_schoolbook_convolution():
+    rng = random.Random(41)
+
+    def rand_enum(n):
+        # coefficient sizes from zero to well past 2**64, with gaps
+        bits = rng.choice((0, 1, 7, 63, 64, 65, 130, 300))
+        return WeightEnumerator(n, [rng.getrandbits(bits) * rng.randrange(2) for _ in range(n + 1)])
+
+    for _ in range(200):
+        a, b = rand_enum(rng.randrange(0, 40)), rand_enum(rng.randrange(0, 40))
+        assert mul(a, b).coeffs == schoolbook(a, b)
+        assert square(a).coeffs == schoolbook(a, a)
+    big = WeightEnumerator(2, [2**200 + 3, 0, 2**65])
+    zero = WeightEnumerator.zero(5)
+    one = WeightEnumerator(0, [1])
+    assert mul(big, zero) == mul(zero, big) == WeightEnumerator.zero(7)
+    assert mul(big, one) == big
+    assert mul(one, one) == one
+    assert mul(WeightEnumerator(0, [2**70]), WeightEnumerator(0, [3])).coeffs == (3 * 2**70,)
+    line = WeightEnumerator(1, [1, 1])
+    assert mul(big, line).coeffs == schoolbook(big, line)
+
+
+def test_kronecker_pack_unpack_round_trip():
+    rng = random.Random(43)
+    assert [_digit_width(t) for t in (0, 1, 255, 256, 2**64 - 1, 2**64)] == [8, 8, 8, 16, 64, 72]
+    for width in (8, 24, 64, 72, 264):
+        for n in (0, 1, 17):
+            coeffs = [rng.getrandbits(width) for _ in range(n + 1)]
+            packed = _pack_coeffs(coeffs, width)
+            assert packed == sum(c << (width * w) for w, c in enumerate(coeffs))
+            assert _kronecker_unpack(packed, n, width) == coeffs
+    rows = np.array([[0, 5, 2**40], [7, 0, 1]], dtype=np.int64)
+    for width in (48, 64, 128):
+        for row, packed in zip(rows.tolist(), _kronecker_pack(rows, width)):
+            assert _kronecker_unpack(packed, 2, width) == row
+
+
+def test_kronecker_unpack_overflow_raises():
+    assert _kronecker_unpack(2**24 - 1, 2, 8) == [255, 255, 255]
+    with pytest.raises(ValueError, match="3 digits of 8 bits"):
+        _kronecker_unpack(2**24, 2, 8)
+    with pytest.raises(ValueError):
+        _kronecker_unpack(-1, 2, 8)
 
 
 def test_scale_matches_repeated_add():
