@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 MAX_M = 16
@@ -289,6 +289,28 @@ class HomogeneousSpace:
             if j is None:
                 raise ValueError(f"monomial of degree {mask.bit_count()} in degree-{self.d} space")
             idx |= 1 << j
+        return idx
+
+    @cached_property
+    def _indicator_mask(self) -> int:
+        out = 0
+        for mask in self.masks:
+            out |= 1 << mask
+        return out
+
+    def index_of_indicator(self, indicator: int) -> int:
+        """Packed index of the degree-d part of an ANF coefficient indicator.
+
+        Bit s of indicator is the coefficient of the monomial with mask s, as
+        mobius_transform returns it; monomials of other degrees are dropped.
+        """
+        indicator &= self._indicator_mask
+        position = self.position
+        idx = 0
+        while indicator:
+            low = indicator & -indicator
+            idx |= 1 << position[low.bit_length() - 1]
+            indicator ^= low
         return idx
 
     def anf_of(self, idx: int) -> Anf:

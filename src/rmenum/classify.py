@@ -11,7 +11,10 @@ Two group actions live here, both on packed form indices:
 
 Both actions are affine over GF(2) in the packed coefficient vector, so a
 generator is expanded once into a full image table (XOR-doubling over the
-images of the basis monomials) and closure is array chasing.
+images of the basis monomials) and closure is array chasing. The image of
+a basis monomial is the product of the map's substituted variable tables
+(gf2.substituted_tables), read as an ANF after one Mobius transform; no
+step walks the 2**m points of a truth table.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .boolfn import (
     HomogeneousSpace,
     format_anf,
     homogeneous_part,
+    mobius_transform,
     parse_anf,
 )
 from .gf2 import (
@@ -33,6 +37,8 @@ from .gf2 import (
     Gf2Matrix,
     as_affine,
     stabilizer_check,
+    substitute,
+    substituted_tables,
     transform_anf,
 )
 from .wenum import WeightEnumerator
@@ -54,26 +60,25 @@ def gl2_generators(m: int) -> list[Gf2Matrix]:
     return [Gf2Matrix(m, tuple(transvection)), Gf2Matrix(m, shift)]
 
 
-def _monomial_anf(space: HomogeneousSpace, j: int) -> Anf:
-    return Anf(space.m, frozenset([space.masks[j]]))
-
-
 def _action_table(space: HomogeneousSpace, a: AffineMap, e: Anf | None = None) -> np.ndarray:
     """Full image table of g -> [e o A]_d xor [g o A]_d over packed indices.
 
     The map is affine in the packed vector: column j holds the image of the
     j-th basis monomial, the constant comes from e (zero when e is None),
-    and the table is filled by XOR-doubling.
+    and the table is filled by XOR-doubling. The substituted variable
+    tables are built once; each image is a product of them, one Mobius
+    transform, and its degree-d part read off as a packed index.
     """
     if space.nbits > MAX_INDEX_BITS:
         raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
-    const = 0
-    if e is not None and not e.is_zero():
-        const = space.index_of(homogeneous_part(transform_anf(e, a), space.d))
-    cols = [
-        space.index_of(homogeneous_part(transform_anf(_monomial_anf(space, j), a), space.d))
-        for j in range(space.nbits)
-    ]
+    m = space.m
+    subs = substituted_tables(a)
+
+    def image(masks) -> int:
+        return space.index_of_indicator(mobius_transform(substitute(masks, subs, m), m))
+
+    const = image(e.monomials) if e is not None else 0
+    cols = [image((mask,)) for mask in space.masks]
     table = np.zeros(space.size, dtype=np.uint32)
     table[0] = const
     for j, col in enumerate(cols):
@@ -308,10 +313,11 @@ class QuotientClassification:
         cls = QuotientClassification(
             d, m, space, [], class_of, parent, pgen, gens, [int(b[0]) for b in blocks]
         )
-        for cid, members in enumerate(blocks):
-            rep_idx = int(members[0])
-            rep = space.anf_of(rep_idx)
-            stab = cls._schreier_sample(cid, members, tables, rng, max_gens)
+        for members in blocks:
+            rep = space.anf_of(int(members[0]))
+            stab = []
+            if max_gens > 0:
+                stab = cls._schreier_sample(rep, members, tables, rng, max_gens)
             cls._memo.clear()
             cls.records.append(ClassRecord(rep=rep, size=len(members), gens=tuple(stab)))
         return cls
@@ -341,8 +347,7 @@ class QuotientClassification:
     def class_index_of(self, a: Anf) -> int:
         return int(self.class_of[self.space.index_of(a)])
 
-    def _schreier_sample(self, cid, members, tables, rng, max_gens):
-        rep = self.space.anf_of(int(members[0]))
+    def _schreier_sample(self, rep, members, tables, rng, max_gens):
         if len(members) == 1:
             candidates = [Gf2Matrix.identity(self.m)] if self.m == 1 else list(self.gens)
             out = []
@@ -359,19 +364,23 @@ class QuotientClassification:
             attempts += 1
             y = int(members[rng.randrange(len(members))])
             si = rng.randrange(len(self.gens))
-            t_y = self.transversal(y)
             ys = int(tables[si][y])
             # sigma = t_y @ gens[si] @ t_ys^-1, multiplied as packed rows.
-            inv_lin = _linear_table(self.transversal(ys).inverse())
-            sigma = Gf2Matrix(self.m, tuple(inv_lin[self._lin[si][r]] for r in t_y.rows))
+            # When t_y @ gens[si] already equals t_ys, sigma is the identity,
+            # which is never emitted; most attempts end here, before the
+            # inverse and its linear table are built.
+            moved = tuple(map(self._lin[si].__getitem__, self.transversal(y).rows))
+            t_ys = self.transversal(ys)
+            if moved == t_ys.rows:
+                continue
+            inv_lin = _linear_table(t_ys.inverse())
+            sigma = Gf2Matrix(self.m, tuple(map(inv_lin.__getitem__, moved)))
             if sigma.rows in seen:
                 continue
             seen.add(sigma.rows)
             a = AffineMap(sigma, 0)
             if not stabilizer_check(rep, a):
                 raise AssertionError("Schreier element failed the stabilizer check")
-            if sigma.rows == self._identity_rows:
-                continue
             out.append(a)
         return out
 

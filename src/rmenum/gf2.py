@@ -5,6 +5,14 @@ linear form substituted for x_{k+1}, with bit j-1 the coefficient of x_j.
 An affine map adds a translation of the point before evaluation, so
 apply(f, A) is the table of x -> f(Mx + b).
 
+apply walks the 2**m points one by one; it is the truth-table reference
+that tests check the fast route against. transform_anf, and everything
+built on it, substitutes by multiplying tables instead: substituted_tables
+gives the table T_k = b_k + <row k, x> of each substituted variable, the
+table of f o A is the XOR over the monomials U of f of the AND of the T_k
+for k in U, and one Mobius transform turns that into the ANF. That is
+about m**2 + sum |U| + m big-int operations per substitution.
+
 Substituting an invertible map never raises degree and changes only the
 parts below the top degree, which is what the classification machinery
 relies on: the induced action on degree-d homogeneous parts is a genuine
@@ -16,7 +24,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .boolfn import Anf, TruthTable, anf_from_truth_table, homogeneous_part
+from .boolfn import (
+    Anf,
+    TruthTable,
+    anf_from_truth_table,
+    homogeneous_part,
+    variable_table,
+)
 
 
 @dataclass(frozen=True)
@@ -187,11 +201,43 @@ def invert(a) -> AffineMap:
     return AffineMap(inv, inv.mul_vec(a.shift))
 
 
+def substituted_tables(a) -> list[int]:
+    """Truth tables of the substituted variables: entry k is x -> b_k + <row k, x>."""
+    a = as_affine(a)
+    m = a.m
+    full = (1 << (1 << m)) - 1
+    out = []
+    for k, row in enumerate(a.matrix.rows):
+        t = full if (a.shift >> k) & 1 else 0
+        while row:
+            low = row & -row
+            t ^= variable_table(low.bit_length(), m)
+            row ^= low
+        out.append(t)
+    return out
+
+
+def substitute(masks, tables: list[int], m: int) -> int:
+    """Truth table of the sum of the monomials in masks with tables[k] put in for x_{k+1}."""
+    full = (1 << (1 << m)) - 1
+    bits = 0
+    for mask in masks:
+        t = full
+        while mask:
+            low = mask & -mask
+            t &= tables[low.bit_length() - 1]
+            mask ^= low
+        bits ^= t
+    return bits
+
+
 def transform_anf(f: Anf, a) -> Anf:
     """ANF of f composed with the substitution (all degrees, not just the top)."""
-    from .boolfn import truth_table_from_anf
-
-    return anf_from_truth_table(apply(truth_table_from_anf(f), a))
+    a = as_affine(a)
+    if a.m != f.m:
+        raise ValueError("variable count mismatch")
+    bits = substitute(f.monomials, substituted_tables(a), f.m)
+    return anf_from_truth_table(TruthTable(f.m, bits))
 
 
 def top_image(f: Anf, a) -> Anf:

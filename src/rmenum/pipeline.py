@@ -509,7 +509,9 @@ def run_pipeline(
         if isinstance(classes, (str, os.PathLike)):
             classes, _, _ = ingest_classification(classes, expect_d=r, expect_m=m1)
         elif classes is None:
-            classes = QuotientClassification.compute(r, m1, rng, max_gens=max_gens).records
+            # "direct" reads only reps and sizes, so it samples no stabilizers.
+            top_gens = 0 if strategy == "direct" else max_gens
+            classes = QuotientClassification.compute(r, m1, rng, max_gens=top_gens).records
         if strategy == "direct":
             enum_fn = partial(_direct_enum, r0, m0, cap)
         else:

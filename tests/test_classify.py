@@ -2,12 +2,22 @@ import hashlib
 import io
 import random
 from functools import reduce
+from math import comb
 
+import numpy as np
 import pytest
 
-from rmenum.boolfn import HomogeneousSpace, homogeneous_part, parse_anf
+from rmenum.boolfn import (
+    Anf,
+    HomogeneousSpace,
+    anf_from_truth_table,
+    homogeneous_part,
+    parse_anf,
+    truth_table_from_anf,
+)
 from rmenum.classify import (
     QuotientClassification,
+    _action_table,
     classify_quotient,
     coset_action,
     gl2_generators,
@@ -21,10 +31,12 @@ from rmenum.cosetenum import batch_coset_enumerators
 from rmenum.gf2 import (
     AffineMap,
     Gf2Matrix,
+    apply,
     random_invertible,
     stabilizer_check,
     transform_anf,
 )
+from rmenum.pipeline import run_pipeline
 
 
 def test_gl2_generators_are_invertible():
@@ -59,10 +71,12 @@ def test_top_degree_pair():
 
 
 def test_stabilizer_gens_stabilize():
-    for rec in classify_quotient(2, 5):
-        assert rec.gens  # sampling always finds something at this size
-        for a in rec.gens:
-            assert stabilizer_check(rec.rep, a)
+    for d, m in ((2, 5), (3, 5), (2, 6), (4, 6)):
+        for rec in classify_quotient(d, m):
+            assert rec.gens  # sampling always finds something at these sizes
+            for a in rec.gens:
+                assert a.matrix != Gf2Matrix.identity(m)
+                assert stabilizer_check(rec.rep, a)
 
 
 def test_class_membership_is_closed_under_action():
@@ -103,6 +117,57 @@ def test_representatives_are_least_members():
     for cid, rec in enumerate(cls.records):
         members = [i for i in range(cls.space.size) if cls.class_of[i] == cid]
         assert cls.space.index_of(rec.rep) == min(members)
+
+
+def reference_action_table(space, a, e=None):
+    # column by column through the truth-table oracle: image of each basis
+    # monomial, then its degree-d part as a packed index
+    def image(f):
+        moved = anf_from_truth_table(apply(truth_table_from_anf(f), a))
+        return space.index_of(homogeneous_part(moved, space.d))
+
+    const = image(e) if e is not None else 0
+    table = np.array([const], dtype=np.uint32)
+    for mask in space.masks:
+        col = image(Anf(space.m, frozenset([mask])))
+        table = np.concatenate([table, table ^ np.uint32(col)])
+    return table
+
+
+# every (m, d) whose index space has at most 2**21 forms, up to m = 10
+ACTION_SPACES = [(m, d) for m in range(1, 11) for d in range(1, m + 1) if comb(m, d) <= 21]
+
+
+def test_action_table_matches_truth_table_reference():
+    rng = random.Random(12)
+    assert (7, 2) in ACTION_SPACES and (7, 5) in ACTION_SPACES
+    for m, d in ACTION_SPACES:
+        space = HomogeneousSpace(m, d)
+        maps = [AffineMap(g, 0) for g in gl2_generators(m)]
+        maps += [AffineMap(random_invertible(m, rng), 0) for _ in range(2)]
+        for a in maps:
+            assert np.array_equal(_action_table(space, a), reference_action_table(space, a))
+        if d < m:
+            # the orbit_partition case: unit translations above a degree-(d+1) form
+            upper = HomogeneousSpace(m, d + 1)
+            e = upper.anf_of(rng.randrange(1, upper.size))
+            for i in range(m):
+                a = AffineMap.translation(m, 1 << i)
+                want = reference_action_table(space, a, e)
+                assert np.array_equal(_action_table(space, a, e), want), (m, d, i)
+
+
+def test_classification_never_walks_truth_tables(monkeypatch):
+    import rmenum.gf2 as gf2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gf2.apply was called")
+
+    monkeypatch.setattr(gf2, "apply", forbidden)
+    # the Fourier route (classification, orbit partitions) and the class
+    # sum (rebasing through top_image)
+    run_pipeline(3, 7)
+    run_pipeline(2, 6, classes=classify_quotient(2, 5))
 
 
 def test_coset_action_examples():
@@ -231,3 +296,25 @@ def test_classification_file_is_pinned(d, m, digest):
     buf = io.StringIO()
     write_classification(buf, classify_quotient(d, m, random.Random(1)), d, m, seed=1)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+SMALL_PINS = {
+    (2, 5, 0): "7838e058ce503e69f3c83dc877d0ec46fba0d83e8da276aeea341fe68018bafa",
+    (2, 5, 1): "d73409accb4ad8f0ff52f6246a3b41a458fc890130a1952e25f1d8978936011c",
+    (3, 5, 0): "b477a02d8af53f8af7935a925b345ac4c0e2ea665ce3d6c69da198cc5ae01ecb",
+    (3, 5, 1): "b18b5750498703f734f8dd678694deeccf280f7ffb1e738ea7e7fda39401b4f9",
+    (2, 6, 0): "01ffbbbfe5f69da5640600c5f4b9cefff0bfb8bf5a1ad028994d8a28acb92d8c",
+    (2, 6, 1): "c065c0215c90ef4edfff0a29c5e05d6945b6a85a4d355a205ee820b8f9c548ff",
+    (4, 6, 0): "a3ec5d649085e0d25ab573f9d9daf58c92d83f847baa8e2284d891517c3478fc",
+    (4, 6, 1): "fdd5ce7cc02782b003500afd06160309a150b70af69ff9c161ea21afbd908652",
+}
+
+
+@pytest.mark.parametrize(
+    "d, m, seed", sorted(SMALL_PINS), ids=[f"d{d}m{m}s{s}" for d, m, s in sorted(SMALL_PINS)]
+)
+def test_small_classification_files_are_pinned(d, m, seed):
+    # every Schreier attempt draws from the RNG, so skipped attempts would show here
+    buf = io.StringIO()
+    write_classification(buf, classify_quotient(d, m, random.Random(seed)), d, m, seed=seed)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SMALL_PINS[d, m, seed]

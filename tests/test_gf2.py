@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rmenum.boolfn import (
+    Anf,
     TruthTable,
     anf_from_truth_table,
     parse_anf,
@@ -17,6 +18,7 @@ from rmenum.gf2 import (
     invert,
     random_invertible,
     stabilizer_check,
+    substituted_tables,
     top_image,
     transform_anf,
 )
@@ -110,13 +112,33 @@ def test_invert_round_trip():
 
 
 def test_transform_anf_matches_apply():
+    # 53 forms for each m: 424 cases, about half with a nonzero shift
     rng = random.Random(8)
-    for _ in range(20):
-        m = rng.randrange(1, 6)
-        f = anf_from_truth_table(rand_table(rng, m))
+    for m in range(1, 9):
+        forms = [Anf(m, frozenset()), Anf(m, frozenset([0])), Anf(m, frozenset([0, 1]))]
+        forms += [anf_from_truth_table(rand_table(rng, m)) for _ in range(40)]
+        # sparse forms, the shape stabilizer checks and action columns see
+        forms += [Anf(m, frozenset(rng.getrandbits(m) for _ in range(3))) for _ in range(10)]
+        for f in forms:
+            a = rand_affine(rng, m)
+            if rng.random() < 0.5:
+                a = AffineMap(a.matrix, rng.randrange(1, 1 << m))  # a nonzero shift
+            want = anf_from_truth_table(apply(truth_table_from_anf(f), a))
+            assert transform_anf(f, a) == want
+
+
+def test_transform_anf_rejects_mixed_variable_counts():
+    with pytest.raises(ValueError, match="variable count"):
+        transform_anf(parse_anf("12", 3), Gf2Matrix.identity(4))
+
+
+def test_substituted_tables_are_the_images_of_the_variables():
+    rng = random.Random(11)
+    for m in range(1, 7):
         a = rand_affine(rng, m)
-        want = anf_from_truth_table(apply(truth_table_from_anf(f), a))
-        assert transform_anf(f, a) == want
+        for k, table in enumerate(substituted_tables(a)):
+            x_k = truth_table_from_anf(Anf(m, frozenset([1 << k])))
+            assert table == apply(x_k, a).bits
 
 
 def test_substitution_never_raises_degree():

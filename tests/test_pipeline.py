@@ -1,3 +1,5 @@
+import hashlib
+import io
 import random
 from dataclasses import replace
 from math import comb
@@ -30,7 +32,7 @@ from rmenum.pipeline import (
     rebase_representatives,
     run_pipeline,
 )
-from rmenum.wenum import WeightEnumerator
+from rmenum.wenum import WeightEnumerator, write_distribution
 
 
 def split_reference(e, f, r, m):
@@ -323,6 +325,28 @@ def test_fourier_route_classifies_only_the_lower_forms(monkeypatch):
     assert seen == [(2, 4)]
     # two squarings per distinct transform row
     assert counter.count > 0 and counter.count % 2 == 0
+
+
+# sha256 of write_distribution(W) and the direct product-sum counts, R(r,m) -> (digest, count)
+DIRECT_PINS = {
+    (3, 6): ("4db37e0d5ceb85fe383dc7ed358c76abb60950c2cdd397415bcebff080fe2186", 192),
+    (2, 7): ("87e470cf8da51d9373d1a74ef6f7609195b13ccfba35c2fab540a197c8b5b371", 128),
+    (3, 7): ("2bb5d3ad1b74f8645e635d70b6a0c0706d780a9397ea797fa7974c1bd86fbaae", 6144),
+}
+
+
+def test_direct_route_samples_no_top_stabilizers(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("direct sampled stabilizers of H^(r)(m-1)")
+
+    monkeypatch.setattr(QuotientClassification, "_schreier_sample", forbidden)
+    for (r, m), (digest, count) in DIRECT_PINS.items():
+        counter = MulCounter()
+        dist = run_pipeline(r, m, strategy="direct", counter=counter)
+        buf = io.StringIO()
+        write_distribution(buf, dist)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (r, m)
+        assert counter.count == count, (r, m)
 
 
 def test_r38_at_desk_scale():
