@@ -15,6 +15,17 @@ images of the basis monomials) and closure is array chasing. The image of
 a basis monomial is the product of the map's substituted variable tables
 (gf2.substituted_tables), read as an ANF after one Mobius transform; no
 step walks the 2**m points of a truth table.
+
+Every table is a permutation of the index space: GL generators,
+stabilizer generators (stabilizer_check requires them invertible) and unit
+translations all act bijectively. So the BFS closure writes each level's
+fresh images straight into the block, parent and generator arrays, with no
+dedup and no sort per level; only a finished block is sorted. A table that
+was not a permutation could put an index into a block twice, and the
+closure raises unless the block sizes sum to the space size. The Schreier
+sampler skips an attempt y -> ys by generator s that retraces a BFS tree
+edge (parent[ys] == y by s), or the reverse edge of an involution, before
+any transversal walk: its Schreier element is the identity.
 """
 
 from __future__ import annotations
@@ -114,11 +125,20 @@ def _linear_table(g: Gf2Matrix) -> list[int]:
 
 
 def _close_orbits(tables: list[np.ndarray], size: int, want_parents: bool):
-    """BFS closure over the whole index space; orbits appear in seed order."""
+    """BFS closure over the whole index space; orbits appear in seed order.
+
+    Every table is a permutation, so one generator's fresh images are
+    distinct and are written straight into block_of, parent and pgen. A
+    node's parent is its preimage under the first generator that reaches
+    it from the level above, whatever the order of that level. A table
+    that is not injective could add an index to a block twice; the block
+    sizes must therefore sum to the space size.
+    """
     block_of = np.full(size, -1, dtype=np.int32)
     parent = np.full(size, -1, dtype=np.int32) if want_parents else None
     pgen = np.full(size, -1, dtype=np.int8) if want_parents else None
     blocks = []
+    total = 0
     seed = _next_unassigned(block_of, 0)
     while seed < size:
         cid = len(blocks)
@@ -130,23 +150,23 @@ def _close_orbits(tables: list[np.ndarray], size: int, want_parents: bool):
             for gi, table in enumerate(tables):
                 images = table[frontier]
                 fresh = block_of[images] < 0
-                if not fresh.any():
-                    continue
-                vals, first = np.unique(images[fresh], return_index=True)
-                still = block_of[vals] < 0
-                vals = vals[still]
+                vals = images[fresh]
                 if not vals.size:
                     continue
-                if want_parents:
-                    parent[vals] = frontier[fresh][first][still]
-                    pgen[vals] = gi
                 block_of[vals] = cid
+                if want_parents:
+                    parent[vals] = frontier[fresh]
+                    pgen[vals] = gi
                 grown.append(vals)
             frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.uint32)
-            if frontier.size:
-                members.append(frontier)
-        blocks.append(np.sort(np.concatenate(members)))
+            members.append(frontier)
+        block = np.concatenate(members)
+        block.sort()
+        blocks.append(block)
+        total += block.size
         seed = _next_unassigned(block_of, seed + 1)
+    if total != size:
+        raise ValueError(f"orbit sizes sum to {total}, not {size}: a table is not a permutation")
     return block_of, blocks, parent, pgen
 
 
@@ -292,6 +312,10 @@ class QuotientClassification:
         self._pgen_view = memoryview(pgen)
         self._lin = [_linear_table(g) for g in gens]
         self._identity_rows = Gf2Matrix.identity(m).rows
+        self._involutive = [
+            tuple(map(lin.__getitem__, g.rows)) == self._identity_rows
+            for g, lin in zip(gens, self._lin)
+        ]
         self._memo = {}
 
     @staticmethod
@@ -360,15 +384,23 @@ class QuotientClassification:
         out = []
         seen = set()
         attempts = 0
+        parent, pgen = self._parent_view, self._pgen_view
         while len(out) < max_gens and attempts < max_gens * 8:
             attempts += 1
             y = int(members[rng.randrange(len(members))])
             si = rng.randrange(len(self.gens))
             ys = int(tables[si][y])
             # sigma = t_y @ gens[si] @ t_ys^-1, multiplied as packed rows.
-            # When t_y @ gens[si] already equals t_ys, sigma is the identity,
-            # which is never emitted; most attempts end here, before the
-            # inverse and its linear table are built.
+            # It is the identity, which is never emitted, when y -> ys is a
+            # BFS tree edge (t_ys = t_y @ gens[si]) or the reverse of one by
+            # an involution (t_y = t_ys @ gens[si]); those attempts end
+            # before any transversal walk. Any other identity attempt ends
+            # when t_y @ gens[si] equals t_ys, before the inverse and its
+            # linear table are built.
+            if parent[ys] == y and pgen[ys] == si:
+                continue
+            if self._involutive[si] and parent[y] == ys and pgen[y] == si:
+                continue
             moved = tuple(map(self._lin[si].__getitem__, self.transversal(y).rows))
             t_ys = self.transversal(ys)
             if moved == t_ys.rows:

@@ -245,6 +245,33 @@ def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, contribution: 
     os.replace(path + ".tmp", path)
 
 
+def _class_order(classes, d: int, m1: int) -> list[ClassRecord]:
+    """Classes in checkpoint-id order (packed representative index).
+
+    Raises unless the orbit sizes sum to 2**C(m1,d).
+    """
+    space = HomogeneousSpace(m1, d)
+    total = sum(rec.size for rec in classes)
+    if total != space.size:
+        raise ValueError(f"orbit sizes sum to {total}, expected 2**{space.nbits}")
+    return sorted(classes, key=lambda rec: space.index_of(rec.rep))
+
+
+def _unfinished(classes, d: int, m1: int, checkpoint: str | None) -> list[ClassRecord]:
+    """The classes that have no checkpoint file yet; all of them without a directory.
+
+    A file that exists but fails its checks is not unfinished:
+    distribution_from_classes raises on it.
+    """
+    if not checkpoint:
+        return list(classes)
+    return [
+        rec
+        for cid, rec in enumerate(_class_order(classes, d, m1))
+        if not os.path.exists(_checkpoint_path(checkpoint, cid))
+    ]
+
+
 def distribution_from_classes(
     classes,
     d: int,
@@ -263,11 +290,7 @@ def distribution_from_classes(
     per-class contributions are persisted and resumed after header and total checks;
     the counter only sees multiplications actually performed.
     """
-    space = HomogeneousSpace(m1, d)
-    total = sum(rec.size for rec in classes)
-    if total != space.size:
-        raise ValueError(f"orbit sizes sum to {total}, expected 2**{space.nbits}")
-    ordered = sorted(classes, key=lambda rec: space.index_of(rec.rep))
+    ordered = _class_order(classes, d, m1)
     n_out = 1 << (m1 + 1)
     contributions: dict[int, WeightEnumerator] = {}
     if checkpoint:
@@ -352,22 +375,21 @@ def rebase_representatives(
     return out
 
 
-def _lower_block_tables(r, m0, rng, max_gens, cap):
-    """Classify H^(r)(m0) and build the merged block table above each class.
+def _block_tables(records, r, m0, cap):
+    """The merged block table above each given class of H^(r)(m0).
 
-    Returns the classification and {packed index of rep: (merged partition,
-    per-block enumerators)}, where the partition is the orbit partition of
+    Returns {packed index of rep: (merged partition, per-block
+    enumerators)}, where the partition is the orbit partition of
     H^(r-1)(m0) under the rep's stabilizer (singleton blocks when the rep
     has no gens) and each enumerator is W[z; rep + g + R(r-2, m0)] for the
     g of its block. Each class's sweep takes milliseconds, so it runs in
     this process: a worker pool per class would cost more than the sweep.
     """
     r0 = r - 2
-    lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
     espace = HomogeneousSpace(m0, r)
     gtables = HomogeneousSpace(m0, r0 + 1).all_tables()
     tables = {}
-    for rec in lower.records:
+    for rec in records:
         part = (
             orbit_partition(rec.rep, rec.gens, r0, m0)
             if rec.gens
@@ -378,7 +400,7 @@ def _lower_block_tables(r, m0, rng, max_gens, cap):
         raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
         merged, menums = merge_by_enumerator(part, raw)
         tables[espace.index_of(rec.rep)] = (merged, tuple(menums))
-    return lower, tables
+    return tables
 
 
 def _check_fourier_size(r: int, m: int):
@@ -488,7 +510,9 @@ def run_pipeline(
       --jobs workers. "direct" evaluates each coset enumerator by the plain
       product-sum; "blocks" rebases representatives onto the lower forms
       and reads the block tables, so classes lacking stabilizer gens
-      degrade to singleton blocks. The counter counts polynomial
+      degrade to singleton blocks. Block tables are built only for the
+      lower forms of classes with no checkpoint file yet, so a fully
+      checkpointed resume builds none. The counter counts polynomial
       multiplications of the product-sums.
 
     The recursion peels two variables, so m >= 3 is required; use the brute
@@ -502,7 +526,8 @@ def run_pipeline(
     m1, m0, r0 = m - 1, m - 2, r - 2
     if strategy == "blocks" and classes is None and checkpoint is None:
         _check_fourier_size(r, m)
-        lower, tables = _lower_block_tables(r, m0, random.Random(seed), max_gens, cap)
+        lower = QuotientClassification.compute(r, m0, random.Random(seed), max_gens=max_gens)
+        tables = _block_tables(lower.records, r, m0, cap)
         dist = _fourier_distribution(r, m, lower, tables, counter=counter)
     else:
         rng = random.Random(seed)
@@ -515,10 +540,17 @@ def run_pipeline(
         if strategy == "direct":
             enum_fn = partial(_direct_enum, r0, m0, cap)
         else:
-            lower, tables = _lower_block_tables(r, m0, rng, max_gens, cap)
+            lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
             targets = [rec.rep for rec in lower.records]
             classes = rebase_representatives(classes, targets, rng, lookup=lower)
-            enum_fn = partial(_block_enum, HomogeneousSpace(m0, r), tables)
+            # Tables only for the lower forms that a pending class reads.
+            espace = HomogeneousSpace(m0, r)
+            wanted = {
+                espace.index_of(decompose_top(rec.rep)[0])
+                for rec in _unfinished(classes, r, m1, checkpoint)
+            }
+            needed = [rec for rec in lower.records if espace.index_of(rec.rep) in wanted]
+            enum_fn = partial(_block_enum, espace, _block_tables(needed, r, m0, cap))
         dist = distribution_from_classes(
             classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
         )

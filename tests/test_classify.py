@@ -18,6 +18,7 @@ from rmenum.boolfn import (
 from rmenum.classify import (
     QuotientClassification,
     _action_table,
+    _close_orbits,
     classify_quotient,
     coset_action,
     gl2_generators,
@@ -318,3 +319,132 @@ def test_small_classification_files_are_pinned(d, m, seed):
     buf = io.StringIO()
     write_classification(buf, classify_quotient(d, m, random.Random(seed)), d, m, seed=seed)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SMALL_PINS[d, m, seed]
+
+
+def reference_close_orbits(tables, size, want_parents):
+    # the closure before it relied on tables being permutations: every level
+    # is deduplicated with np.unique and rechecked against earlier writes
+    block_of = np.full(size, -1, dtype=np.int32)
+    parent = np.full(size, -1, dtype=np.int32) if want_parents else None
+    pgen = np.full(size, -1, dtype=np.int8) if want_parents else None
+    blocks = []
+    for seed in range(size):
+        if block_of[seed] >= 0:
+            continue
+        cid = len(blocks)
+        block_of[seed] = cid
+        frontier = np.array([seed], dtype=np.uint32)
+        members = [frontier]
+        while frontier.size:
+            grown = []
+            for gi, table in enumerate(tables):
+                images = table[frontier]
+                fresh = block_of[images] < 0
+                if not fresh.any():
+                    continue
+                vals, first = np.unique(images[fresh], return_index=True)
+                still = block_of[vals] < 0
+                vals = vals[still]
+                if not vals.size:
+                    continue
+                if want_parents:
+                    parent[vals] = frontier[fresh][first][still]
+                    pgen[vals] = gi
+                block_of[vals] = cid
+                grown.append(vals)
+            frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.uint32)
+            if frontier.size:
+                members.append(frontier)
+        blocks.append(np.sort(np.concatenate(members)))
+    return block_of, blocks, parent, pgen
+
+
+def assert_same_closure(tables, size):
+    for want_parents in (True, False):
+        got = _close_orbits(tables, size, want_parents)
+        want = reference_close_orbits(tables, size, want_parents)
+        assert np.array_equal(got[0], want[0])
+        assert len(got[1]) == len(want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+        if want_parents:
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        else:
+            assert got[2] is None and got[3] is None
+
+
+@pytest.mark.parametrize("d, m", [(2, 4), (2, 5), (3, 5), (2, 6), (4, 6), (3, 6)])
+def test_closure_matches_reference_on_gl_tables(d, m):
+    space = HomogeneousSpace(m, d)
+    tables = [_action_table(space, AffineMap(g, 0)) for g in gl2_generators(m)]
+    assert_same_closure(tables, space.size)
+
+
+# the lower forms of the ladder codes R(r, m) and of R(3,8): classes of H^(r)(m-2)
+LADDER_LOWER = [(3, 4), (2, 5), (4, 5), (3, 5), (2, 6), (3, 6)]
+
+
+@pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
+def test_closure_matches_reference_on_orbit_partition_tables(r, m0):
+    # stabilizer generators plus unit translations, as orbit_partition builds them
+    space = HomogeneousSpace(m0, r - 1)
+    for rec in classify_quotient(r, m0, random.Random(0)):
+        maps = list(rec.gens) + [AffineMap.translation(m0, 1 << i) for i in range(m0)]
+        tables = [_action_table(space, a, rec.rep) for a in maps]
+        assert_same_closure(tables, space.size)
+
+
+def random_cycles_permutation(size, max_cycle, rng):
+    # a permutation made of short cycles, so the closure finds many blocks
+    order = list(range(size))
+    rng.shuffle(order)
+    table = np.empty(size, dtype=np.uint32)
+    start = 0
+    while start < size:
+        cycle = order[start : start + rng.randint(1, max_cycle)]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            table[a] = b
+        start += len(cycle)
+    return table
+
+
+def test_closure_matches_reference_on_random_permutations():
+    rng = random.Random(3)
+    for size in (1, 2, 7, 64, 1000):
+        for ngens in (1, 2, 3):
+            for max_cycle in (2, 5, size):
+                tables = [random_cycles_permutation(size, max_cycle, rng) for _ in range(ngens)]
+                assert_same_closure(tables, size)
+
+
+def test_closure_rejects_a_table_that_is_not_a_permutation():
+    # from 0 both tables reach the level {1, 2}; the first maps both to 3
+    spread = np.array([1, 3, 3, 0], dtype=np.uint32)
+    other = np.array([2, 1, 0, 3], dtype=np.uint32)
+    with pytest.raises(ValueError, match="not a permutation"):
+        _close_orbits([spread, other], 4, want_parents=False)
+    with pytest.raises(ValueError, match="not a permutation"):
+        _close_orbits([spread, other], 4, want_parents=True)
+
+
+@pytest.mark.parametrize("d, m", [(2, 6), (3, 5), (4, 6)])
+def test_parent_forest_edges_are_schreier_identities(d, m):
+    # _schreier_sample skips an attempt y -> ys by gens[si] as the identity when
+    # it is a tree edge (parent[ys] == y, pgen[ys] == si), or the reverse edge of
+    # an involution; both rest on t_v = t_parent(v) @ gens[pgen(v)]
+    cls = QuotientClassification.compute(d, m, random.Random(0))
+    tables = [_action_table(cls.space, AffineMap(g, 0)) for g in cls.gens]
+    identity = Gf2Matrix.identity(m)
+    involutive = [g @ g == identity for g in cls.gens]
+    assert involutive == [True, False]  # the transvection and the cyclic shift
+    seeds = set(cls.seeds)
+    for v in range(cls.space.size):
+        if v in seeds:
+            assert cls._parent[v] == -1
+            continue
+        p, gi = int(cls._parent[v]), int(cls._pgen[v])
+        assert int(tables[gi][p]) == v
+        g = cls.gens[gi]
+        assert cls.transversal(v) == cls.transversal(p) @ g
+        if involutive[gi]:
+            assert int(tables[gi][v]) == p
+            assert cls.transversal(p) == cls.transversal(v) @ g

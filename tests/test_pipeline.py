@@ -187,6 +187,62 @@ def test_pipeline_checkpoint_resume(tmp_path):
     assert second.count == 0
 
 
+RESUME_CASES = [(given, jobs) for given in (True, False) for jobs in (1, 2)]
+RESUME_IDS = [f"{'given' if given else 'self'}-jobs{jobs}" for given, jobs in RESUME_CASES]
+
+
+def resume_classes(given):
+    # R(2,7) sums over the 4 classes of H^(2)(6); their lower forms are the
+    # 3 classes of H^(2)(5)
+    return classify_quotient(2, 6, random.Random(4)) if given else None
+
+
+@pytest.mark.parametrize("given, jobs", RESUME_CASES, ids=RESUME_IDS)
+def test_fully_checkpointed_resume_builds_no_block_table(monkeypatch, tmp_path, given, jobs):
+    import rmenum.pipeline as pipeline
+
+    ckpt = str(tmp_path / "ckpt")
+    classes = resume_classes(given)
+    want = run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=ckpt)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fully checkpointed resume built a block table")
+
+    monkeypatch.setattr(pipeline, "orbit_partition", forbidden)
+    monkeypatch.setattr(pipeline, "batch_coset_enumerators", forbidden)
+    counter = MulCounter()
+    assert run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=ckpt, counter=counter) == want
+    assert counter.count == 0
+
+
+@pytest.mark.parametrize("given, jobs", RESUME_CASES, ids=RESUME_IDS)
+def test_partial_resume_builds_only_the_pending_lower_form(monkeypatch, tmp_path, given, jobs):
+    import rmenum.pipeline as pipeline
+
+    ckpt = tmp_path / "ckpt"
+    classes = resume_classes(given)
+    want = run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=str(ckpt))
+    victim = ckpt / "class_00002.txt"
+    whole = victim.read_text()
+    rep = next(ln.split(None, 2)[2] for ln in whole.splitlines() if ln.startswith("# rep "))
+    lower, _ = decompose_top(parse_anf(rep, 6))
+    victim.unlink()
+
+    built = []
+
+    def spy(partition, enums):
+        built.append(partition.e)
+        return merge_by_enumerator(partition, enums)
+
+    monkeypatch.setattr(pipeline, "merge_by_enumerator", spy)
+    counter = MulCounter()
+    got = run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=str(ckpt), counter=counter)
+    assert got == want
+    assert built == [lower]
+    assert counter.count > 0
+    assert victim.read_text() == whole
+
+
 def test_pipeline_checkpoint_rejects_foreign_files(tmp_path):
     ckpt = tmp_path / "ckpt"
     run_pipeline(3, 5, checkpoint=str(ckpt))
