@@ -94,14 +94,6 @@ def _mask_vars(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def anf_from_masks(m: int, masks) -> Anf:
-    return Anf(m, frozenset(masks))
-
-
-def zero_anf(m: int) -> Anf:
-    return Anf(m, frozenset())
-
-
 @lru_cache(maxsize=None)
 def variable_table(i: int, m: int) -> int:
     """Truth table of x_i as an integer (bit pattern of period 2**i)."""
@@ -165,10 +157,6 @@ def anf_from_truth_table(t: TruthTable) -> Anf:
         masks.append(low.bit_length() - 1)
         indicator ^= low
     return Anf(t.m, frozenset(masks))
-
-
-def weight(t: TruthTable) -> int:
-    return t.bits.bit_count()
 
 
 def homogeneous_part(a: Anf, d: int) -> Anf:

@@ -179,18 +179,29 @@ class ClassRecord:
 
 @dataclass
 class Partition:
-    """Blocks of packed degree-d indices above a fixed form e."""
+    """Blocks of packed degree-d indices above a fixed form e, as two arrays.
+
+    block_of[g] is the block of index g and first[b] the least index of
+    block b. Blocks are numbered by their least index, so first ascends.
+    """
 
     e: Anf
     d: int
     m: int
     block_of: np.ndarray
-    blocks: tuple
+    first: np.ndarray
     merged: bool = False
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.first)
+
+    @property
+    def blocks(self) -> tuple:
+        """Sorted member tuples of every block in block order, built on each call."""
+        order = np.argsort(self.block_of, kind="stable")
+        ends = np.cumsum(np.bincount(self.block_of, minlength=self.block_count))
+        return tuple(tuple(b.tolist()) for b in np.split(order, ends[:-1]))
 
     def find_block(self, g: int) -> int:
         return int(self.block_of[g])
@@ -230,62 +241,49 @@ def orbit_partition(e: Anf, gens, r: int, m: int) -> Partition:
     space = HomogeneousSpace(m, r + 1)
     tables = [_action_table(space, a, e) for a in maps]
     block_of, blocks, _, _ = _close_orbits(tables, space.size, want_parents=False)
-    return Partition(
-        e=e,
-        d=r + 1,
-        m=m,
-        block_of=block_of,
-        blocks=tuple(tuple(int(x) for x in b) for b in blocks),
-        merged=False,
-    )
+    first = np.array([b[0] for b in blocks], dtype=np.uint32)
+    return Partition(e=e, d=r + 1, m=m, block_of=block_of, first=first)
 
 
 def singleton_partition(e: Anf, r: int, m: int) -> Partition:
     """Degraded partition with every index in its own block (no gens known)."""
-    space = HomogeneousSpace(m, r + 1)
+    size = HomogeneousSpace(m, r + 1).size
     return Partition(
         e=e,
         d=r + 1,
         m=m,
-        block_of=np.arange(space.size, dtype=np.int32),
-        blocks=tuple((g,) for g in range(space.size)),
-        merged=False,
+        block_of=np.arange(size, dtype=np.int32),
+        first=np.arange(size, dtype=np.uint32),
     )
 
 
 def merge_by_enumerator(partition: Partition, enums) -> tuple[Partition, list[WeightEnumerator]]:
     """Union blocks whose coset enumerators are coefficient-identical.
 
-    enums is aligned with partition.blocks. Returns the merged partition
-    and one enumerator per merged block; its block count is the number of
-    distinct polynomials the product-sum step really needs.
+    enums is aligned with the blocks of partition. Each distinct coeffs
+    vector gets a group id in order of first occurrence, and the merged
+    block_of is the group id of each index's block. Because blocks are
+    numbered by their least index, so are the merged ones. Returns the
+    merged partition and one enumerator per merged block; its block count
+    is the number of distinct polynomials the product-sum step really needs.
     """
     if len(enums) != partition.block_count:
         raise ValueError("one enumerator per block required")
-    groups: dict = {}
+    gid: dict = {}
+    group = np.empty(len(enums), dtype=np.int32)
     for bid, enum in enumerate(enums):
-        groups.setdefault(enum.coeffs, []).append(bid)
-    merged_members = []
-    for key, bids in groups.items():
-        members = sorted(x for bid in bids for x in partition.blocks[bid])
-        merged_members.append((members, enums[bids[0]]))
-    merged_members.sort(key=lambda item: item[0][0])
-    block_of = np.full(partition.block_of.shape, -1, dtype=np.int32)
-    out_blocks = []
-    out_enums = []
-    for mid, (members, enum) in enumerate(merged_members):
-        block_of[np.array(members, dtype=np.int64)] = mid
-        out_blocks.append(tuple(members))
-        out_enums.append(enum)
+        group[bid] = gid.setdefault(enum.coeffs, len(gid))
+    # the first block of each group, in group order
+    lead = np.unique(group, return_index=True)[1]
     merged = Partition(
         e=partition.e,
         d=partition.d,
         m=partition.m,
-        block_of=block_of,
-        blocks=tuple(out_blocks),
+        block_of=group[partition.block_of],
+        first=partition.first[lead],
         merged=True,
     )
-    return merged, out_enums
+    return merged, [enums[b] for b in lead.tolist()]
 
 
 class QuotientClassification:

@@ -24,8 +24,11 @@ the whole outer sum over the f of one e:
     sum_f W^2[z; (e + f x) + R(r-1,m-1)] = 2**-N * sum_u Ahat_u**4,
 
 where Ahat is the Walsh-Hadamard transform of A (MacWilliams & Sloane,
-ch. 5 and 13). Summed over the classes of e in H^(r)(m-2), weighted by
-size, this is W[z; R(r,m)] without classifying H^(r)(m-1) at all.
+ch. 5 and 13). A is constant on each merged block b of the orbit partition
+above e, so Ahat_u = sum_b chi_b(u) * A_b, with chi_b the transform of
+b's indicator: only a 2**N x (merged blocks) table of small integers is
+transformed. Summed over the classes of e in H^(r)(m-2), weighted by size,
+this is W[z; R(r,m)] without classifying H^(r)(m-1) at all.
 run_pipeline takes that Fourier route for self-classified "blocks" runs
 without checkpoints, and the class sum over H^(r)(m-1) otherwise; see its
 docstring for what each route's counter counts.
@@ -64,7 +67,7 @@ from .classify import (
 )
 from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, coset_histograms, rm_dimension
 from .gf2 import AffineMap, find_equivalence, top_image
-from .oracle import divisibility_exponent
+from .oracle import validate_reference
 from .wenum import (
     WeightEnumerator,
     _digit_width,
@@ -248,13 +251,18 @@ def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, contribution: 
 def _class_order(classes, d: int, m1: int) -> list[ClassRecord]:
     """Classes in checkpoint-id order (packed representative index).
 
-    Raises unless the orbit sizes sum to 2**C(m1,d).
+    Raises unless the orbit sizes sum to 2**C(m1,d) and no representative
+    repeats: two records of one class would count it twice.
     """
     space = HomogeneousSpace(m1, d)
     total = sum(rec.size for rec in classes)
     if total != space.size:
         raise ValueError(f"orbit sizes sum to {total}, expected 2**{space.nbits}")
-    return sorted(classes, key=lambda rec: space.index_of(rec.rep))
+    ordered = sorted(classes, key=lambda rec: space.index_of(rec.rep))
+    for prev, rec in zip(ordered, ordered[1:]):
+        if prev.rep == rec.rep:
+            raise ValueError(f"two classes have representative {format_anf(rec.rep)}")
+    return ordered
 
 
 def _unfinished(classes, d: int, m1: int, checkpoint: str | None) -> list[ClassRecord]:
@@ -396,7 +404,7 @@ def _block_tables(records, r, m0, cap):
             else singleton_partition(rec.rep, r0, m0)
         )
         e_bits = truth_table_from_anf(rec.rep).bits
-        rep_words = [e_bits ^ gtables[b[0]] for b in part.blocks]
+        rep_words = [e_bits ^ gtables[g] for g in part.first.tolist()]
         raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
         merged, menums = merge_by_enumerator(part, raw)
         tables[espace.index_of(rec.rep)] = (merged, tuple(menums))
@@ -404,21 +412,16 @@ def _block_tables(records, r, m0, cap):
 
 
 def _check_fourier_size(r: int, m: int):
-    """Refuse a Fourier run whose transform table is past the caps.
+    """Refuse a Fourier run whose transform is indexed past the cap.
 
-    The table has 2**N rows of 2**(m-2)+1 int64 coefficients, N =
-    C(m-2, r-1), and its entries reach 2**(N + dim R(r-2,m-2)) in size.
+    The block characters are indexed by H^(r-1)(m-2), N = C(m-2, r-1)
+    bits, which is also the index space of the orbit partitions.
     """
-    nbits, n0 = comb(m - 2, r - 1), 1 << (m - 2)
-    entries = (1 << nbits) * (n0 + 1)
-    if entries > 1 << MAX_INDEX_BITS:
+    nbits = comb(m - 2, r - 1)
+    if nbits > MAX_INDEX_BITS:
         raise ValueError(
-            f"R({r},{m}) needs a transform table of 2**{nbits} x {n0 + 1} entries, "
-            f"past the cap of 2**{MAX_INDEX_BITS}"
+            f"R({r},{m}) transforms over 2**{nbits} indices, past the cap of 2**{MAX_INDEX_BITS}"
         )
-    headroom = nbits + rm_dimension(r - 2, m - 2)
-    if headroom > 61:
-        raise ValueError(f"R({r},{m}) transform values reach 2**{headroom}, past int64")
 
 
 def _walsh_hadamard(table: np.ndarray):
@@ -438,11 +441,14 @@ def _fourier_distribution(r, m, lower, tables, counter=None) -> WeightEnumerator
     """W[z; R(r,m)] from the lower classes alone, by Parseval over H^(r-1)(m-2).
 
     Per lower class (rep e, size s) the table A_g = W[z; e+g+R(r-2,m-2)]
-    goes through a Walsh-Hadamard transform, and the class adds
-    s * 2**-N * sum_u Ahat_u**4. Polynomials are packed into big ints
+    is constant on each merged block b, so its Walsh-Hadamard transform is
+    Ahat_u = sum_b chi_b(u) * A_b, where chi_b is the transform of block
+    b's indicator; the class adds s * 2**-N * sum_u Ahat_u**4. Only the
+    2**N x (merged blocks) indicator table is transformed, and each
+    distinct chi row is formed once. Polynomials are packed into big ints
     (wenum's Kronecker kernel), so each fourth power is two big-int
-    squarings; equal transform rows are powered once and weighted by their
-    count. The digit width comes from the larger of two totals: a class's
+    squarings; equal Ahat_u are powered once and weighted by their count.
+    The digit width comes from the larger of two totals: a class's
     sum_u Ahat_u**4, 2**N * sum_f W^2 = 2**(4N + 4 dim R(r-2,m-2)), and the
     result, 2**dim R(r,m). Signed intermediate terms may carry between
     digits; the class sums and the result have proper digits.
@@ -458,20 +464,25 @@ def _fourier_distribution(r, m, lower, tables, counter=None) -> WeightEnumerator
     acc = 0
     for rec in lower.records:
         merged, menums = tables[espace.index_of(rec.rep)]
-        coeffs = np.array([enum.coeffs for enum in menums], dtype=np.int64)
-        table = coeffs[merged.block_of]
-        _walsh_hadamard(table)
+        # |chi_b(u)| <= 2**N <= 2**MAX_INDEX_BITS at every butterfly stage
+        chi = np.zeros((1 << nbits, merged.block_count), dtype=np.int32)
+        chi[np.arange(1 << nbits), merged.block_of] = 1
+        _walsh_hadamard(chi)
         # Equal rows are found by their bytes: a void view sorts far faster
         # than np.unique(axis=0), which compares column by column.
-        keys = table.view(np.dtype((np.void, table.shape[1] * table.itemsize))).ravel()
+        keys = chi.view(np.dtype((np.void, chi.shape[1] * chi.itemsize))).ravel()
         _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        rows = table[first]
+        packed = [_pack_coeffs(enum.coeffs, width) for enum in menums]
+        hats: dict[int, int] = {}
+        for row, count in zip(chi[first].tolist(), counts.tolist()):
+            hat = sum(c * p for c, p in zip(row, packed) if c)
+            hats[hat] = hats.get(hat, 0) + count
         power_sum = 0
-        for packed, count in zip(_kronecker_pack(rows, width), counts.tolist()):
-            packed *= packed
-            power_sum += count * (packed * packed)
+        for hat, count in hats.items():
+            hat *= hat
+            power_sum += count * (hat * hat)
         if counter is not None:
-            counter.tick(2 * len(rows))
+            counter.tick(2 * len(hats))
         if power_sum < 0 or power_sum & low_bits:
             raise ValueError(
                 f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{nbits}"
@@ -500,9 +511,9 @@ def run_pipeline(
       only H^(r)(m-2), build its block tables, and sum size * 2**-N *
       sum_u Ahat_u**4 over its classes (see the module docstring). The
       counter counts big-int squarings, two per distinct Ahat_u, and its
-      label says so (FOURIER_LABEL). Runs whose
-      transform table is past 2**MAX_INDEX_BITS entries or past int64
-      headroom are refused before any classification.
+      label says so (FOURIER_LABEL). Runs whose transform is indexed by
+      more than MAX_INDEX_BITS bits, N = C(m-2, r-1) > MAX_INDEX_BITS,
+      are refused before any classification.
     * Class sum (every other call): classes of H^(r)(m-1) are self-computed
       (classes None), read from a classification file path, or given as a
       list of ClassRecord, and distribution_from_classes sums size *
@@ -517,7 +528,9 @@ def run_pipeline(
 
     The recursion peels two variables, so m >= 3 is required; use the brute
     oracle for anything smaller. The result is checked before it is
-    returned: W_0 = 1, total 2**dim R(r,m), and 2**k weight divisibility.
+    returned against oracle.validate_reference: W_0 = W_n = 1, symmetry,
+    total 2**dim R(r,m), minimum weight 2**(m-r) with min_weight_count
+    words, and 2**k weight divisibility; a failure raises ValueError.
     """
     if not 2 <= r <= m or m < 3:
         raise ValueError(f"need 2 <= r <= m and m >= 3, got r={r} m={m}")
@@ -554,14 +567,8 @@ def run_pipeline(
         dist = distribution_from_classes(
             classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
         )
-    dim = rm_dimension(r, m)
-    if dist.coeffs[0] != 1 or dist.total() != 1 << dim:
-        raise ValueError(
-            f"distribution has W_0 = {dist.coeffs[0]} and total {dist.total()}, "
-            f"expected 1 and 2**{dim}"
-        )
-    step = 1 << divisibility_exponent(r, m)
-    bad = [w for w, c in dist.nonzero_items() if w % step]
-    if bad:
-        raise AssertionError(f"weights {bad[:4]} violate the 2**k divisibility bound")
+    report = validate_reference(dist, r, m)
+    if not report.ok:
+        failed = [line for line in report.lines() if line.startswith("FAIL")]
+        raise ValueError(f"R({r},{m}) distribution fails its checks: {'; '.join(failed)}")
     return dist

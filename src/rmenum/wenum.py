@@ -111,23 +111,22 @@ def _pack_coeffs(coeffs, width: int) -> int:
 
 
 def _kronecker_pack(rows: np.ndarray, width: int) -> list[int]:
-    """Each row of signed coefficients c_w as the integer sum of c_w * 2**(width*w).
+    """Each row of nonnegative coefficients c_w as the integer sum of c_w * 2**(width*w).
 
-    width is a whole number of bytes, and every |c_w| is below 2**min(width, 63).
+    width is a whole number of bytes, and every c_w is below 2**min(width, 63).
+    Raises ValueError on a negative entry rather than pack its wrapped value.
     """
+    if (rows < 0).any():
+        raise ValueError("negative coefficient in a packed row")
     nbytes = width // 8
     keep = min(nbytes, 8)
     row_bytes = rows.shape[1] * nbytes
-
-    def pack(mags):
-        # little-endian digits of nbytes each, the value in the low keep bytes
-        digits = np.zeros(mags.shape + (nbytes,), dtype=np.uint8)
-        digits[..., :keep] = mags.astype("<u8")[..., None].view(np.uint8)[..., :keep]
-        blob = digits.tobytes()
-        starts = range(0, len(blob), row_bytes)
-        return [int.from_bytes(blob[i : i + row_bytes], "little") for i in starts]
-
-    return [p - q for p, q in zip(pack(np.maximum(rows, 0)), pack(np.maximum(-rows, 0)))]
+    # little-endian digits of nbytes each, the value in the low keep bytes
+    digits = np.zeros(rows.shape + (nbytes,), dtype=np.uint8)
+    digits[..., :keep] = rows.astype("<u8")[..., None].view(np.uint8)[..., :keep]
+    blob = digits.tobytes()
+    starts = range(0, len(blob), row_bytes)
+    return [int.from_bytes(blob[i : i + row_bytes], "little") for i in starts]
 
 
 def _kronecker_unpack(value: int, n: int, width: int) -> list[int]:

@@ -232,6 +232,49 @@ def test_merge_by_enumerator():
             assert merged.find_block(g) == bid
 
 
+def tuple_merge_reference(partition, enums):
+    # the merge as member tuples of Python ints: groups of equal coeffs,
+    # numbered by their least member
+    groups = {}
+    for bid, enum in enumerate(enums):
+        groups.setdefault(enum.coeffs, []).append(bid)
+    merged = []
+    for bids in groups.values():
+        members = sorted(x for bid in bids for x in partition.blocks[bid])
+        merged.append((tuple(members), enums[bids[0]]))
+    merged.sort(key=lambda item: item[0][0])
+    block_of = np.full(partition.block_of.shape, -1, dtype=np.int32)
+    for mid, (members, _) in enumerate(merged):
+        block_of[list(members)] = mid
+    return block_of, tuple(members for members, _ in merged), [enum for _, enum in merged]
+
+
+@pytest.mark.parametrize("r, m", [(3, 6), (2, 7), (4, 7), (3, 7), (2, 8), (3, 8)])
+def test_merge_by_enumerator_matches_tuple_reference(monkeypatch, r, m):
+    import rmenum.pipeline as pipeline
+
+    seen = []
+
+    def checked(partition, enums):
+        blocks = partition.blocks
+        assert [b[0] for b in blocks] == partition.first.tolist()
+        assert sorted(partition.first.tolist()) == partition.first.tolist()
+        merged, menums = merge_by_enumerator(partition, enums)
+        block_of, members, ref_enums = tuple_merge_reference(partition, enums)
+        assert merged.block_of.dtype == block_of.dtype
+        assert np.array_equal(merged.block_of, block_of)
+        assert merged.blocks == members
+        assert merged.first.tolist() == [b[0] for b in members]
+        assert menums == ref_enums
+        seen.append(partition.e)
+        return merged, menums
+
+    monkeypatch.setattr(pipeline, "merge_by_enumerator", checked)
+    run_pipeline(r, m)
+    # one merge per lower class of H^(r)(m-2)
+    assert len(seen) == len(classify_quotient(r, m - 2))
+
+
 def test_write_ingest_round_trip():
     records = classify_quotient(2, 4)
     buf = io.StringIO()

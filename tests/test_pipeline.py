@@ -14,6 +14,7 @@ from rmenum.boolfn import (
     truth_table_from_anf,
 )
 from rmenum.classify import (
+    ClassRecord,
     QuotientClassification,
     classify_quotient,
     merge_by_enumerator,
@@ -287,6 +288,35 @@ def test_pipeline_final_check_rejects_wrong_sizes():
         run_pipeline(3, 6, classes=swapped)
 
 
+def h24_classes(third):
+    # the classes of H^(2)(4) are 0, rank 2 (12) and rank 4 (14+23)
+    sizes = (("0", 1), ("12", 35), (third, 28))
+    return [ClassRecord(rep=parse_anf(rep, 4), size=size) for rep, size in sizes]
+
+
+@pytest.mark.parametrize("strategy", ["blocks", "direct"])
+def test_pipeline_rejects_a_repeated_representative(tmp_path, strategy):
+    assert run_pipeline(2, 5, classes=h24_classes("14+23"), strategy=strategy) == run_pipeline(2, 5)
+    # the sizes still sum to 64, but the class of 12 would be counted twice
+    classes = h24_classes("12")
+    path = tmp_path / "classes.txt"
+    write_classification(str(path), classes, 2, 4)
+    for given in (classes, str(path)):
+        with pytest.raises(ValueError, match="two classes have representative 12"):
+            run_pipeline(2, 5, classes=given, strategy=strategy)
+
+
+def test_pipeline_final_check_rejects_a_class_given_by_another_member():
+    # 13 is a member of the class of 12: nothing repeats and the sizes sum,
+    # but the rank-4 class is missing and the minimum-weight count is off
+    classes = h24_classes("13")
+    with pytest.raises(ValueError, match="minimum-weight count = 620: found 1068"):
+        run_pipeline(2, 5, classes=classes, strategy="direct")
+    # blocks rebases 13 onto 12 before the classes are ordered
+    with pytest.raises(ValueError, match="two classes have representative 12"):
+        run_pipeline(2, 5, classes=classes)
+
+
 def test_rebase_onto_classified_targets():
     lower = QuotientClassification.compute(2, 3)
     targets = [rec.rep for rec in lower.records]
@@ -416,12 +446,15 @@ def test_fourier_route_refuses_oversized_runs_before_classifying(monkeypatch):
         raise AssertionError("classification started")
 
     monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
-    # R(4,8): 2**20 x 65 table entries; R(5,9): 2**35 x 129
-    for r, m in ((4, 8), (5, 9)):
+    # R(4,9), R(5,9): transforms over 2**35 indices, N = C(7,3) = C(7,4)
+    for r, m in ((4, 9), (5, 9)):
         with pytest.raises(ValueError, match="cap"):
             run_pipeline(r, m)
-    # R(9,10): a 2 x 257 table, but its entries reach 2**256
-    with pytest.raises(ValueError, match="int64"):
+
+
+def test_fourier_route_refuses_an_oversized_sweep():
+    # R(9,10): N = 1, but each block sweep visits 2**dim R(7,8) = 2**255 words
+    with pytest.raises(ValueError, match="2\\*\\*255 codewords exceed the cap"):
         run_pipeline(9, 10)
 
 
@@ -449,12 +482,15 @@ def test_fourier_route_rejects_an_inexact_transform(monkeypatch):
         run_pipeline(3, 6)
 
 
-def test_kronecker_pack_signed_rows():
+def test_kronecker_pack_rejects_negative_rows():
     import numpy as np
 
     from rmenum.pipeline import _kronecker_pack
 
-    rows = np.array([[3, -1, 0, 2**40], [-(2**61), 0, 1, -7]], dtype=np.int64)
+    rows = np.array([[3, 1, 0, 2**40], [2**61, 0, 1, 7]], dtype=np.int64)
     for width in (64, 72, 128):
         want = [sum(int(c) << (width * w) for w, c in enumerate(row)) for row in rows]
         assert _kronecker_pack(rows, width) == want
+        for signed in (-rows, rows - 4):
+            with pytest.raises(ValueError, match="negative"):
+                _kronecker_pack(signed, width)
