@@ -18,14 +18,19 @@ step walks the 2**m points of a truth table.
 
 Every table is a permutation of the index space: GL generators,
 stabilizer generators (stabilizer_check requires them invertible) and unit
-translations all act bijectively. So the BFS closure writes each level's
-fresh images straight into the block, parent and generator arrays, with no
-dedup and no sort per level; only a finished block is sorted. A table that
-was not a permutation could put an index into a block twice, and the
-closure raises unless the block sizes sum to the space size. The Schreier
-sampler skips an attempt y -> ys by generator s that retraces a BFS tree
-edge (parent[ys] == y by s), or the reverse edge of an involution, before
-any transversal walk: its Schreier element is the identity.
+translations all act bijectively. So the BFS closure needs no dedup and no
+sort per level; it keeps the whole forest in one small array, via, where
+via[v] is 0 for an index not reached yet, 1 for a seed and 2 + gi when
+generator gi first reached v from the level above. The fresh check and
+the write touch only that array, and block_of is written once per
+finished block. The parent of v is the unique preimage of v under
+gens[via[v] - 2], found by walking v's cycle in that table (the GL
+generators have orders 2 and m). A table that was not a permutation could
+put an index into a block twice, and the closure raises unless the block
+sizes sum to the space size. The Schreier sampler skips an attempt
+y -> ys by generator s that retraces a BFS tree edge (via[ys] == 2 + s),
+or the reverse edge of an involution (via[y] == 2 + s), before any
+transversal walk: its Schreier element is the identity.
 """
 
 from __future__ import annotations
@@ -98,14 +103,14 @@ def _action_table(space: HomogeneousSpace, a: AffineMap, e: Anf | None = None) -
     return table
 
 
-def _next_unassigned(block_of: np.ndarray, start: int) -> int:
-    """Least index >= start with no block yet, or the space size if none.
+def _next_unassigned(via: np.ndarray, start: int) -> int:
+    """Least index >= start not reached yet (via 0), or the space size if none.
 
     Scans fixed-size windows so no temporary grows with the space.
     """
-    size = block_of.size
+    size = via.size
     while start < size:
-        window = block_of[start : start + _SCAN_WINDOW] < 0
+        window = via[start : start + _SCAN_WINDOW] == 0
         k = int(window.argmax())
         if window[k]:
             return start + k
@@ -124,50 +129,47 @@ def _linear_table(g: Gf2Matrix) -> list[int]:
     return lin
 
 
-def _close_orbits(tables: list[np.ndarray], size: int, want_parents: bool):
+def _close_orbits(tables: list[np.ndarray], size: int):
     """BFS closure over the whole index space; orbits appear in seed order.
 
-    Every table is a permutation, so one generator's fresh images are
-    distinct and are written straight into block_of, parent and pgen. A
-    node's parent is its preimage under the first generator that reaches
-    it from the level above, whatever the order of that level. A table
-    that is not injective could add an index to a block twice; the block
-    sizes must therefore sum to the space size.
+    Returns (block_of, blocks, via): the block of each index, each block's
+    sorted members, and the BFS forest as one mark per index (0 unreached,
+    1 seed, 2 + gi reached by tables[gi] from the level above). via is
+    uint8 unless there are more than 254 tables. Every table is a
+    permutation, so one generator's fresh images are distinct and only via
+    is read and written per image; block_of is written once per finished
+    block. A table that is not injective could add an index to a block
+    twice; the block sizes must therefore sum to the space size.
     """
-    block_of = np.full(size, -1, dtype=np.int32)
-    parent = np.full(size, -1, dtype=np.int32) if want_parents else None
-    pgen = np.full(size, -1, dtype=np.int8) if want_parents else None
+    via = np.zeros(size, dtype=np.min_scalar_type(len(tables) + 1))
+    block_of = np.empty(size, dtype=np.int32)
     blocks = []
     total = 0
-    seed = _next_unassigned(block_of, 0)
+    seed = _next_unassigned(via, 0)
     while seed < size:
-        cid = len(blocks)
-        block_of[seed] = cid
+        via[seed] = 1
         frontier = np.array([seed], dtype=np.uint32)
         members = [frontier]
         while frontier.size:
             grown = []
             for gi, table in enumerate(tables):
                 images = table[frontier]
-                fresh = block_of[images] < 0
-                vals = images[fresh]
+                vals = images[via[images] == 0]
                 if not vals.size:
                     continue
-                block_of[vals] = cid
-                if want_parents:
-                    parent[vals] = frontier[fresh]
-                    pgen[vals] = gi
+                via[vals] = 2 + gi
                 grown.append(vals)
             frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.uint32)
             members.append(frontier)
         block = np.concatenate(members)
         block.sort()
+        block_of[block] = len(blocks)
         blocks.append(block)
         total += block.size
-        seed = _next_unassigned(block_of, seed + 1)
+        seed = _next_unassigned(via, seed + 1)
     if total != size:
         raise ValueError(f"orbit sizes sum to {total}, not {size}: a table is not a permutation")
-    return block_of, blocks, parent, pgen
+    return block_of, blocks, via
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ def orbit_partition(e: Anf, gens, r: int, m: int) -> Partition:
     maps.extend(AffineMap.translation(m, 1 << i) for i in range(m))
     space = HomogeneousSpace(m, r + 1)
     tables = [_action_table(space, a, e) for a in maps]
-    block_of, blocks, _, _ = _close_orbits(tables, space.size, want_parents=False)
+    block_of, blocks, _ = _close_orbits(tables, space.size)
     first = np.array([b[0] for b in blocks], dtype=np.uint32)
     return Partition(e=e, d=r + 1, m=m, block_of=block_of, first=first)
 
@@ -289,25 +291,27 @@ def merge_by_enumerator(partition: Partition, enums) -> tuple[Partition, list[We
 class QuotientClassification:
     """Classes of H^(d)(m) under GL(m,2) with transversal bookkeeping.
 
-    Keeps the parent forest of the closure so any form can be written as
-    (class representative) acted on by an explicit matrix, which is what
-    representative rebasing needs. Representatives are the least packed
-    index of each class; classes are numbered in representative order.
+    Keeps the BFS forest of the closure as its via marks, together with
+    the generators' action tables, so any form can be written as (class
+    representative) acted on by an explicit matrix, which is what
+    representative rebasing needs. A node's parent is its preimage under
+    the generator that reached it, found by walking the node's cycle in
+    that table. Representatives are the least packed index of each class;
+    classes are numbered in representative order.
     """
 
-    def __init__(self, d, m, space, records, class_of, parent, pgen, gens, seeds):
+    def __init__(self, d, m, space, records, class_of, via, tables, gens, seeds):
         self.d = d
         self.m = m
         self.space = space
         self.records = records
         self.class_of = class_of
-        self._parent = parent
-        self._pgen = pgen
+        self._via = via
         self.gens = gens
         self.seeds = seeds
         # Zero-copy views that index to plain ints for the transversal walk.
-        self._parent_view = memoryview(parent)
-        self._pgen_view = memoryview(pgen)
+        self._via_view = memoryview(via)
+        self._table_views = [memoryview(t) for t in tables]
         self._lin = [_linear_table(g) for g in gens]
         self._identity_rows = Gf2Matrix.identity(m).rows
         self._involutive = [
@@ -331,9 +335,9 @@ class QuotientClassification:
             )
         gens = gl2_generators(m)
         tables = [_action_table(space, AffineMap(g, 0)) for g in gens]
-        class_of, blocks, parent, pgen = _close_orbits(tables, space.size, want_parents=True)
+        class_of, blocks, via = _close_orbits(tables, space.size)
         cls = QuotientClassification(
-            d, m, space, [], class_of, parent, pgen, gens, [int(b[0]) for b in blocks]
+            d, m, space, [], class_of, via, tables, gens, [int(b[0]) for b in blocks]
         )
         for members in blocks:
             rep = space.anf_of(int(members[0]))
@@ -344,25 +348,34 @@ class QuotientClassification:
             cls.records.append(ClassRecord(rep=rep, size=len(members), gens=tuple(stab)))
         return cls
 
+    def _parent_of(self, node: int) -> int:
+        """Preimage of a non-seed node under the generator that reached it."""
+        table = self._table_views[self._via_view[node] - 2]
+        prev, cur = node, table[node]
+        while cur != node:
+            prev, cur = cur, table[cur]
+        return prev
+
     def transversal(self, idx: int) -> Gf2Matrix:
         """Matrix carrying the class representative of idx onto idx.
 
         It is the product of the edge generators on the BFS path from the
-        class seed to idx, in seed-to-idx order. Each step maps packed rows
+        class seed to idx, in seed-to-idx order; the path is read back from
+        the via marks, one preimage walk per node. Each step maps packed rows
         through the generator's linear table, and the rows of every node on
         the path are memoised. compute() clears the memo after each class;
         calls made later keep their entries, at most one per index.
         """
-        memo, parent = self._memo, self._parent_view
+        memo, via = self._memo, self._via_view
         path = []
         node = int(idx)
-        while node not in memo and parent[node] >= 0:
+        while node not in memo and via[node] > 1:
             path.append(node)
-            node = parent[node]
+            node = self._parent_of(node)
         rows = memo.get(node, self._identity_rows)
-        pgen, lin = self._pgen_view, self._lin
+        lin = self._lin
         for node in reversed(path):
-            rows = tuple(map(lin[pgen[node]].__getitem__, rows))
+            rows = tuple(map(lin[via[node] - 2].__getitem__, rows))
             memo[node] = rows
         return Gf2Matrix(self.m, rows)
 
@@ -382,7 +395,7 @@ class QuotientClassification:
         out = []
         seen = set()
         attempts = 0
-        parent, pgen = self._parent_view, self._pgen_view
+        via = self._via_view
         while len(out) < max_gens and attempts < max_gens * 8:
             attempts += 1
             y = int(members[rng.randrange(len(members))])
@@ -392,12 +405,14 @@ class QuotientClassification:
             # It is the identity, which is never emitted, when y -> ys is a
             # BFS tree edge (t_ys = t_y @ gens[si]) or the reverse of one by
             # an involution (t_y = t_ys @ gens[si]); those attempts end
-            # before any transversal walk. Any other identity attempt ends
-            # when t_y @ gens[si] equals t_ys, before the inverse and its
-            # linear table are built.
-            if parent[ys] == y and pgen[ys] == si:
+            # before any transversal walk. Since tables[si] is a permutation
+            # and sends y to ys, via[ys] == 2 + si says the edge is y -> ys,
+            # and for an involution via[y] == 2 + si says it is ys -> y. Any
+            # other identity attempt ends when t_y @ gens[si] equals t_ys,
+            # before the inverse and its linear table are built.
+            if via[ys] == 2 + si:
                 continue
-            if self._involutive[si] and parent[y] == ys and pgen[y] == si:
+            if self._involutive[si] and via[y] == 2 + si:
                 continue
             moved = tuple(map(self._lin[si].__getitem__, self.transversal(y).rows))
             t_ys = self.transversal(ys)

@@ -395,7 +395,8 @@ def _block_tables(records, r, m0, cap):
     """
     r0 = r - 2
     espace = HomogeneousSpace(m0, r)
-    gtables = HomogeneousSpace(m0, r0 + 1).all_tables()
+    gspace = HomogeneousSpace(m0, r0 + 1)
+    steps = {}
     tables = {}
     for rec in records:
         part = (
@@ -403,8 +404,19 @@ def _block_tables(records, r, m0, cap):
             if rec.gens
             else singleton_partition(rec.rep, r0, m0)
         )
-        e_bits = truth_table_from_anf(rec.rep).bits
-        rep_words = [e_bits ^ gtables[g] for g in part.first.tolist()]
+        # Truth tables are linear in the packed index, so each leader's word
+        # is the previous word XOR the table of the step g ^ prev. Leaders
+        # ascend, so singleton blocks take only N distinct steps; the step
+        # tables are kept, and no table of the whole space is built.
+        word, prev = truth_table_from_anf(rec.rep).bits, 0
+        rep_words = []
+        for g in part.first.tolist():
+            step = g ^ prev
+            if step not in steps:
+                steps[step] = gspace.table_of(step)
+            word ^= steps[step]
+            prev = g
+            rep_words.append(word)
         raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
         merged, menums = merge_by_enumerator(part, raw)
         tables[espace.index_of(rec.rep)] = (merged, tuple(menums))

@@ -91,24 +91,44 @@ def test_class_membership_is_closed_under_action():
         assert cls.class_index_of(f) == cls.class_index_of(g)
 
 
-def reference_transversal(cls, idx):
+def forest_from_via(via, tables):
+    # parent and generator of every index, read from the via marks through
+    # inverse tables (-1 for seeds): the parent of v is the preimage of v under
+    # the generator that reached it
+    pgen = via.astype(np.int64) - 2
+    parent = np.full(via.size, -1, dtype=np.int64)
+    for gi, table in enumerate(tables):
+        inverse = np.empty_like(table)
+        inverse[table] = np.arange(table.size, dtype=table.dtype)
+        hit = pgen == gi
+        parent[hit] = inverse[hit]
+    pgen[pgen < 0] = -1
+    return parent, pgen
+
+
+def gl_tables(cls):
+    return [_action_table(cls.space, AffineMap(g, 0)) for g in cls.gens]
+
+
+def reference_transversal(cls, idx, parent, pgen):
     # validated products of the edge generators along the parent forest
     path = []
     node = idx
-    while cls._parent[node] >= 0:
-        path.append(cls.gens[int(cls._pgen[node])])
-        node = int(cls._parent[node])
+    while parent[node] >= 0:
+        path.append(cls.gens[int(pgen[node])])
+        node = int(parent[node])
     return reduce(lambda acc, g: acc @ g, reversed(path), Gf2Matrix.identity(cls.m))
 
 
 def test_transversal_property():
     for d in (2, 3):
         cls = QuotientClassification.compute(d, 5)
+        parent, pgen = forest_from_via(cls._via, gl_tables(cls))
         for idx in range(cls.space.size):
             cid = int(cls.class_of[idx])
             rep = cls.records[cid].rep
             mat = cls.transversal(idx)
-            assert mat == reference_transversal(cls, idx)
+            assert mat == reference_transversal(cls, idx, parent, pgen)
             moved = homogeneous_part(transform_anf(rep, AffineMap(mat, 0)), d)
             assert cls.space.index_of(moved) == idx
 
@@ -364,12 +384,12 @@ def test_small_classification_files_are_pinned(d, m, seed):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SMALL_PINS[d, m, seed]
 
 
-def reference_close_orbits(tables, size, want_parents):
+def reference_close_orbits(tables, size):
     # the closure before it relied on tables being permutations: every level
     # is deduplicated with np.unique and rechecked against earlier writes
     block_of = np.full(size, -1, dtype=np.int32)
-    parent = np.full(size, -1, dtype=np.int32) if want_parents else None
-    pgen = np.full(size, -1, dtype=np.int8) if want_parents else None
+    parent = np.full(size, -1, dtype=np.int32)
+    pgen = np.full(size, -1, dtype=np.int16)
     blocks = []
     for seed in range(size):
         if block_of[seed] >= 0:
@@ -390,9 +410,8 @@ def reference_close_orbits(tables, size, want_parents):
                 vals = vals[still]
                 if not vals.size:
                     continue
-                if want_parents:
-                    parent[vals] = frontier[fresh][first][still]
-                    pgen[vals] = gi
+                parent[vals] = frontier[fresh][first][still]
+                pgen[vals] = gi
                 block_of[vals] = cid
                 grown.append(vals)
             frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.uint32)
@@ -403,16 +422,14 @@ def reference_close_orbits(tables, size, want_parents):
 
 
 def assert_same_closure(tables, size):
-    for want_parents in (True, False):
-        got = _close_orbits(tables, size, want_parents)
-        want = reference_close_orbits(tables, size, want_parents)
-        assert np.array_equal(got[0], want[0])
-        assert len(got[1]) == len(want[1])
-        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
-        if want_parents:
-            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
-        else:
-            assert got[2] is None and got[3] is None
+    block_of, blocks, via = _close_orbits(tables, size)
+    want = reference_close_orbits(tables, size)
+    assert np.array_equal(block_of, want[0])
+    assert len(blocks) == len(want[1])
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, want[1]))
+    parent, pgen = forest_from_via(via, tables)
+    assert np.array_equal(parent, want[2]) and np.array_equal(pgen, want[3])
+    return via
 
 
 @pytest.mark.parametrize("d, m", [(2, 4), (2, 5), (3, 5), (2, 6), (4, 6), (3, 6)])
@@ -459,35 +476,71 @@ def test_closure_matches_reference_on_random_permutations():
                 assert_same_closure(tables, size)
 
 
+def test_closure_forest_is_one_byte_per_index():
+    cls = QuotientClassification.compute(3, 6, random.Random(0))
+    assert cls._via.dtype == np.uint8 and cls._via.shape == (cls.space.size,)
+    space = HomogeneousSpace(6, 2)
+    rec = classify_quotient(3, 6, random.Random(0))[2]
+    maps = list(rec.gens) + [AffineMap.translation(6, 1 << i) for i in range(6)]
+    via = _close_orbits([_action_table(space, a, rec.rep) for a in maps], space.size)[2]
+    assert via.dtype == np.uint8 and via.shape == (space.size,)
+
+
+def test_closure_with_more_generators_than_a_byte_marks():
+    # 2 + 299 does not fit in a uint8 mark, so via widens to uint16
+    rng = random.Random(11)
+    tables = [random_cycles_permutation(64, rng.choice((2, 3, 64)), rng) for _ in range(300)]
+    via = assert_same_closure(tables, 64)
+    assert via.dtype == np.uint16
+    assert int(via.max()) > 255
+
+
 def test_closure_rejects_a_table_that_is_not_a_permutation():
-    # from 0 both tables reach the level {1, 2}; the first maps both to 3
+    # from 0 both tables reach the level {1, 2}; the first maps both to 3.
+    # The second case pads with identities so that via is uint16.
     spread = np.array([1, 3, 3, 0], dtype=np.uint32)
     other = np.array([2, 1, 0, 3], dtype=np.uint32)
-    with pytest.raises(ValueError, match="not a permutation"):
-        _close_orbits([spread, other], 4, want_parents=False)
-    with pytest.raises(ValueError, match="not a permutation"):
-        _close_orbits([spread, other], 4, want_parents=True)
+    identity = np.arange(4, dtype=np.uint32)
+    for tables in ([spread, other], [spread, other] + [identity] * 300):
+        with pytest.raises(ValueError, match="not a permutation"):
+            _close_orbits(tables, 4)
 
 
-@pytest.mark.parametrize("d, m", [(2, 6), (3, 5), (4, 6)])
+FOREST_SPACES = [(2, 6), (3, 5), (4, 6)]
+
+
+@pytest.mark.parametrize("d, m", FOREST_SPACES)
 def test_parent_forest_edges_are_schreier_identities(d, m):
     # _schreier_sample skips an attempt y -> ys by gens[si] as the identity when
-    # it is a tree edge (parent[ys] == y, pgen[ys] == si), or the reverse edge of
-    # an involution; both rest on t_v = t_parent(v) @ gens[pgen(v)]
+    # it is a tree edge (via[ys] == 2 + si), or the reverse edge of an
+    # involution (via[y] == 2 + si); both rest on
+    # t_v = t_parent(v) @ gens[via[v] - 2]
     cls = QuotientClassification.compute(d, m, random.Random(0))
-    tables = [_action_table(cls.space, AffineMap(g, 0)) for g in cls.gens]
+    tables = gl_tables(cls)
+    parent, pgen = forest_from_via(cls._via, tables)
     identity = Gf2Matrix.identity(m)
     involutive = [g @ g == identity for g in cls.gens]
     assert involutive == [True, False]  # the transvection and the cyclic shift
     seeds = set(cls.seeds)
     for v in range(cls.space.size):
         if v in seeds:
-            assert cls._parent[v] == -1
+            assert cls._via[v] == 1
             continue
-        p, gi = int(cls._parent[v]), int(cls._pgen[v])
+        p, gi = int(parent[v]), int(pgen[v])
         assert int(tables[gi][p]) == v
         g = cls.gens[gi]
         assert cls.transversal(v) == cls.transversal(p) @ g
         if involutive[gi]:
             assert int(tables[gi][v]) == p
             assert cls.transversal(p) == cls.transversal(v) @ g
+
+
+@pytest.mark.parametrize("d, m", FOREST_SPACES)
+def test_preimage_walk_returns_the_reference_parent(d, m):
+    cls = QuotientClassification.compute(d, m, random.Random(0))
+    _, _, parent, _ = reference_close_orbits(gl_tables(cls), cls.space.size)
+    seeds = set(cls.seeds)
+    assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
+    for v in range(cls.space.size):
+        if v not in seeds:
+            assert cls._parent_of(v) == parent[v]
