@@ -1,15 +1,19 @@
 """Exhaustive coset weight distributions by Gray-code sweeps.
 
-A coset f + R(r,m) is walked by enumerating all 2**dim codewords of
-R(r,m). One engine, _gray_histograms, serves every sweep in the package:
-the span of the low (at most 16) basis tables is laid out once as a packed
-numpy block of words in reflected Gray order, and the Gray sequence over
-the high basis tables is cut into segments, each adding one XOR offset to
-the representatives. Representatives are swept in chunks of whole blocks,
-popcounted in numpy, and histogrammed by a single bincount per chunk. A
-batch call amortises one sweep over many representatives, which is how
-the product-sum recursion consumes whole families of cosets at once; the
-brute-force oracle is the same sweep of the zero representative.
+A coset f + R(r,m) is walked by enumerating the codewords of R(r,m). One
+engine, _gray_histograms, serves every sweep in the package. R(r,m)
+contains the all-ones word, so f + R(r,m) is f + R' together with its
+complement, where R' is the span of the dim - 1 non-constant basis tables;
+the engine sweeps only R' and folds each histogram by complement,
+hist[w] = h'[w] + h'[n - w]. The span of the low (at most 16) tables of R'
+is laid out once as a packed numpy block of words in reflected Gray order,
+and the Gray sequence over the high tables is cut into segments, each
+adding one XOR offset to the representatives. Representatives are swept
+in chunks of whole blocks, popcounted in numpy, and histogrammed by a
+single bincount per chunk. A batch call amortises one sweep over many
+representatives, which is how the product-sum recursion consumes whole
+families of cosets at once; the brute-force oracle is the same sweep of
+the zero representative.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .boolfn import Anf, TruthTable, monomial_table, truth_table_from_anf
 from .wenum import WeightEnumerator
 
 DEFAULT_CAP = 1 << 30
-# Basis tables spanned by the in-memory block; the rest index segments.
+# Swept tables spanned by the in-memory block; the rest index segments.
 # Representatives are chunked so that no more words than one full block
 # (2**_LOW_BITS) are popcounted at once.
 _LOW_BITS = 16
@@ -66,18 +70,26 @@ def _pack(words, lanes: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(words), lanes)
 
 
+def _segments(r: int, m: int) -> int:
+    """Gray segments of a full sweep of R(r,m): its dim - 1 swept tables past the block."""
+    return 1 << max(0, rm_dimension(r, m) - 1 - _LOW_BITS)
+
+
 def _gray_histograms(rep_bits: list[int], r: int, m: int, lo: int, hi: int) -> np.ndarray:
     """Weight histograms of each rep + R(r,m) over Gray segments lo..hi-1.
 
-    Returns an int64 array of shape (len(rep_bits), 2**m + 1). Segment s
-    covers the low block XORed with the high basis tables selected by the
-    bits of gray(s); there are 2**max(0, dim - _LOW_BITS) segments, so a
-    full sweep is segments 0..that-1, and any split of that range sums to
-    the same histograms.
+    Returns an int64 array of shape (len(rep_bits), 2**m + 1). Only the
+    non-constant basis tables are swept (rm_basis_masks puts the all-ones
+    table, mask 0, first); each swept word also stands for its complement,
+    so the histograms are folded as hists + hists[:, ::-1] and count
+    2**dim words per rep over a full sweep. Segment s covers the low block
+    XORed with the high tables selected by the bits of gray(s); a full
+    sweep is segments 0.._segments(r, m)-1, and any split of that range
+    sums to the same histograms.
     """
     n = 1 << m
     lanes = max(1, n // 64)
-    tables = _pack([monomial_table(mask, m) for mask in rm_basis_masks(r, m)], lanes)
+    tables = _pack([monomial_table(mask, m) for mask in rm_basis_masks(r, m)[1:]], lanes)
     nlow = min(len(tables), _LOW_BITS)
     # reflected Gray order: the block so far, then its mirror XOR the next table
     low = np.zeros((1 << nlow, lanes), dtype="<u8")
@@ -93,11 +105,16 @@ def _gray_histograms(rep_bits: list[int], r: int, m: int, lo: int, hi: int) -> n
         shifted = reps ^ offset
         for c0 in range(0, len(rep_bits), chunk):
             part = shifted[c0 : c0 + chunk]
-            weights = np.bitwise_count(part[:, None, :] ^ low).sum(axis=2, dtype=np.int64)
-            weights += np.arange(len(part), dtype=np.int64)[:, None] * (n + 1)
+            words = part[:, None, :] ^ low
+            if lanes == 1:
+                weights = np.bitwise_count(words[..., 0])
+            else:
+                weights = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+            if len(part) > 1:
+                weights = weights + np.arange(len(part), dtype=np.int64)[:, None] * (n + 1)
             counts = np.bincount(weights.ravel(), minlength=len(part) * (n + 1))
             hists[c0 : c0 + len(part)] += counts.reshape(len(part), n + 1)
-    return hists
+    return hists + hists[:, ::-1]
 
 
 def coset_enumerator(rep, r: int, m: int, cap: int = DEFAULT_CAP) -> WeightEnumerator:
@@ -133,12 +150,16 @@ def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1
     rep_bits = [_rep_bits(rep, m) for rep in reps]
     if not rep_bits:
         return np.zeros((0, (1 << m) + 1), dtype=np.int64)
-    nseg = 1 << max(0, dim - _LOW_BITS)
+    nseg = _segments(r, m)
     if jobs <= 1 or len(rep_bits) == 1:
-        return _gray_histograms(rep_bits, r, m, 0, nseg)
-    jobs = min(jobs, len(rep_bits))
-    chunk = (len(rep_bits) + jobs - 1) // jobs
-    parts = [rep_bits[i : i + chunk] for i in range(0, len(rep_bits), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        sweep = partial(_gray_histograms, r=r, m=m, lo=0, hi=nseg)
-        return np.concatenate(list(pool.map(sweep, parts)))
+        hists = _gray_histograms(rep_bits, r, m, 0, nseg)
+    else:
+        jobs = min(jobs, len(rep_bits))
+        chunk = (len(rep_bits) + jobs - 1) // jobs
+        parts = [rep_bits[i : i + chunk] for i in range(0, len(rep_bits), chunk)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            sweep = partial(_gray_histograms, r=r, m=m, lo=0, hi=nseg)
+            hists = np.concatenate(list(pool.map(sweep, parts)))
+    if (hists.sum(axis=1) != 1 << dim).any():
+        raise ValueError(f"a coset histogram of R({r},{m}) does not total 2**{dim}")
+    return hists

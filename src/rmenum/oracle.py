@@ -5,11 +5,15 @@ coset enumerator of the zero representative, computed by the same Gray
 sweep engine as cosetenum (cosetenum._gray_histograms), with the segments
 of the sweep split across processes. It shares no code with the doubling
 recursion, classification or product-sums, so the two routes can be
-compared coefficient for coefficient. What stays independent of the sweep
-engine itself: the plain subset-XOR reference enumerator in the tests, the
-closed forms here (minimum-weight count, divisibility exponent), the
-identities validate_reference checks, and MacWilliams duality
-(wenum.macwilliams).
+compared coefficient for coefficient. The engine sweeps half the code and
+folds by complement, which uses only that the all-ones word lies in
+R(r,m); brute output is therefore symmetric by construction, and its
+independent evidence is the total 2**dim, the minimum-weight count, weight
+divisibility, and equality with the pipeline. What stays independent of
+the sweep engine itself: the plain subset-XOR reference enumerator in the
+tests, the closed forms here (minimum-weight count, divisibility
+exponent), the identities validate_reference checks, and MacWilliams
+duality (wenum.macwilliams).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .cosetenum import _LOW_BITS, _gray_histograms, rm_dimension
+from .cosetenum import _gray_histograms, _segments, rm_dimension
 from .wenum import ValidationReport, WeightEnumerator, read_distribution, validate_code_enumerator
 
 DEFAULT_DIM_CAP = 28
@@ -29,13 +33,15 @@ def brute_force_distribution(
     """Exact W[z; R(r,m)] by enumerating all 2**dim codewords.
 
     The Gray sweep of the zero coset; with jobs > 1 its segments are split
-    into contiguous ranges, one per worker, and the histograms summed.
+    into contiguous ranges, one per worker, and the histograms summed. The
+    result is checked against validate_reference before it is returned; a
+    failure raises ValueError.
     """
     dim = rm_dimension(r, m)
     if dim > cap_dim:
         raise ValueError(f"dim R({r},{m}) = {dim} exceeds the cap of {cap_dim}")
     n = 1 << m
-    nseg = 1 << max(0, dim - _LOW_BITS)
+    nseg = _segments(r, m)
     if jobs <= 1 or nseg == 1:
         counts = _gray_histograms([0], r, m, 0, nseg)
     else:
@@ -44,7 +50,9 @@ def brute_force_distribution(
         sweep = partial(_gray_histograms, [0], r, m)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             counts = sum(pool.map(sweep, bounds[:-1], bounds[1:]))
-    return WeightEnumerator(n, counts[0].tolist())
+    dist = WeightEnumerator(n, counts[0].tolist())
+    require_reference(dist, r, m)
+    return dist
 
 
 def min_weight_count(r: int, m: int) -> int:
@@ -72,6 +80,14 @@ def divisibility_exponent(r: int, m: int) -> int:
     if r <= 0:
         return 0
     return (m + r - 1) // r - 1
+
+
+def require_reference(dist: WeightEnumerator, r: int, m: int) -> None:
+    """Raise ValueError naming every failed validate_reference check of dist."""
+    report = validate_reference(dist, r, m)
+    if not report.ok:
+        failed = [line for line in report.lines() if line.startswith("FAIL")]
+        raise ValueError(f"R({r},{m}) distribution fails its checks: {'; '.join(failed)}")
 
 
 def validate_reference(source, r: int, m: int) -> ValidationReport:

@@ -67,7 +67,7 @@ from .classify import (
 )
 from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, coset_histograms, rm_dimension
 from .gf2 import AffineMap, find_equivalence, top_image
-from .oracle import validate_reference
+from .oracle import require_reference
 from .wenum import (
     WeightEnumerator,
     _digit_width,
@@ -579,8 +579,5 @@ def run_pipeline(
         dist = distribution_from_classes(
             classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
         )
-    report = validate_reference(dist, r, m)
-    if not report.ok:
-        failed = [line for line in report.lines() if line.startswith("FAIL")]
-        raise ValueError(f"R({r},{m}) distribution fails its checks: {'; '.join(failed)}")
+    require_reference(dist, r, m)
     return dist

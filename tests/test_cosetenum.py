@@ -4,8 +4,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from rmenum import cosetenum
 from rmenum.boolfn import TruthTable, monomial_table, parse_anf, truth_table_from_anf
 from rmenum.cosetenum import (
+    _LOW_BITS,
+    _gray_histograms,
+    _segments,
     batch_coset_enumerators,
     coset_enumerator,
     coset_histograms,
@@ -65,12 +69,44 @@ def test_matches_slow_reference():
         for _ in range(5):
             rep = rng.getrandbits(1 << m)
             assert coset_enumerator(rep, r, m) == slow_coset_enumerator(rep, r, m)
-    # the sweep engine's edges: more representatives than one chunk (1024 for
-    # R(1,5)), a dimension of exactly the block's 16 tables, and two 64-bit lanes
-    for r, m, count in [(1, 5, 1100), (2, 5, 1), (1, 7, 1)]:
+    # the sweep engine's edges, against a reference that includes the all-ones
+    # table the engine folds in: more representatives than one chunk (2048 for
+    # R(1,5)'s 5 swept tables), R(2,5)'s 15 swept tables (2-rep chunks, here
+    # with an odd remainder), R(0,5) with no swept table, and two 64-bit lanes
+    for r, m, count in [(1, 5, 1100), (1, 5, 2100), (2, 5, 1), (2, 5, 3), (0, 5, 3), (1, 7, 1)]:
         reps = [rng.getrandbits(1 << m) for _ in range(count)]
         got = batch_coset_enumerators(reps, r, m)
         assert got == [slow_coset_enumerator(rep, r, m) for rep in reps]
+
+
+def test_histograms_are_palindromic():
+    # every coset of R(r,m) is closed under complement, so hist[w] = hist[n - w]
+    rng = random.Random(41)
+    for r, m in [(0, 3), (0, 6), (1, 5), (2, 5), (1, 7), (2, 6)]:
+        hists = coset_histograms([rng.getrandbits(1 << m) for _ in range(9)], r, m)
+        assert (hists == hists[:, ::-1]).all()
+
+
+def test_segment_split_sums_to_full_sweep():
+    rng = random.Random(43)
+    for r, m in [(3, 5), (2, 6)]:
+        nseg = _segments(r, m)
+        assert nseg == 1 << (rm_dimension(r, m) - 1 - _LOW_BITS)
+        k = nseg // 2 - 1
+        assert k % 2 == 1
+        reps = [rng.getrandbits(1 << m) for _ in range(2)]
+        full = _gray_histograms(reps, r, m, 0, nseg)
+        split = _gray_histograms(reps, r, m, 0, k) + _gray_histograms(reps, r, m, k, nseg)
+        assert (split == full).all()
+
+
+def test_histograms_check_their_totals(monkeypatch):
+    # a segment count one table too large sweeps every word twice
+    monkeypatch.setattr(
+        cosetenum, "_segments", lambda r, m: 1 << max(0, rm_dimension(r, m) - _LOW_BITS)
+    )
+    with pytest.raises(ValueError, match="does not total 2\\*\\*22"):
+        coset_histograms([0, 1], 2, 6)
 
 
 def test_rep_argument_forms_agree():

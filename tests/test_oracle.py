@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from rmenum.cosetenum import coset_enumerator
+from rmenum import oracle
+from rmenum.cosetenum import _LOW_BITS, coset_enumerator, rm_dimension
 from rmenum.oracle import (
     brute_force_distribution,
     divisibility_exponent,
@@ -45,8 +46,17 @@ def test_jobs_invariance():
 
 
 def test_jobs_split_segments():
-    # dim R(3,5) = 26 gives 1024 sweep segments, split over the workers
+    # dim R(3,5) = 26 gives 512 sweep segments of its 25 swept tables, split over the workers
     assert brute_force_distribution(3, 5, jobs=2) == brute_force_distribution(3, 5)
+
+
+def test_result_is_checked(monkeypatch):
+    # a segment count one table too large sweeps every word twice
+    monkeypatch.setattr(
+        oracle, "_segments", lambda r, m: 1 << max(0, rm_dimension(r, m) - _LOW_BITS)
+    )
+    with pytest.raises(ValueError, match="FAIL total = 2\\*\\*dim"):
+        brute_force_distribution(2, 6)
 
 
 def test_cap():
