@@ -166,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--classes",
         help=(
             "classification file for H^(r)(m-1), summed class by class; omit it to "
-            "self-classify (with the blocks strategy and no --checkpoint, only "
-            "H^(r)(m-2) is classified and the Fourier route sums its classes)"
+            "self-classify (with the blocks strategy only H^(r)(m-2) is classified "
+            "and the Fourier route sums its classes)"
         ),
     )
     p.add_argument("--strategy", choices=("direct", "blocks"), default="blocks")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--checkpoint", help="directory for per-class resume files")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; each takes whole classes")
+    p.add_argument("--checkpoint", help="per-class resume directory; another route's is refused")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="distribution file (default: stdout)")
     p.set_defaults(func=_cmd_pipeline)

@@ -29,8 +29,8 @@ above e, so Ahat_u = sum_b chi_b(u) * A_b, with chi_b the transform of
 b's indicator: only a 2**N x (merged blocks) table of small integers is
 transformed. Summed over the classes of e in H^(r)(m-2), weighted by size,
 this is W[z; R(r,m)] without classifying H^(r)(m-1) at all.
-run_pipeline takes that Fourier route for self-classified "blocks" runs
-without checkpoints, and the class sum over H^(r)(m-1) otherwise; see its
+run_pipeline takes that Fourier route for self-classified "blocks" runs,
+and the class sum over H^(r)(m-1) for given classes or "direct"; see its
 docstring for what each route's counter counts.
 """
 
@@ -190,8 +190,8 @@ def _block_enum(space: HomogeneousSpace, tables: dict, p: Anf) -> tuple[WeightEn
     return enum, counter.count
 
 
-def _class_contribution(args):
-    rec, enum_fn = args
+def _squared_contribution(enum_fn, rec: ClassRecord):
+    """The class-sum term of a class, size * W^2[z; rep + R(r-1,m-1)], and its multiplications."""
     enum, mults = enum_fn(rec.rep)
     return scale(square(enum), rec.size).coeffs, mults
 
@@ -200,12 +200,12 @@ def _checkpoint_path(directory: str, cid: int) -> str:
     return os.path.join(directory, f"class_{cid:05d}.txt")
 
 
-def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, square_total: int):
+def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_total: int, route):
     """A finished class contribution, or None when the class has no checkpoint.
 
-    Headers must name this class, and the total must be rec.size times
-    square_total, the total of one squared coset enumerator; a file that
-    fails either check raises instead of changing the result.
+    Headers must name this route (a route of None means no route line) and
+    this class, and the total must be rec.size times unit_total; a file
+    that fails either check raises instead of changing the result.
     """
     path = _checkpoint_path(directory, cid)
     if not os.path.exists(path):
@@ -219,8 +219,8 @@ def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, square_
             fields = line[1:].split(None, 1)
             if len(fields) == 2:
                 header[fields[0]] = fields[1]
-    expected = {"class": str(cid), "rep": format_anf(rec.rep), "size": str(rec.size)}
-    for key, want in expected.items():
+    wanted = {"route": route, "class": str(cid), "rep": format_anf(rec.rep), "size": str(rec.size)}
+    for key, want in wanted.items():
         got = header.get(key)
         if got != want:
             raise ValueError(
@@ -229,14 +229,14 @@ def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, square_
     dist = read_distribution(path)
     if dist.n != n:
         raise ValueError(f"checkpoint {path} has length {dist.n}, expected {n}")
-    if dist.total() != rec.size * square_total:
+    if dist.total() != rec.size * unit_total:
         raise ValueError(
-            f"checkpoint {path} totals {dist.total()}, expected {rec.size * square_total}"
+            f"checkpoint {path} totals {dist.total()}, expected {rec.size * unit_total}"
         )
     return dist
 
 
-def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, contribution: WeightEnumerator):
+def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, term: WeightEnumerator, route):
     """Write to a temp file beside the checkpoint, then rename it into place.
 
     The rename is atomic, so the checkpoint name only ever holds a whole
@@ -244,7 +244,9 @@ def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, contribution: 
     """
     path = _checkpoint_path(directory, cid)
     comments = [f"class {cid}", f"rep {format_anf(rec.rep)}", f"size {rec.size}"]
-    write_distribution(path + ".tmp", contribution, comments=comments)
+    if route is not None:
+        comments.insert(0, f"route {route}")
+    write_distribution(path + ".tmp", term, comments=comments)
     os.replace(path + ".tmp", path)
 
 
@@ -284,28 +286,31 @@ def distribution_from_classes(
     classes,
     d: int,
     m1: int,
-    enum_fn,
+    contribution,
+    n: int,
+    unit_total: int,
     jobs: int = 1,
     checkpoint: str | None = None,
     counter: MulCounter | None = None,
+    route: str | None = None,
 ) -> WeightEnumerator:
-    """W[z; R(d, m1+1)] = sum of size * W^2[z; rep + R(d-1, m1)] over classes.
+    """Sum of the length-n terms contribution(rec) over the classes of H^(d)(m1).
 
-    classes must exhaust H^(d)(m1): orbit sizes are validated to sum to
-    2**C(m1,d) before any work is done. Class order is canonical (packed
-    representative index), each contribution is exact, and the result is
-    identical for every jobs value. With a checkpoint directory, finished
-    per-class contributions are persisted and resumed after header and total checks;
+    contribution(rec) returns a class's coefficients, which total rec.size
+    * unit_total, and the multiplications it took. classes must exhaust
+    H^(d)(m1): orbit sizes are validated to sum to 2**C(m1,d) before any
+    work is done. Class order is canonical (packed representative index),
+    each term is exact, and the result is identical for every jobs value.
+    With a checkpoint directory, finished terms are persisted, headed by
+    route unless it is None, and resumed after header and total checks;
     the counter only sees multiplications actually performed.
     """
     ordered = _class_order(classes, d, m1)
-    n_out = 1 << (m1 + 1)
     contributions: dict[int, WeightEnumerator] = {}
     if checkpoint:
         os.makedirs(checkpoint, exist_ok=True)
-        square_total = 1 << (2 * rm_dimension(d - 1, m1))
         for cid, rec in enumerate(ordered):
-            got = _read_checkpoint(checkpoint, cid, rec, n_out, square_total)
+            got = _read_checkpoint(checkpoint, cid, rec, n, unit_total, route)
             if got is not None:
                 contributions[cid] = got
     pending = [cid for cid in range(len(ordered)) if cid not in contributions]
@@ -317,17 +322,15 @@ def distribution_from_classes(
     )
     with pool_cm as pool:
         mapper = pool.map if parallel else map
-        results = mapper(_class_contribution, [(ordered[cid], enum_fn) for cid in pending])
+        results = mapper(contribution, [ordered[cid] for cid in pending])
         for cid, (coeffs, mults) in zip(pending, results):
-            contributions[cid] = WeightEnumerator(n_out, coeffs)
+            contributions[cid] = WeightEnumerator(n, coeffs)
             if counter is not None:
                 counter.tick(mults)
             if checkpoint:
-                _write_checkpoint(checkpoint, cid, ordered[cid], contributions[cid])
-    acc = WeightEnumerator.zero(n_out)
-    for cid in range(len(ordered)):
-        acc = acc + contributions[cid]
-    return acc
+                _write_checkpoint(checkpoint, cid, ordered[cid], contributions[cid], route)
+    terms = [term.coeffs for term in contributions.values()]
+    return WeightEnumerator(n, [sum(col) for col in zip(*terms)])
 
 
 def rebase_representatives(
@@ -390,8 +393,8 @@ def _block_tables(records, r, m0, cap):
     enumerators)}, where the partition is the orbit partition of
     H^(r-1)(m0) under the rep's stabilizer (singleton blocks when the rep
     has no gens) and each enumerator is W[z; rep + g + R(r-2, m0)] for the
-    g of its block. Each class's sweep takes milliseconds, so it runs in
-    this process: a worker pool per class would cost more than the sweep.
+    g of its block. Each class's sweep takes milliseconds and opens no
+    pool: jobs workers take whole classes, never one sweep.
     """
     r0 = r - 2
     espace = HomogeneousSpace(m0, r)
@@ -423,19 +426,6 @@ def _block_tables(records, r, m0, cap):
     return tables
 
 
-def _check_fourier_size(r: int, m: int):
-    """Refuse a Fourier run whose transform is indexed past the cap.
-
-    The block characters are indexed by H^(r-1)(m-2), N = C(m-2, r-1)
-    bits, which is also the index space of the orbit partitions.
-    """
-    nbits = comb(m - 2, r - 1)
-    if nbits > MAX_INDEX_BITS:
-        raise ValueError(
-            f"R({r},{m}) transforms over 2**{nbits} indices, past the cap of 2**{MAX_INDEX_BITS}"
-        )
-
-
 def _walsh_hadamard(table: np.ndarray):
     """Unnormalised Walsh-Hadamard transform of table over axis 0, in place."""
     rows, cols = table.shape
@@ -449,58 +439,63 @@ def _walsh_hadamard(table: np.ndarray):
         half *= 2
 
 
-def _fourier_distribution(r, m, lower, tables, counter=None) -> WeightEnumerator:
-    """W[z; R(r,m)] from the lower classes alone, by Parseval over H^(r-1)(m-2).
+def _fourier_terms(r: int, m: int, cap: int):
+    """The per-class Fourier term of R(r,m), its run constants bound, and its unit total.
 
-    Per lower class (rep e, size s) the table A_g = W[z; e+g+R(r-2,m-2)]
-    is constant on each merged block b, so its Walsh-Hadamard transform is
-    Ahat_u = sum_b chi_b(u) * A_b, where chi_b is the transform of block
-    b's indicator; the class adds s * 2**-N * sum_u Ahat_u**4. Only the
-    2**N x (merged blocks) indicator table is transformed, and each
-    distinct chi row is formed once. Polynomials are packed into big ints
-    (wenum's Kronecker kernel), so each fourth power is two big-int
-    squarings; equal Ahat_u are powered once and weighted by their count.
-    The digit width comes from the larger of two totals: a class's
-    sum_u Ahat_u**4, 2**N * sum_f W^2 = 2**(4N + 4 dim R(r-2,m-2)), and the
-    result, 2**dim R(r,m). Signed intermediate terms may carry between
-    digits; the class sums and the result have proper digits.
+    Refuses a transform indexed past the cap: block characters, like orbit
+    partitions, are indexed by H^(r-1)(m-2), N = C(m-2, r-1) bits. A
+    class's sum_u Ahat_u**4 totals 2**N * sum_f W^2 = 2**(4N + 4 dim
+    R(r-2,m-2)), so its term totals size * unit_total. The digit width
+    covers that sum and the result, 2**dim R(r,m); low_bits masks the N
+    low bits of every digit.
     """
-    m0, r0 = m - 2, r - 2
-    nbits, n = comb(m0, r0 + 1), 1 << m
-    class_total = 1 << (4 * nbits + 4 * rm_dimension(r0, m0))
-    width = _digit_width(max(class_total, 1 << rm_dimension(r, m)))
+    nbits, n = comb(m - 2, r - 1), 1 << m
+    if nbits > MAX_INDEX_BITS:
+        raise ValueError(
+            f"R({r},{m}) transforms over 2**{nbits} indices, past the cap of 2**{MAX_INDEX_BITS}"
+        )
+    unit_total = 1 << (3 * nbits + 4 * rm_dimension(r - 2, m - 2))
+    width = _digit_width(max(unit_total << nbits, 1 << rm_dimension(r, m)))
     low_bits = sum(((1 << nbits) - 1) << (width * w) for w in range(n + 1))
-    espace = HomogeneousSpace(m0, r)
-    if counter is not None:
-        counter.label = FOURIER_LABEL
-    acc = 0
-    for rec in lower.records:
-        merged, menums = tables[espace.index_of(rec.rep)]
-        # |chi_b(u)| <= 2**N <= 2**MAX_INDEX_BITS at every butterfly stage
-        chi = np.zeros((1 << nbits, merged.block_count), dtype=np.int32)
-        chi[np.arange(1 << nbits), merged.block_of] = 1
-        _walsh_hadamard(chi)
-        # Equal rows are found by their bytes: a void view sorts far faster
-        # than np.unique(axis=0), which compares column by column.
-        keys = chi.view(np.dtype((np.void, chi.shape[1] * chi.itemsize))).ravel()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        packed = [_pack_coeffs(enum.coeffs, width) for enum in menums]
-        hats: dict[int, int] = {}
-        for row, count in zip(chi[first].tolist(), counts.tolist()):
-            hat = sum(c * p for c, p in zip(row, packed) if c)
-            hats[hat] = hats.get(hat, 0) + count
-        power_sum = 0
-        for hat, count in hats.items():
-            hat *= hat
-            power_sum += count * (hat * hat)
-        if counter is not None:
-            counter.tick(2 * len(hats))
-        if power_sum < 0 or power_sum & low_bits:
-            raise ValueError(
-                f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{nbits}"
-            )
-        acc += rec.size * (power_sum >> nbits)
-    return WeightEnumerator(n, _kronecker_unpack(acc, n, width))
+    return partial(_fourier_distribution, r, m, cap, nbits, width, low_bits), unit_total
+
+
+def _fourier_distribution(r, m, cap, nbits, width, low_bits, rec: ClassRecord):
+    """A lower class's term s * 2**-N * sum_u Ahat_u**4 of W[z; R(r,m)], and its squarings.
+
+    The class (rep e, size s) of H^(r)(m-2) builds its own block table.
+    A_g = W[z; e+g+R(r-2,m-2)] is constant on each merged block b, so
+    Ahat_u = sum_b chi_b(u) * A_b, with chi_b the Walsh-Hadamard transform
+    of b's indicator: only the 2**N x (merged blocks) indicator table is
+    transformed, and each distinct chi row is formed once. Polynomials are
+    packed into big ints of _fourier_terms' digit width, so a fourth power
+    is two squarings; equal Ahat_u are powered once and weighted by their
+    count. Signed intermediate terms may carry between digits; the power
+    sum has proper digits.
+    """
+    ((merged, menums),) = _block_tables([rec], r, m - 2, cap).values()
+    # |chi_b(u)| <= 2**N <= 2**MAX_INDEX_BITS at every butterfly stage
+    chi = np.zeros((1 << nbits, merged.block_count), dtype=np.int32)
+    chi[np.arange(1 << nbits), merged.block_of] = 1
+    _walsh_hadamard(chi)
+    # Equal rows are found by their bytes: a void view sorts far faster
+    # than np.unique(axis=0), which compares column by column.
+    keys = chi.view(np.dtype((np.void, chi.shape[1] * chi.itemsize))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    packed = [_pack_coeffs(enum.coeffs, width) for enum in menums]
+    hats: dict[int, int] = {}
+    for row, count in zip(chi[first].tolist(), counts.tolist()):
+        hat = sum(c * p for c, p in zip(row, packed) if c)
+        hats[hat] = hats.get(hat, 0) + count
+    power_sum = 0
+    for hat, count in hats.items():
+        hat *= hat
+        power_sum += count * (hat * hat)
+    if power_sum < 0 or power_sum & low_bits:
+        raise ValueError(
+            f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{nbits}"
+        )
+    return _kronecker_unpack(rec.size * (power_sum >> nbits), 1 << m, width), 2 * len(hats)
 
 
 def run_pipeline(
@@ -517,26 +512,21 @@ def run_pipeline(
 ) -> WeightEnumerator:
     """Full W[z; R(r,m)] via the doubling recursion, r >= 2.
 
-    Two routes give identical output:
+    Two routes give identical output, both summed by
+    distribution_from_classes with per-class checkpoints and jobs workers:
 
-    * Fourier (strategy "blocks", classes None, no checkpoint): classify
-      only H^(r)(m-2), build its block tables, and sum size * 2**-N *
-      sum_u Ahat_u**4 over its classes (see the module docstring). The
+    * Fourier (strategy "blocks", classes None): classify only H^(r)(m-2)
+      and sum size * 2**-N * sum_u Ahat_u**4 over its classes (see the
+      module docstring), each class building its own block table. The
       counter counts big-int squarings, two per distinct Ahat_u, and its
-      label says so (FOURIER_LABEL). Runs whose transform is indexed by
-      more than MAX_INDEX_BITS bits, N = C(m-2, r-1) > MAX_INDEX_BITS,
-      are refused before any classification.
-    * Class sum (every other call): classes of H^(r)(m-1) are self-computed
-      (classes None), read from a classification file path, or given as a
-      list of ClassRecord, and distribution_from_classes sums size *
-      W^2[z; rep + R(r-1,m-1)] over them, with per-class checkpoints and
-      --jobs workers. "direct" evaluates each coset enumerator by the plain
-      product-sum; "blocks" rebases representatives onto the lower forms
-      and reads the block tables, so classes lacking stabilizer gens
-      degrade to singleton blocks. Block tables are built only for the
-      lower forms of classes with no checkpoint file yet, so a fully
-      checkpointed resume builds none. The counter counts polynomial
-      multiplications of the product-sums.
+      label says so (FOURIER_LABEL). A transform indexed by N = C(m-2, r-1)
+      > MAX_INDEX_BITS bits is refused before any classification.
+    * Class sum (classes given as a list of ClassRecord or a file path, or
+      "direct"): sum size * W^2[z; rep + R(r-1,m-1)] over the classes of
+      H^(r)(m-1). "direct" self-classifies without stabilizers and runs
+      each plain product-sum; "blocks" rebases representatives onto the
+      lower forms and reads block tables, built only for pending classes.
+      The counter counts polynomial multiplications of the product-sums.
 
     The recursion peels two variables, so m >= 3 is required; use the brute
     oracle for anything smaller. The result is checked before it is
@@ -549,19 +539,19 @@ def run_pipeline(
     if strategy not in ("direct", "blocks"):
         raise ValueError(f"unknown strategy {strategy!r}")
     m1, m0, r0 = m - 1, m - 2, r - 2
-    if strategy == "blocks" and classes is None and checkpoint is None:
-        _check_fourier_size(r, m)
-        lower = QuotientClassification.compute(r, m0, random.Random(seed), max_gens=max_gens)
-        tables = _block_tables(lower.records, r, m0, cap)
-        dist = _fourier_distribution(r, m, lower, tables, counter=counter)
+    rng = random.Random(seed)
+    if strategy == "blocks" and classes is None:
+        contribution, unit_total = _fourier_terms(r, m, cap)
+        classes = QuotientClassification.compute(r, m0, rng, max_gens=max_gens).records
+        class_m, route = m0, "fourier"
+        if counter is not None:
+            counter.label = FOURIER_LABEL
     else:
-        rng = random.Random(seed)
         if isinstance(classes, (str, os.PathLike)):
             classes, _, _ = ingest_classification(classes, expect_d=r, expect_m=m1)
         elif classes is None:
             # "direct" reads only reps and sizes, so it samples no stabilizers.
-            top_gens = 0 if strategy == "direct" else max_gens
-            classes = QuotientClassification.compute(r, m1, rng, max_gens=top_gens).records
+            classes = QuotientClassification.compute(r, m1, rng, max_gens=0).records
         if strategy == "direct":
             enum_fn = partial(_direct_enum, r0, m0, cap)
         else:
@@ -576,8 +566,11 @@ def run_pipeline(
             }
             needed = [rec for rec in lower.records if espace.index_of(rec.rep) in wanted]
             enum_fn = partial(_block_enum, espace, _block_tables(needed, r, m0, cap))
-        dist = distribution_from_classes(
-            classes, r, m1, enum_fn, jobs=jobs, checkpoint=checkpoint, counter=counter
-        )
+        class_m, route = m1, None
+        contribution = partial(_squared_contribution, enum_fn)
+        unit_total = 1 << (2 * rm_dimension(r - 1, m1))
+    dist = distribution_from_classes(
+        classes, r, class_m, contribution, 1 << m, unit_total, jobs, checkpoint, counter, route
+    )
     require_reference(dist, r, m)
     return dist

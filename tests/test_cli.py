@@ -182,7 +182,7 @@ def test_checkpoint_resume_via_cli(tmp_path, capsys):
         capsys, "pipeline", "--r", "3", "--m", "5", "--checkpoint", str(ckpt), "--out", str(out2)
     )
     assert code == 0
-    assert "0 polynomial multiplications" in stdout
+    assert "0 big-int multiplications (squarings, Fourier route)" in stdout
     assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -1,5 +1,5 @@
 import io
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -11,6 +11,7 @@ from rmenum.oracle import (
     min_weight_count,
     validate_reference,
 )
+from rmenum.pipeline import run_pipeline
 from rmenum.wenum import WeightEnumerator, distribution_text
 
 
@@ -122,3 +123,35 @@ def test_validate_reference_rejects_truncation():
 def test_validate_reference_wrong_length():
     report = validate_reference(brute_force_distribution(2, 5), 2, 6)
     assert not report.ok
+
+
+def sloane_berlekamp(m):
+    """W[z; R(2,m)] in closed form (MacWilliams & Sloane, ch. 15).
+
+    A_{2**(m-1) +- 2**(m-1-h)} = 2**(h(h+1)) * prod_{i=m-2h+1..m} (2**i - 1)
+    / prod_{i=1..h} (4**i - 1) for 1 <= h <= m // 2 (h = 0 gives the words
+    0 and 1), and A_{2**(m-1)} takes the rest of 2**dim.
+    """
+    n = 1 << m
+    coeffs = [0] * (n + 1)
+    for h in range(m // 2 + 1):
+        num = (1 << (h * (h + 1))) * prod((1 << i) - 1 for i in range(m - 2 * h + 1, m + 1))
+        count, rest = divmod(num, prod((1 << (2 * i)) - 1 for i in range(1, h + 1)))
+        assert rest == 0
+        coeffs[n // 2 - (n >> (h + 1))] = coeffs[n // 2 + (n >> (h + 1))] = count
+    coeffs[n // 2] = (1 << rm_dimension(2, m)) - sum(coeffs)
+    return WeightEnumerator(n, coeffs)
+
+
+def test_sloane_berlekamp_closed_form():
+    assert sloane_berlekamp(3) == brute_force_distribution(2, 3)
+    assert sloane_berlekamp(5) == brute_force_distribution(2, 5)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_pipeline_r2m_equals_the_closed_form(m):
+    assert run_pipeline(2, m) == sloane_berlekamp(m)
+
+
+def test_checkpointed_r28_with_workers_equals_the_closed_form(tmp_path):
+    assert run_pipeline(2, 8, jobs=2, checkpoint=str(tmp_path / "ckpt")) == sloane_berlekamp(8)

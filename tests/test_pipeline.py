@@ -116,7 +116,7 @@ def test_blocks_requires_aligned_enums():
 def test_distribution_from_classes_validates_sizes():
     short = classify_quotient(2, 4)[:-1]
     with pytest.raises(ValueError, match="sum to"):
-        distribution_from_classes(short, 2, 4, lambda p: (WeightEnumerator.zero(32), 0))
+        distribution_from_classes(short, 2, 4, lambda rec: ([0] * 33, 0), 32, 1)
 
 
 def test_pipeline_matches_brute_force_small():
@@ -226,7 +226,9 @@ def test_partial_resume_builds_only_the_pending_lower_form(monkeypatch, tmp_path
     victim = ckpt / "class_00002.txt"
     whole = victim.read_text()
     rep = next(ln.split(None, 2)[2] for ln in whole.splitlines() if ln.startswith("# rep "))
-    lower, _ = decompose_top(parse_anf(rep, 6))
+    # a class-sum file is headed by a class of H^(2)(6), whose lower part
+    # names the block table; a Fourier file by the lower class of H^(2)(5)
+    lower = decompose_top(parse_anf(rep, 6))[0] if given else parse_anf(rep, 5)
     victim.unlink()
 
     built = []
@@ -255,23 +257,75 @@ def test_pipeline_checkpoint_rejects_foreign_files(tmp_path):
 
 
 def test_pipeline_checkpoint_torn_writes(tmp_path):
+    # the class sum over H^(3)(5) writes 3 files, the Fourier route over H^(3)(4) 2
+    for classes in (classify_quotient(3, 5), None):
+        ckpt = tmp_path / ("given" if classes else "self")
+        want = run_pipeline(3, 6, classes=classes, checkpoint=str(ckpt))
+        victim = sorted(ckpt.iterdir())[-1]
+        whole = victim.read_text()
+        # a write cut short keeps the headers but loses weights: rejected on resume
+        victim.write_text("".join(whole.splitlines(keepends=True)[:-3]))
+        with pytest.raises(ValueError, match="totals"):
+            run_pipeline(3, 6, classes=classes, checkpoint=str(ckpt))
+        # a temp file left by an interrupted write is never read; the class is redone
+        victim.unlink()
+        leftover = ckpt / f"{victim.name}.tmp"
+        leftover.write_text(whole[: len(whole) // 2])
+        counter = MulCounter()
+        assert run_pipeline(3, 6, classes=classes, checkpoint=str(ckpt), counter=counter) == want
+        assert counter.count > 0
+        assert victim.read_text() == whole
+        assert not leftover.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fourier_checkpoints_match_the_plain_run(tmp_path, jobs):
+    plain, counter = MulCounter(), MulCounter()
+    want = run_pipeline(2, 7, counter=plain)
     ckpt = tmp_path / "ckpt"
-    want = run_pipeline(3, 6, checkpoint=str(ckpt))
-    victim = ckpt / "class_00002.txt"
-    whole = victim.read_text()
-    # a write cut short keeps the headers but loses weights: rejected on resume
-    victim.write_text("".join(whole.splitlines(keepends=True)[:-3]))
-    with pytest.raises(ValueError, match="totals"):
-        run_pipeline(3, 6, checkpoint=str(ckpt))
-    # a temp file left by an interrupted write is never read; the class is redone
-    victim.unlink()
-    leftover = ckpt / "class_00002.txt.tmp"
-    leftover.write_text(whole[: len(whole) // 2])
-    counter = MulCounter()
-    assert run_pipeline(3, 6, checkpoint=str(ckpt), counter=counter) == want
-    assert counter.count > 0
-    assert victim.read_text() == whole
-    assert not leftover.exists()
+    assert run_pipeline(2, 7, jobs=jobs, checkpoint=str(ckpt), counter=counter) == want
+    assert (counter.count, counter.label) == (plain.count, FOURIER_LABEL)
+    # one file per class of H^(2)(5), each headed by its route
+    files = sorted(ckpt.iterdir())
+    assert [p.name for p in files] == [f"class_{i:05d}.txt" for i in range(3)]
+    for path in files:
+        assert path.read_text().splitlines()[1] == "# route fourier"
+
+
+def drop_route_line(ckpt):
+    victim = sorted(ckpt.iterdir())[-1]
+    lines = victim.read_text().splitlines(keepends=True)
+    victim.write_text("".join(ln for ln in lines if not ln.startswith("# route ")))
+
+
+# (directory written by, run that reads it); R(2,7) self-classified sums the
+# 3 classes of H^(2)(5), given the 4 classes of H^(2)(6)
+FOREIGN_CASES = {
+    "class-sum-dir-to-fourier": (True, False, None),
+    "fourier-dir-to-class-sum": (False, True, None),
+    "route-line-removed": (False, False, drop_route_line),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_CASES)
+def test_checkpoint_directory_of_another_route_raises(monkeypatch, tmp_path, case):
+    import rmenum.pipeline as pipeline
+
+    writer_given, reader_given, tamper = FOREIGN_CASES[case]
+    ckpt = tmp_path / "ckpt"
+    run_pipeline(2, 7, classes=resume_classes(writer_given), checkpoint=str(ckpt))
+    if tamper is not None:
+        tamper(ckpt)
+    before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a contribution was computed")
+
+    monkeypatch.setattr(pipeline, "_fourier_distribution", forbidden)
+    monkeypatch.setattr(pipeline, "_squared_contribution", forbidden)
+    with pytest.raises(ValueError, match="header 'route'"):
+        run_pipeline(2, 7, classes=resume_classes(reader_given), checkpoint=str(ckpt))
+    assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
 
 
 def test_pipeline_final_check_rejects_wrong_sizes():
@@ -390,7 +444,7 @@ def test_fourier_route_equals_class_sum_and_direct():
             assert fourier == run_pipeline(r, m, strategy="direct"), (r, m)
 
 
-def test_fourier_route_classifies_only_the_lower_forms(monkeypatch):
+def test_fourier_route_classifies_only_the_lower_forms(monkeypatch, tmp_path):
     import rmenum.pipeline as pipeline
 
     seen = []
@@ -405,12 +459,16 @@ def test_fourier_route_classifies_only_the_lower_forms(monkeypatch):
 
     monkeypatch.setattr(QuotientClassification, "compute", staticmethod(spy))
     monkeypatch.setattr(pipeline, "rebase_representatives", forbidden)
-    monkeypatch.setattr(pipeline, "distribution_from_classes", forbidden)
-    counter = MulCounter()
-    assert run_pipeline(2, 6, counter=counter) == brute_force_distribution(2, 6)
-    assert seen == [(2, 4)]
-    # two squarings per distinct transform row
-    assert counter.count > 0 and counter.count % 2 == 0
+    want = brute_force_distribution(2, 6)
+    # a checkpoint directory or workers do not change the route
+    for ckpt, jobs in ((None, 1), ("a", 1), ("b", 2), (None, 2)):
+        seen.clear()
+        ckpt = ckpt and str(tmp_path / ckpt)
+        counter = MulCounter()
+        assert run_pipeline(2, 6, jobs=jobs, checkpoint=ckpt, counter=counter) == want
+        assert seen == [(2, 4)]
+        # two squarings per distinct transform row
+        assert counter.count > 0 and counter.count % 2 == 0
 
 
 # sha256 of write_distribution(W) and the direct product-sum counts, R(r,m) -> (digest, count)
