@@ -10,11 +10,14 @@ Two group actions live here, both on packed form indices:
     g' = [e o A]_{r+1} xor [g o A]_{r+1}.
 
 Both actions are affine over GF(2) in the packed coefficient vector, so a
-generator is expanded once into a full image table (XOR-doubling over the
-images of the basis monomials) and closure is array chasing. The image of
-a basis monomial is the product of the map's substituted variable tables
-(gf2.substituted_tables), read as an ANF after one Mobius transform; no
-step walks the 2**m points of a truth table.
+generator splits exactly into two half tables over N index bits: lo, the
+constant plus the span of the low N // 2 columns, and hi, the span of the
+rest, each filled by XOR-doubling over the images of the basis monomials.
+The image of g is lo[g % L] ^ hi[g // L] with L = len(lo), so a generator
+costs 2**(N//2) + 2**(N - N//2) entries, never 2**N, and closure is array
+chasing. The image of a basis monomial is the product of the map's
+substituted variable tables (gf2.substituted_tables), read as an ANF after
+one Mobius transform; no step walks the 2**m points of a truth table.
 
 Every table is a permutation of the index space: GL generators,
 stabilizer generators (stabilizer_check requires them invertible) and unit
@@ -24,10 +27,10 @@ via[v] is 0 for an index not reached yet, 1 for a seed and 2 + gi when
 generator gi first reached v from the level above. The fresh check and
 the write touch only that array, and block_of is written once per
 finished block. The parent of v is the unique preimage of v under
-gens[via[v] - 2], found by walking v's cycle in that table (the GL
-generators have orders 2 and m). A table that was not a permutation could
-put an index into a block twice, and the closure raises unless the block
-sizes sum to the space size. The Schreier sampler skips an attempt
+gens[via[v] - 2], one lookup in the half tables of that generator's
+inverse. A table that was not a permutation could put an index into a
+block twice, and the closure raises unless the block sizes sum to the
+space size. The Schreier sampler skips an attempt
 y -> ys by generator s that retraces a BFS tree edge (via[ys] == 2 + s),
 or the reverse edge of an involution (via[y] == 2 + s), before any
 transversal walk: its Schreier element is the identity.
@@ -62,6 +65,10 @@ from .wenum import WeightEnumerator
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
 _SCAN_WINDOW = 1 << 12
+# Images gathered per take in _close_orbits. Measured on R(4,8)'s orbit
+# partitions (2**20 indices, up to 70 generators): 2**20 is about 40 % slower,
+# 2**16 no faster, and wider windows only grow the temporaries.
+_GATHER_WINDOW = 1 << 18
 
 
 def gl2_generators(m: int) -> list[Gf2Matrix]:
@@ -76,14 +83,29 @@ def gl2_generators(m: int) -> list[Gf2Matrix]:
     return [Gf2Matrix(m, tuple(transvection)), Gf2Matrix(m, shift)]
 
 
-def _action_table(space: HomogeneousSpace, a: AffineMap, e: Anf | None = None) -> np.ndarray:
-    """Full image table of g -> [e o A]_d xor [g o A]_d over packed indices.
+def _span(const: int, cols) -> np.ndarray:
+    """const XOR every subset-sum of cols, indexed by the subset's bits (XOR-doubling)."""
+    table = np.empty(1 << len(cols), dtype=np.uint32)
+    table[0] = const
+    for j, col in enumerate(cols):
+        half = 1 << j
+        table[half : 2 * half] = table[:half] ^ np.uint32(col)
+    return table
+
+
+def _action_table(
+    space: HomogeneousSpace, a: AffineMap, e: Anf | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half tables (lo, hi) of g -> [e o A]_d xor [g o A]_d over packed indices.
 
     The map is affine in the packed vector: column j holds the image of the
-    j-th basis monomial, the constant comes from e (zero when e is None),
-    and the table is filled by XOR-doubling. The substituted variable
-    tables are built once; each image is a product of them, one Mobius
-    transform, and its degree-d part read off as a packed index.
+    j-th basis monomial and the constant comes from e (zero when e is None).
+    With k = nbits // 2 and L = 2**k, lo spans the constant and columns
+    0..k-1, hi spans the other columns, and the image of g is
+    lo[g % L] ^ hi[g // L]; no table of the whole space is built. The
+    substituted variable tables are built once; each image is a product of
+    them, one Mobius transform, and its degree-d part read off as a packed
+    index.
     """
     if space.nbits > MAX_INDEX_BITS:
         raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
@@ -95,12 +117,8 @@ def _action_table(space: HomogeneousSpace, a: AffineMap, e: Anf | None = None) -
 
     const = image(e.monomials) if e is not None else 0
     cols = [image((mask,)) for mask in space.masks]
-    table = np.zeros(space.size, dtype=np.uint32)
-    table[0] = const
-    for j, col in enumerate(cols):
-        half = 1 << j
-        table[half : 2 * half] = table[:half] ^ np.uint32(col)
-    return table
+    k = space.nbits // 2
+    return _span(const, cols[:k]), _span(0, cols[k:])
 
 
 def _next_unassigned(via: np.ndarray, start: int) -> int:
@@ -129,18 +147,31 @@ def _linear_table(g: Gf2Matrix) -> list[int]:
     return lin
 
 
-def _close_orbits(tables: list[np.ndarray], size: int):
+def _close_orbits(tables, size: int):
     """BFS closure over the whole index space; orbits appear in seed order.
 
-    Returns (block_of, blocks, via): the block of each index, each block's
-    sorted members, and the BFS forest as one mark per index (0 unreached,
-    1 seed, 2 + gi reached by tables[gi] from the level above). via is
-    uint8 unless there are more than 254 tables. Every table is a
+    tables holds one (lo, hi) pair per generator, all of one shape: the
+    image of v is lo[v % L] ^ hi[v // L] with L = len(lo), a power of two
+    or at least size (then hi is [0]; any permutation p of the indices is
+    the pair (p, [0])). Returns (block_of, blocks, via): the block of each
+    index, each block's sorted members, and the BFS forest as one mark per
+    index (0 unreached, 1 seed, 2 + gi reached by tables[gi] from the level
+    above). via is uint8 unless there are more than 254 tables. All halves
+    are stacked once, so each level gathers the images of a window of
+    generators in two flat takes of about _GATHER_WINDOW entries; the fresh
+    test and the marks still go generator by generator. Every table is a
     permutation, so one generator's fresh images are distinct and only via
     is read and written per image; block_of is written once per finished
     block. A table that is not injective could add an index to a block
     twice; the block sizes must therefore sum to the space size.
     """
+    lo_len, hi_len = len(tables[0][0]), len(tables[0][1])
+    shift = (lo_len - 1).bit_length()
+    mask = (1 << shift) - 1
+    los = np.concatenate([lo for lo, _ in tables]).astype(np.intp)
+    his = np.concatenate([hi for _, hi in tables]).astype(np.intp)
+    lo_off = np.arange(len(tables), dtype=np.intp)[:, None] * lo_len
+    hi_off = np.arange(len(tables), dtype=np.intp)[:, None] * hi_len
     via = np.zeros(size, dtype=np.min_scalar_type(len(tables) + 1))
     block_of = np.empty(size, dtype=np.int32)
     blocks = []
@@ -148,19 +179,23 @@ def _close_orbits(tables: list[np.ndarray], size: int):
     seed = _next_unassigned(via, 0)
     while seed < size:
         via[seed] = 1
-        frontier = np.array([seed], dtype=np.uint32)
-        members = [frontier]
+        frontier = np.array([seed], dtype=np.intp)
+        members = []
         while frontier.size:
+            members.append(frontier.astype(np.uint32))
+            low, high = frontier & mask, frontier >> shift
+            step = max(1, _GATHER_WINDOW // frontier.size)
             grown = []
-            for gi, table in enumerate(tables):
-                images = table[frontier]
-                vals = images[via[images] == 0]
-                if not vals.size:
-                    continue
-                via[vals] = 2 + gi
-                grown.append(vals)
-            frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.uint32)
-            members.append(frontier)
+            for start in range(0, len(tables), step):
+                rows = los.take(lo_off[start : start + step] + low)
+                rows ^= his.take(hi_off[start : start + step] + high)
+                for gi, images in enumerate(rows, start):
+                    vals = images[via[images] == 0]
+                    if not vals.size:
+                        continue
+                    via[vals] = 2 + gi
+                    grown.append(vals)
+            frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.intp)
         block = np.concatenate(members)
         block.sort()
         block_of[block] = len(blocks)
@@ -292,15 +327,16 @@ class QuotientClassification:
     """Classes of H^(d)(m) under GL(m,2) with transversal bookkeeping.
 
     Keeps the BFS forest of the closure as its via marks, together with
-    the generators' action tables, so any form can be written as (class
-    representative) acted on by an explicit matrix, which is what
-    representative rebasing needs. A node's parent is its preimage under
-    the generator that reached it, found by walking the node's cycle in
-    that table. Representatives are the least packed index of each class;
-    classes are numbered in representative order.
+    the half tables of the generators and of their inverses, so any form
+    can be written as (class representative) acted on by an explicit
+    matrix, which is what representative rebasing needs. A node's parent
+    is its preimage under the generator that reached it: one lookup in the
+    half tables of that generator's inverse. Representatives are the least
+    packed index of each class; classes are numbered in representative
+    order.
     """
 
-    def __init__(self, d, m, space, records, class_of, via, tables, gens, seeds):
+    def __init__(self, d, m, space, records, class_of, via, tables, inverses, gens, seeds):
         self.d = d
         self.m = m
         self.space = space
@@ -309,9 +345,13 @@ class QuotientClassification:
         self._via = via
         self.gens = gens
         self.seeds = seeds
-        # Zero-copy views that index to plain ints for the transversal walk.
+        # A zero-copy view and half-table lists that index to plain ints for
+        # the transversal walk and the Schreier draws.
         self._via_view = memoryview(via)
-        self._table_views = [memoryview(t) for t in tables]
+        self._shift = space.nbits // 2
+        self._mask = (1 << self._shift) - 1
+        self._tables = [(lo.tolist(), hi.tolist()) for lo, hi in tables]
+        self._inverses = [(lo.tolist(), hi.tolist()) for lo, hi in inverses]
         self._lin = [_linear_table(g) for g in gens]
         self._identity_rows = Gf2Matrix.identity(m).rows
         self._involutive = [
@@ -335,26 +375,24 @@ class QuotientClassification:
             )
         gens = gl2_generators(m)
         tables = [_action_table(space, AffineMap(g, 0)) for g in gens]
+        inverses = [_action_table(space, AffineMap(g.inverse(), 0)) for g in gens]
         class_of, blocks, via = _close_orbits(tables, space.size)
         cls = QuotientClassification(
-            d, m, space, [], class_of, via, tables, gens, [int(b[0]) for b in blocks]
+            d, m, space, [], class_of, via, tables, inverses, gens, [int(b[0]) for b in blocks]
         )
         for members in blocks:
             rep = space.anf_of(int(members[0]))
             stab = []
             if max_gens > 0:
-                stab = cls._schreier_sample(rep, members, tables, rng, max_gens)
+                stab = cls._schreier_sample(rep, members, rng, max_gens)
             cls._memo.clear()
             cls.records.append(ClassRecord(rep=rep, size=len(members), gens=tuple(stab)))
         return cls
 
     def _parent_of(self, node: int) -> int:
         """Preimage of a non-seed node under the generator that reached it."""
-        table = self._table_views[self._via_view[node] - 2]
-        prev, cur = node, table[node]
-        while cur != node:
-            prev, cur = cur, table[cur]
-        return prev
+        lo, hi = self._inverses[self._via_view[node] - 2]
+        return lo[node & self._mask] ^ hi[node >> self._shift]
 
     def transversal(self, idx: int) -> Gf2Matrix:
         """Matrix carrying the class representative of idx onto idx.
@@ -382,7 +420,7 @@ class QuotientClassification:
     def class_index_of(self, a: Anf) -> int:
         return int(self.class_of[self.space.index_of(a)])
 
-    def _schreier_sample(self, rep, members, tables, rng, max_gens):
+    def _schreier_sample(self, rep, members, rng, max_gens):
         if len(members) == 1:
             candidates = [Gf2Matrix.identity(self.m)] if self.m == 1 else list(self.gens)
             out = []
@@ -400,12 +438,13 @@ class QuotientClassification:
             attempts += 1
             y = int(members[rng.randrange(len(members))])
             si = rng.randrange(len(self.gens))
-            ys = int(tables[si][y])
+            lo, hi = self._tables[si]
+            ys = lo[y & self._mask] ^ hi[y >> self._shift]
             # sigma = t_y @ gens[si] @ t_ys^-1, multiplied as packed rows.
             # It is the identity, which is never emitted, when y -> ys is a
             # BFS tree edge (t_ys = t_y @ gens[si]) or the reverse of one by
             # an involution (t_y = t_ys @ gens[si]); those attempts end
-            # before any transversal walk. Since tables[si] is a permutation
+            # before any transversal walk. Since gens[si] acts as a permutation
             # and sends y to ys, via[ys] == 2 + si says the edge is y -> ys,
             # and for an involution via[y] == 2 + si says it is ys -> y. Any
             # other identity attempt ends when t_y @ gens[si] equals t_ys,

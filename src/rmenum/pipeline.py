@@ -37,6 +37,7 @@ docstring for what each route's counter counts.
 from __future__ import annotations
 
 import contextlib
+import glob
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -200,6 +201,39 @@ def _checkpoint_path(directory: str, cid: int) -> str:
     return os.path.join(directory, f"class_{cid:05d}.txt")
 
 
+def _check_header(path: str, wanted: dict):
+    """Raise unless the "# key value" comment lines of a checkpoint give every wanted value.
+
+    A wanted value of None means the file has no line for that key.
+    """
+    header = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line.startswith("#"):
+                continue
+            fields = line[1:].split(None, 1)
+            if len(fields) == 2:
+                header[fields[0]] = fields[1]
+    for key, want in wanted.items():
+        got = header.get(key)
+        if got != want:
+            raise ValueError(
+                f"checkpoint {path} header {key!r} is {got!r}, expected {want!r}"
+            )
+
+
+def _check_route(directory: str | None, route):
+    """Refuse a checkpoint directory that holds a class file of another route.
+
+    A route of None means the files carry no route line. Runs before any
+    classification, so a foreign directory costs no work.
+    """
+    if directory:
+        for path in sorted(glob.glob(os.path.join(directory, "class_*.txt"))):
+            _check_header(path, {"route": route})
+
+
 def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_total: int, route):
     """A finished class contribution, or None when the class has no checkpoint.
 
@@ -210,22 +244,8 @@ def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_to
     path = _checkpoint_path(directory, cid)
     if not os.path.exists(path):
         return None
-    header = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line.startswith("#"):
-                continue
-            fields = line[1:].split(None, 1)
-            if len(fields) == 2:
-                header[fields[0]] = fields[1]
     wanted = {"route": route, "class": str(cid), "rep": format_anf(rec.rep), "size": str(rec.size)}
-    for key, want in wanted.items():
-        got = header.get(key)
-        if got != want:
-            raise ValueError(
-                f"checkpoint {path} header {key!r} is {got!r}, expected {want!r}"
-            )
+    _check_header(path, wanted)
     dist = read_distribution(path)
     if dist.n != n:
         raise ValueError(f"checkpoint {path} has length {dist.n}, expected {n}")
@@ -528,6 +548,9 @@ def run_pipeline(
       lower forms and reads block tables, built only for pending classes.
       The counter counts polynomial multiplications of the product-sums.
 
+    A checkpoint directory whose class files name another route is refused
+    before any classification.
+
     The recursion peels two variables, so m >= 3 is required; use the brute
     oracle for anything smaller. The result is checked before it is
     returned against oracle.validate_reference: W_0 = W_n = 1, symmetry,
@@ -540,10 +563,13 @@ def run_pipeline(
         raise ValueError(f"unknown strategy {strategy!r}")
     m1, m0, r0 = m - 1, m - 2, r - 2
     rng = random.Random(seed)
-    if strategy == "blocks" and classes is None:
+    fourier = strategy == "blocks" and classes is None
+    route = "fourier" if fourier else None
+    _check_route(checkpoint, route)
+    if fourier:
         contribution, unit_total = _fourier_terms(r, m, cap)
         classes = QuotientClassification.compute(r, m0, rng, max_gens=max_gens).records
-        class_m, route = m0, "fourier"
+        class_m = m0
         if counter is not None:
             counter.label = FOURIER_LABEL
     else:
@@ -566,7 +592,7 @@ def run_pipeline(
             }
             needed = [rec for rec in lower.records if espace.index_of(rec.rep) in wanted]
             enum_fn = partial(_block_enum, espace, _block_tables(needed, r, m0, cap))
-        class_m, route = m1, None
+        class_m = m1
         contribution = partial(_squared_contribution, enum_fn)
         unit_total = 1 << (2 * rm_dimension(r - 1, m1))
     dist = distribution_from_classes(

@@ -91,13 +91,19 @@ def test_class_membership_is_closed_under_action():
         assert cls.class_index_of(f) == cls.class_index_of(g)
 
 
+def expand(halves):
+    # the full image table of a (lo, hi) pair: g = q * len(lo) + r goes to hi[q] ^ lo[r]
+    lo, hi = (np.asarray(t, dtype=np.uint32) for t in halves)
+    return (hi[:, None] ^ lo[None, :]).ravel()
+
+
 def forest_from_via(via, tables):
     # parent and generator of every index, read from the via marks through
     # inverse tables (-1 for seeds): the parent of v is the preimage of v under
     # the generator that reached it
     pgen = via.astype(np.int64) - 2
     parent = np.full(via.size, -1, dtype=np.int64)
-    for gi, table in enumerate(tables):
+    for gi, table in enumerate(map(expand, tables)):
         inverse = np.empty_like(table)
         inverse[table] = np.arange(table.size, dtype=table.dtype)
         hit = pgen == gi
@@ -159,6 +165,14 @@ def reference_action_table(space, a, e=None):
 ACTION_SPACES = [(m, d) for m in range(1, 11) for d in range(1, m + 1) if comb(m, d) <= 21]
 
 
+def assert_half_tables(space, a, e=None):
+    # two tables of 2**(N//2) and 2**(N - N//2) entries that expand to the reference
+    lo, hi = _action_table(space, a, e)
+    assert len(lo) == 2 ** (space.nbits // 2)
+    assert len(lo) * len(hi) == space.size
+    assert np.array_equal(expand((lo, hi)), reference_action_table(space, a, e))
+
+
 def test_action_table_matches_truth_table_reference():
     rng = random.Random(12)
     assert (7, 2) in ACTION_SPACES and (7, 5) in ACTION_SPACES
@@ -167,15 +181,28 @@ def test_action_table_matches_truth_table_reference():
         maps = [AffineMap(g, 0) for g in gl2_generators(m)]
         maps += [AffineMap(random_invertible(m, rng), 0) for _ in range(2)]
         for a in maps:
-            assert np.array_equal(_action_table(space, a), reference_action_table(space, a))
+            assert_half_tables(space, a)
         if d < m:
             # the orbit_partition case: unit translations above a degree-(d+1) form
             upper = HomogeneousSpace(m, d + 1)
             e = upper.anf_of(rng.randrange(1, upper.size))
             for i in range(m):
-                a = AffineMap.translation(m, 1 << i)
-                want = reference_action_table(space, a, e)
-                assert np.array_equal(_action_table(space, a, e), want), (m, d, i)
+                assert_half_tables(space, AffineMap.translation(m, 1 << i), e)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_inverse_half_tables_invert_the_gl_generators(m):
+    # QuotientClassification reads a parent as one lookup in the inverse's halves
+    for d in range(1, m + 1):
+        if comb(m, d) > 21:
+            continue
+        space = HomogeneousSpace(m, d)
+        identity = np.arange(space.size, dtype=np.uint32)
+        for g in gl2_generators(m):
+            forward = expand(_action_table(space, AffineMap(g, 0)))
+            inverse = expand(_action_table(space, AffineMap(g.inverse(), 0)))
+            assert np.array_equal(inverse[forward], identity), (m, d)
+            assert np.array_equal(forward[inverse], identity), (m, d)
 
 
 def test_classification_never_walks_truth_tables(monkeypatch):
@@ -423,7 +450,7 @@ def reference_close_orbits(tables, size):
 
 def assert_same_closure(tables, size):
     block_of, blocks, via = _close_orbits(tables, size)
-    want = reference_close_orbits(tables, size)
+    want = reference_close_orbits([expand(t) for t in tables], size)
     assert np.array_equal(block_of, want[0])
     assert len(blocks) == len(want[1])
     assert all(np.array_equal(a, b) for a, b in zip(blocks, want[1]))
@@ -443,14 +470,37 @@ def test_closure_matches_reference_on_gl_tables(d, m):
 LADDER_LOWER = [(3, 4), (2, 5), (4, 5), (3, 5), (2, 6), (3, 6)]
 
 
-@pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
-def test_closure_matches_reference_on_orbit_partition_tables(r, m0):
-    # stabilizer generators plus unit translations, as orbit_partition builds them
+def partition_tables(r, m0):
+    # stabilizer generators plus unit translations, as orbit_partition builds
+    # them, for each class of H^(r)(m0)
     space = HomogeneousSpace(m0, r - 1)
     for rec in classify_quotient(r, m0, random.Random(0)):
         maps = list(rec.gens) + [AffineMap.translation(m0, 1 << i) for i in range(m0)]
-        tables = [_action_table(space, a, rec.rep) for a in maps]
-        assert_same_closure(tables, space.size)
+        yield [_action_table(space, a, rec.rep) for a in maps], space.size
+
+
+@pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
+def test_closure_matches_reference_on_orbit_partition_tables(r, m0):
+    for tables, size in partition_tables(r, m0):
+        assert_same_closure(tables, size)
+
+
+@pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
+def test_closure_does_not_depend_on_the_gather_window(monkeypatch, r, m0):
+    # one generator per gather against the default window, on the GL closure
+    # of H^(r)(m0) and on the orbit partitions above its classes
+    import rmenum.classify as classify
+
+    space = HomogeneousSpace(m0, r)
+    gl = [_action_table(space, AffineMap(g, 0)) for g in gl2_generators(m0)]
+    for tables, size in [(gl, space.size), *partition_tables(r, m0)]:
+        want = _close_orbits(tables, size)
+        monkeypatch.setattr(classify, "_GATHER_WINDOW", 1)
+        got = _close_orbits(tables, size)
+        monkeypatch.undo()
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+        assert len(got[1]) == len(want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
 
 
 def random_cycles_permutation(size, max_cycle, rng):
@@ -472,7 +522,9 @@ def test_closure_matches_reference_on_random_permutations():
     for size in (1, 2, 7, 64, 1000):
         for ngens in (1, 2, 3):
             for max_cycle in (2, 5, size):
-                tables = [random_cycles_permutation(size, max_cycle, rng) for _ in range(ngens)]
+                tables = [
+                    (random_cycles_permutation(size, max_cycle, rng), [0]) for _ in range(ngens)
+                ]
                 assert_same_closure(tables, size)
 
 
@@ -489,7 +541,9 @@ def test_closure_forest_is_one_byte_per_index():
 def test_closure_with_more_generators_than_a_byte_marks():
     # 2 + 299 does not fit in a uint8 mark, so via widens to uint16
     rng = random.Random(11)
-    tables = [random_cycles_permutation(64, rng.choice((2, 3, 64)), rng) for _ in range(300)]
+    tables = [
+        (random_cycles_permutation(64, rng.choice((2, 3, 64)), rng), [0]) for _ in range(300)
+    ]
     via = assert_same_closure(tables, 64)
     assert via.dtype == np.uint16
     assert int(via.max()) > 255
@@ -503,7 +557,7 @@ def test_closure_rejects_a_table_that_is_not_a_permutation():
     identity = np.arange(4, dtype=np.uint32)
     for tables in ([spread, other], [spread, other] + [identity] * 300):
         with pytest.raises(ValueError, match="not a permutation"):
-            _close_orbits(tables, 4)
+            _close_orbits([(table, [0]) for table in tables], 4)
 
 
 FOREST_SPACES = [(2, 6), (3, 5), (4, 6)]
@@ -518,6 +572,7 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
     cls = QuotientClassification.compute(d, m, random.Random(0))
     tables = gl_tables(cls)
     parent, pgen = forest_from_via(cls._via, tables)
+    tables = [expand(t) for t in tables]
     identity = Gf2Matrix.identity(m)
     involutive = [g @ g == identity for g in cls.gens]
     assert involutive == [True, False]  # the transvection and the cyclic shift
@@ -538,7 +593,8 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
 @pytest.mark.parametrize("d, m", FOREST_SPACES)
 def test_preimage_walk_returns_the_reference_parent(d, m):
     cls = QuotientClassification.compute(d, m, random.Random(0))
-    _, _, parent, _ = reference_close_orbits(gl_tables(cls), cls.space.size)
+    tables = [expand(t) for t in gl_tables(cls)]
+    _, _, parent, _ = reference_close_orbits(tables, cls.space.size)
     seeds = set(cls.seeds)
     assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
     for v in range(cls.space.size):

@@ -317,14 +317,18 @@ def test_checkpoint_directory_of_another_route_raises(monkeypatch, tmp_path, cas
     if tamper is not None:
         tamper(ckpt)
     before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+    classes = resume_classes(reader_given)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a contribution was computed")
+        raise AssertionError("work was done before the route check")
 
+    # the route headers are read before any classification or block table
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
+    monkeypatch.setattr(pipeline, "_block_tables", forbidden)
     monkeypatch.setattr(pipeline, "_fourier_distribution", forbidden)
     monkeypatch.setattr(pipeline, "_squared_contribution", forbidden)
     with pytest.raises(ValueError, match="header 'route'"):
-        run_pipeline(2, 7, classes=resume_classes(reader_given), checkpoint=str(ckpt))
+        run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
     assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
 
 
