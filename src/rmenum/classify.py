@@ -422,9 +422,8 @@ class QuotientClassification:
 
     def _schreier_sample(self, rep, members, rng, max_gens):
         if len(members) == 1:
-            candidates = [Gf2Matrix.identity(self.m)] if self.m == 1 else list(self.gens)
             out = []
-            for mat in candidates:
+            for mat in self.gens:
                 a = AffineMap(mat, 0)
                 if not stabilizer_check(rep, a):
                     raise AssertionError("whole group should stabilize a fixed form")

@@ -13,7 +13,8 @@ in chunks of whole blocks, popcounted in numpy, and histogrammed by a
 single bincount per chunk. A batch call amortises one sweep over many
 representatives, which is how the product-sum recursion consumes whole
 families of cosets at once; the brute-force oracle is the same sweep of
-the zero representative.
+the zero representative. With jobs workers, the segments are split into
+contiguous ranges, one per worker, and the histograms summed.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def batch_coset_enumerators(
     """One Gray sweep of R(r,m) shared by every representative.
 
     The result list is aligned with reps and identical for any jobs value;
-    workers replay the same codeword sequence on disjoint slices of reps.
+    workers sweep disjoint ranges of Gray segments for every rep.
     """
     n = 1 << m
     return [WeightEnumerator(n, h) for h in coset_histograms(reps, r, m, cap, jobs).tolist()]
@@ -142,7 +143,11 @@ def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1
     """The sweep of batch_coset_enumerators as int64 rows, one per rep, of 2**m + 1 counts.
 
     For callers that pack the rows straight into big ints rather than
-    building a WeightEnumerator per coset.
+    building a WeightEnumerator per coset. With jobs > 1 the Gray segments
+    are cut into min(jobs, segments) contiguous ranges, one per worker, and
+    each worker sweeps its range for every rep; the workers' histograms are
+    summed, so each one holds a full len(reps) x (2**m + 1) array. Every
+    row must total 2**dim, or ValueError is raised.
     """
     dim = rm_dimension(r, m)
     if 1 << dim > cap:
@@ -151,15 +156,14 @@ def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1
     if not rep_bits:
         return np.zeros((0, (1 << m) + 1), dtype=np.int64)
     nseg = _segments(r, m)
-    if jobs <= 1 or len(rep_bits) == 1:
+    jobs = min(jobs, nseg)
+    if jobs <= 1:
         hists = _gray_histograms(rep_bits, r, m, 0, nseg)
     else:
-        jobs = min(jobs, len(rep_bits))
-        chunk = (len(rep_bits) + jobs - 1) // jobs
-        parts = [rep_bits[i : i + chunk] for i in range(0, len(rep_bits), chunk)]
+        bounds = [nseg * k // jobs for k in range(jobs + 1)]
+        sweep = partial(_gray_histograms, rep_bits, r, m)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sweep = partial(_gray_histograms, r=r, m=m, lo=0, hi=nseg)
-            hists = np.concatenate(list(pool.map(sweep, parts)))
+            hists = sum(pool.map(sweep, bounds[:-1], bounds[1:]))
     if (hists.sum(axis=1) != 1 << dim).any():
         raise ValueError(f"a coset histogram of R({r},{m}) does not total 2**{dim}")
     return hists

@@ -1,9 +1,9 @@
 """Brute-force ground truth for small parameters.
 
-brute_force_distribution enumerates every codeword of R(r,m): it is the
-coset enumerator of the zero representative, computed by the same Gray
-sweep engine as cosetenum (cosetenum._gray_histograms), with the segments
-of the sweep split across processes. It shares no code with the doubling
+brute_force_distribution enumerates every codeword of R(r,m): it is
+cosetenum.coset_histograms of the zero word, so it runs the same Gray
+sweep engine as every coset batch, with the same split of its segments
+across jobs workers. It shares no code with the doubling
 recursion, classification or product-sums, so the two routes can be
 compared coefficient for coefficient. The engine sweeps half the code and
 folds by complement, which uses only that the all-ones word lies in
@@ -18,10 +18,7 @@ duality (wenum.macwilliams).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-
-from .cosetenum import _gray_histograms, _segments, rm_dimension
+from .cosetenum import coset_histograms, rm_dimension
 from .wenum import ValidationReport, WeightEnumerator, read_distribution, validate_code_enumerator
 
 DEFAULT_DIM_CAP = 28
@@ -32,25 +29,15 @@ def brute_force_distribution(
 ) -> WeightEnumerator:
     """Exact W[z; R(r,m)] by enumerating all 2**dim codewords.
 
-    The Gray sweep of the zero coset; with jobs > 1 its segments are split
-    into contiguous ranges, one per worker, and the histograms summed. The
-    result is checked against validate_reference before it is returned; a
-    failure raises ValueError.
+    coset_histograms of the zero word, its segments split across jobs
+    workers. The result is checked against validate_reference before it is
+    returned; a failure raises ValueError.
     """
     dim = rm_dimension(r, m)
     if dim > cap_dim:
         raise ValueError(f"dim R({r},{m}) = {dim} exceeds the cap of {cap_dim}")
-    n = 1 << m
-    nseg = _segments(r, m)
-    if jobs <= 1 or nseg == 1:
-        counts = _gray_histograms([0], r, m, 0, nseg)
-    else:
-        jobs = min(jobs, nseg)
-        bounds = [nseg * k // jobs for k in range(jobs + 1)]
-        sweep = partial(_gray_histograms, [0], r, m)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = sum(pool.map(sweep, bounds[:-1], bounds[1:]))
-    dist = WeightEnumerator(n, counts[0].tolist())
+    counts = coset_histograms([0], r, m, cap=1 << cap_dim, jobs=jobs)
+    dist = WeightEnumerator(1 << m, counts[0].tolist())
     require_reference(dist, r, m)
     return dist
 

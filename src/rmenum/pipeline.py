@@ -67,7 +67,7 @@ from .classify import (
     singleton_partition,
 )
 from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, coset_histograms, rm_dimension
-from .gf2 import AffineMap, find_equivalence, top_image
+from .gf2 import AffineMap, top_image
 from .oracle import require_reference
 from .wenum import (
     WeightEnumerator,
@@ -353,56 +353,27 @@ def distribution_from_classes(
     return WeightEnumerator(n, [sum(col) for col in zip(*terms)])
 
 
-def rebase_representatives(
-    classes,
-    targets,
-    rng: random.Random | None = None,
-    lookup: QuotientClassification | None = None,
-    budget: int = 200000,
-) -> list[ClassRecord]:
-    """Rewrite class representatives as e + f x so e is exactly a target form.
+def rebase_representatives(classes, lookup: QuotientClassification) -> list[ClassRecord]:
+    """Rewrite class representatives as e + f x so e is a class representative of lookup.
 
-    Each representative splits as e' + f' x over the top variable; a
-    substitution A of the lower variables carrying e' onto its target is
-    taken from the classification transversal when lookup is given,
-    otherwise found by randomized search. The rebased representative is
-    target + ([f' o A] top part) x, an equal-size member of the same class,
-    so its coset enumerator is unchanged. Stabilizer gens are dropped: they
-    belonged to the old representative.
+    Each representative splits as e' + f' x over the top variable; the
+    inverse of lookup's transversal at e' is a substitution A of the lower
+    variables carrying e' onto the representative of its class. The
+    rebased representative is target + ([f' o A] top part) x, an equal-size
+    member of the same class, so its coset enumerator is unchanged. A
+    representative's transversal is the identity, so a class whose e' is
+    already a representative comes back unchanged. Stabilizer gens are
+    dropped: they belonged to the old representative.
     """
-    rng = rng if rng is not None else random.Random(0)
-    by_monomials = {t.monomials: t for t in targets}
     out = []
     for rec in classes:
         e1, f1 = decompose_top(rec.rep)
-        if e1.monomials in by_monomials:
-            target, mat = by_monomials[e1.monomials], None
-        elif lookup is not None:
-            idx = lookup.space.index_of(e1)
-            cid = int(lookup.class_of[idx])
-            target = lookup.records[cid].rep
-            if target.monomials not in by_monomials:
-                raise ValueError(f"classified target {format_anf(target)} missing from targets")
-            mat = lookup.transversal(idx).inverse()
-        else:
-            target = mat = None
-            for cand in targets:
-                found = find_equivalence(e1, cand, max(e1.degree() - 1, 0), budget, rng)
-                if found is not None:
-                    target, mat = cand, found
-                    break
-            if target is None:
-                raise RuntimeError(
-                    f"no target equivalent to {format_anf(e1)} found within the budget"
-                )
-        if mat is None:
-            f_new = f1
-        else:
-            a = AffineMap(mat, 0)
-            if top_image(e1, a) != target:
-                raise AssertionError("transversal failed to carry e onto its target")
-            f_new = top_image(f1, a) if not f1.is_zero() else f1
-        out.append(ClassRecord(rep=attach_top(target, f_new), size=rec.size, gens=()))
+        idx = lookup.space.index_of(e1)
+        target = lookup.records[int(lookup.class_of[idx])].rep
+        a = AffineMap(lookup.transversal(idx).inverse(), 0)
+        if top_image(e1, a) != target:
+            raise AssertionError("transversal failed to carry e onto its target")
+        out.append(ClassRecord(rep=attach_top(target, top_image(f1, a)), size=rec.size, gens=()))
     return out
 
 
@@ -582,8 +553,7 @@ def run_pipeline(
             enum_fn = partial(_direct_enum, r0, m0, cap)
         else:
             lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
-            targets = [rec.rep for rec in lower.records]
-            classes = rebase_representatives(classes, targets, rng, lookup=lower)
+            classes = rebase_representatives(classes, lower)
             # Tables only for the lower forms that a pending class reads.
             espace = HomogeneousSpace(m0, r)
             wanted = {

@@ -95,10 +95,6 @@ class WeightEnumerator:
         return WeightEnumerator(self.n, tuple(c * a for a in self.coeffs))
 
 
-def add(a: WeightEnumerator, b: WeightEnumerator) -> WeightEnumerator:
-    return a + b
-
-
 def _digit_width(total: int) -> int:
     """Packed digit width for a nonnegative result of this total: whole bytes, at least one."""
     return max(8, -(-total.bit_length() // 8) * 8)
@@ -215,11 +211,11 @@ class ValidationReport:
         return out
 
 
-def validate_code_enumerator(a: WeightEnumerator, expect_all_ones: bool = True) -> ValidationReport:
-    """Sanity checks every linear-code distribution must satisfy.
+def validate_code_enumerator(a: WeightEnumerator) -> ValidationReport:
+    """Sanity checks for the distribution of a linear code containing the all-ones word.
 
-    Symmetry W_i = W_{n-i} is only demanded when the all-ones word is
-    claimed to be in the code (true for every Reed-Muller code).
+    Every Reed-Muller code contains the all-ones word, so W_n = 1 and
+    W_i = W_{n-i} are demanded along with W_0 = 1 and a power-of-two total.
     """
     report = ValidationReport()
     report.record("W_0 = 1", a.coeffs[0] == 1, f"W_0 = {a.coeffs[0]}")
@@ -229,10 +225,9 @@ def validate_code_enumerator(a: WeightEnumerator, expect_all_ones: bool = True) 
         total > 0 and total & (total - 1) == 0,
         f"total = {total}",
     )
-    if expect_all_ones:
-        report.record("W_n = 1", a.coeffs[a.n] == 1, f"W_n = {a.coeffs[a.n]}")
-        sym = all(a.coeffs[i] == a.coeffs[a.n - i] for i in range(a.n + 1))
-        report.record("symmetric about n/2", sym)
+    report.record("W_n = 1", a.coeffs[a.n] == 1, f"W_n = {a.coeffs[a.n]}")
+    sym = all(a.coeffs[i] == a.coeffs[a.n - i] for i in range(a.n + 1))
+    report.record("symmetric about n/2", sym)
     return report
 
 

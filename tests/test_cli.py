@@ -71,6 +71,14 @@ def test_classify_deterministic_output(tmp_path, capsys):
     assert "# seed 5" in c.read_text()
 
 
+def test_classify_refuses_degree_zero(tmp_path, capsys):
+    out = tmp_path / "d0.txt"
+    code, _, err = run(capsys, "classify", "--d", "0", "--m", "3", "--out", str(out))
+    assert code == 2
+    assert "--d must be at least 1, got 0" in err
+    assert not out.exists()
+
+
 def test_pipeline_matches_brute_data(tmp_path, capsys):
     pipe = tmp_path / "pipe.txt"
     code, stdout, _ = run(

@@ -136,11 +136,13 @@ def test_histograms_are_the_batch_rows():
 
 
 def test_batch_jobs_invariance():
+    # R(2,6) has 32 Gray segments: three workers sweep 10, 11 and 11 of them
     rng = random.Random(29)
-    reps = [rng.getrandbits(32) for _ in range(6)]
-    a = batch_coset_enumerators(reps, 2, 5, jobs=1)
-    b = batch_coset_enumerators(reps, 2, 5, jobs=3)
-    assert a == b
+    reps = [rng.getrandbits(64) for _ in range(6)]
+    assert _segments(2, 6) == 32
+    a = coset_histograms(reps, 2, 6, jobs=1)
+    b = coset_histograms(reps, 2, 6, jobs=3)
+    assert (a == b).all()
 
 
 def test_affine_invariance():

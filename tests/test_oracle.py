@@ -3,7 +3,7 @@ from math import comb, prod
 
 import pytest
 
-from rmenum import oracle
+from rmenum import cosetenum, oracle
 from rmenum.cosetenum import _LOW_BITS, coset_enumerator, rm_dimension
 from rmenum.oracle import (
     brute_force_distribution,
@@ -52,10 +52,17 @@ def test_jobs_split_segments():
 
 
 def test_result_is_checked(monkeypatch):
-    # a segment count one table too large sweeps every word twice
-    monkeypatch.setattr(
-        oracle, "_segments", lambda r, m: 1 << max(0, rm_dimension(r, m) - _LOW_BITS)
-    )
+    # a segment count one table too large sweeps every word twice: the sweep's
+    # own histogram total check raises
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            cosetenum, "_segments", lambda r, m: 1 << max(0, rm_dimension(r, m) - _LOW_BITS)
+        )
+        with pytest.raises(ValueError, match="does not total 2\\*\\*22"):
+            brute_force_distribution(2, 6)
+    # doubled counts past the sweep fail the reference checks
+    sweep = oracle.coset_histograms
+    monkeypatch.setattr(oracle, "coset_histograms", lambda *a, **k: 2 * sweep(*a, **k))
     with pytest.raises(ValueError, match="FAIL total = 2\\*\\*dim"):
         brute_force_distribution(2, 6)
 

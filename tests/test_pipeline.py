@@ -375,39 +375,31 @@ def test_pipeline_final_check_rejects_a_class_given_by_another_member():
         run_pipeline(2, 5, classes=classes)
 
 
-def test_rebase_onto_classified_targets():
-    lower = QuotientClassification.compute(2, 3)
-    targets = [rec.rep for rec in lower.records]
-    classes = classify_quotient(2, 4)
-    rebased = rebase_representatives(classes, targets, lookup=lower)
+@pytest.mark.parametrize("r, m", [(2, 5), (3, 6), (2, 7), (4, 7)])
+def test_rebase_onto_lower_representatives(r, m):
+    # the given classes of H^(r)(m-1) of R(r,m), rebased through H^(r)(m-2)
+    lower = QuotientClassification.compute(r, m - 2)
+
+    def representative(e):
+        return lower.records[lower.class_index_of(e)].rep
+
+    classes = classify_quotient(r, m - 1)
+    rebased = rebase_representatives(classes, lower)
     assert [rec.size for rec in rebased] == [rec.size for rec in classes]
+    kept = 0
     for old, new in zip(classes, rebased):
-        e, _ = decompose_top(new.rep)
-        assert e in targets
-        # same class, same coset enumerator (substitutions preserve R(1,4))
-        assert coset_enumerator(new.rep, 1, 4) == coset_enumerator(old.rep, 1, 4)
-
-
-def test_rebase_by_search():
-    # single class, no lookup: equivalence found by randomized search
-    from rmenum.classify import ClassRecord
-
-    e_old = parse_anf("123", 5)
-    f_old = parse_anf("12", 5)
-    rec = ClassRecord(rep=attach_top(e_old, f_old), size=1, gens=())
-    target = parse_anf("145", 5)
-    out = rebase_representatives([rec], [target], rng=random.Random(21))
-    e_new, _ = decompose_top(out[0].rep)
-    assert e_new == target
-    old_enum, new_enum = batch_coset_enumerators([rec.rep, out[0].rep], 2, 6)
-    assert old_enum == new_enum
-
-
-def test_rebase_identity_when_already_on_target():
-    records = classify_quotient(2, 4)
-    targets = [decompose_top(rec.rep)[0] for rec in records]
-    rebased = rebase_representatives(records, targets, lookup=None)
-    assert [rec.rep for rec in rebased] == [rec.rep for rec in records]
+        e_old, f_old = decompose_top(old.rep)
+        e_new, f_new = decompose_top(new.rep)
+        assert e_new == representative(e_new)
+        if e_old == representative(e_old):
+            assert new.rep == old.rep
+            kept += 1
+        # same class, same W[z; rep + R(r-1,m-1)], as a product-sum over H^(r-1)(m-2)
+        assert coset_enum_split(e_new, f_new, r - 2, m - 2) == coset_enum_split(
+            e_old, f_old, r - 2, m - 2
+        )
+    # both cases occur: some lower parts are already representatives, some move
+    assert 0 < kept < len(classes)
 
 
 def test_pipeline_multiplication_counts():

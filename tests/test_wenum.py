@@ -10,7 +10,6 @@ from rmenum.wenum import (
     _kronecker_pack,
     _kronecker_unpack,
     _pack_coeffs,
-    add,
     distribution_text,
     macwilliams,
     mul,
@@ -42,7 +41,7 @@ def test_total_and_min_weight():
 
 
 def test_add_and_scale():
-    two = add(R13, R13)
+    two = R13 + R13
     assert two == R13.scale(2) == 2 * R13
     with pytest.raises(ValueError):
         R13 + WeightEnumerator.zero(4)
@@ -178,8 +177,10 @@ def test_validate_code_enumerator_failures():
     report = validate_code_enumerator(asym)
     assert any("symmetric" in line for line in report.lines() if line.startswith("FAIL"))
 
+    # a code without the all-ones word fails W_n = 1
     no_ones = WeightEnumerator.from_pairs(4, [(0, 1), (2, 1)])
-    assert validate_code_enumerator(no_ones, expect_all_ones=False).ok
+    failed = [line for line in validate_code_enumerator(no_ones).lines() if line.startswith("FAIL")]
+    assert failed[0] == "FAIL W_n = 1: W_n = 0"
 
 
 def test_macwilliams_maps_rm_codes_to_their_duals():
