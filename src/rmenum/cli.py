@@ -157,7 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-gens", type=int, default=DEFAULT_MAX_GENS)
+    p.add_argument(
+        "--max-gens",
+        type=int,
+        default=DEFAULT_MAX_GENS,
+        help="stabilizer generators written to the file per class (default: %(default)s)",
+    )
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("pipeline", help="full R(r,m) distribution via the doubling recursion")

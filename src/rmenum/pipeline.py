@@ -56,7 +56,6 @@ from .boolfn import (
     truth_table_from_anf,
 )
 from .classify import (
-    DEFAULT_MAX_GENS,
     MAX_INDEX_BITS,
     ClassRecord,
     Partition,
@@ -82,6 +81,13 @@ from .wenum import (
 )
 
 FOURIER_LABEL = "big-int multiplications (squarings, Fourier route)"
+# Schreier generators drawn per lower class by run_pipeline. Any subgroup of
+# a stabilizer gives blocks that refine its orbits and that merge_by_enumerator
+# joins back, so outputs do not depend on the budget. At 12 the raw partitions
+# of every lower class of R(3,6)..R(2,9) (seeds 0-9) and R(4,8) (seeds 0-3)
+# already equal those at DEFAULT_MAX_GENS; 8 split one of R(4,8) into 25
+# blocks instead of 12 (seed 0).
+PIPELINE_MAX_GENS = 12
 
 
 @dataclass
@@ -499,7 +505,7 @@ def run_pipeline(
     checkpoint: str | None = None,
     counter: MulCounter | None = None,
     cap: int = DEFAULT_CAP,
-    max_gens: int = DEFAULT_MAX_GENS,
+    max_gens: int = PIPELINE_MAX_GENS,
 ) -> WeightEnumerator:
     """Full W[z; R(r,m)] via the doubling recursion, r >= 2.
 
@@ -518,6 +524,14 @@ def run_pipeline(
       each plain product-sum; "blocks" rebases representatives onto the
       lower forms and reads block tables, built only for pending classes.
       The counter counts polynomial multiplications of the product-sums.
+
+    max_gens caps the Schreier generators sampled per class of H^(r)(m-2),
+    the lower classification that orbit partitions read. Each generator
+    costs a pair of half action tables per partition. Fewer generators
+    give finer raw blocks, which merge_by_enumerator joins back, so
+    distributions, checkpoints and counts are the same at every value; 0
+    gives singleton partitions. A class-sum run whose classes all have a
+    checkpoint reads no block table and samples none.
 
     A checkpoint directory whose class files name another route is refused
     before any classification.
@@ -552,7 +566,11 @@ def run_pipeline(
         if strategy == "direct":
             enum_fn = partial(_direct_enum, r0, m0, cap)
         else:
-            lower = QuotientClassification.compute(r, m0, rng, max_gens=max_gens)
+            # Rebasing needs only transversals; with every class checkpointed
+            # no table is built, so no stabilizer is sampled. Whether a class
+            # is pending does not depend on how representatives are based.
+            lower_gens = max_gens if _unfinished(classes, r, m1, checkpoint) else 0
+            lower = QuotientClassification.compute(r, m0, rng, max_gens=lower_gens)
             classes = rebase_representatives(classes, lower)
             # Tables only for the lower forms that a pending class reads.
             espace = HomogeneousSpace(m0, r)

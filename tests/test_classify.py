@@ -11,11 +11,13 @@ from rmenum.boolfn import (
     Anf,
     HomogeneousSpace,
     anf_from_truth_table,
+    format_anf,
     homogeneous_part,
     parse_anf,
     truth_table_from_anf,
 )
 from rmenum.classify import (
+    DEFAULT_MAX_GENS,
     QuotientClassification,
     _action_table,
     _close_orbits,
@@ -37,7 +39,7 @@ from rmenum.gf2 import (
     stabilizer_check,
     transform_anf,
 )
-from rmenum.pipeline import run_pipeline
+from rmenum.pipeline import PIPELINE_MAX_GENS, run_pipeline
 
 
 def test_gl2_generators_are_invertible():
@@ -501,6 +503,29 @@ def test_closure_does_not_depend_on_the_gather_window(monkeypatch, r, m0):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
         assert len(got[1]) == len(want[1])
         assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+
+# and of R(2,9) at seeds 0-2: the lower classes run_pipeline partitions. The
+# extra cases split at smaller budgets: R(4,8) at seed 0 under 8 generators (a
+# 12-block partition into 25), the others under 6.
+BUDGET_CASES = [(r, m0, seed) for seed in (0, 1, 2) for r, m0 in (*LADDER_LOWER, (2, 7))]
+BUDGET_CASES += [(4, 6, 0), (3, 5, 6), (2, 6, 5), (3, 6, 7)]
+
+
+@pytest.mark.parametrize(
+    "r, m0, seed", BUDGET_CASES, ids=[f"d{r}m{m0}-seed{seed}" for r, m0, seed in BUDGET_CASES]
+)
+def test_pipeline_budget_keeps_raw_partitions(r, m0, seed):
+    # run_pipeline's stabilizer budget already closes every lower class to its
+    # full stabilizer orbits: the raw partitions equal those at the file budget
+    few = classify_quotient(r, m0, random.Random(seed), max_gens=PIPELINE_MAX_GENS)
+    full = classify_quotient(r, m0, random.Random(seed), max_gens=DEFAULT_MAX_GENS)
+    for a, b in zip(few, full, strict=True):
+        assert a.rep == b.rep
+        got = orbit_partition(a.rep, a.gens, r - 2, m0)
+        want = orbit_partition(b.rep, b.gens, r - 2, m0)
+        assert got.block_of.tobytes() == want.block_of.tobytes(), format_anf(a.rep)
+        assert got.first.tobytes() == want.first.tobytes(), format_anf(a.rep)
 
 
 def random_cycles_permutation(size, max_cycle, rng):

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from math import comb
 
+import numpy as np
 import pytest
 
 from rmenum.boolfn import (
@@ -14,6 +15,7 @@ from rmenum.boolfn import (
     truth_table_from_anf,
 )
 from rmenum.classify import (
+    DEFAULT_MAX_GENS,
     ClassRecord,
     QuotientClassification,
     classify_quotient,
@@ -22,11 +24,17 @@ from rmenum.classify import (
     singleton_partition,
     write_classification,
 )
-from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator, rm_dimension
+from rmenum.cosetenum import (
+    DEFAULT_CAP,
+    batch_coset_enumerators,
+    coset_enumerator,
+    rm_dimension,
+)
 from rmenum.oracle import brute_force_distribution, min_weight_count, validate_reference
 from rmenum.pipeline import (
     FOURIER_LABEL,
     MulCounter,
+    _block_tables,
     coset_enum_blocks,
     coset_enum_split,
     distribution_from_classes,
@@ -209,8 +217,14 @@ def test_fully_checkpointed_resume_builds_no_block_table(monkeypatch, tmp_path, 
     def forbidden(*args, **kwargs):
         raise AssertionError("a fully checkpointed resume built a block table")
 
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a fully checkpointed class-sum resume sampled stabilizers")
+
     monkeypatch.setattr(pipeline, "orbit_partition", forbidden)
     monkeypatch.setattr(pipeline, "batch_coset_enumerators", forbidden)
+    if given:
+        # rebasing reads only the lower transversals
+        monkeypatch.setattr(QuotientClassification, "_schreier_sample", no_sampling)
     counter = MulCounter()
     assert run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=ckpt, counter=counter) == want
     assert counter.count == 0
@@ -487,6 +501,31 @@ def test_direct_route_samples_no_top_stabilizers(monkeypatch):
         write_distribution(buf, dist)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (r, m)
         assert counter.count == count, (r, m)
+
+
+# the ladder codes R(r, m), and R(3,8): run_pipeline partitions above H^(r)(m-2)
+LADDER = [(3, 6), (2, 7), (4, 7), (3, 7), (2, 8)]
+BUDGET_CODES = [*LADDER, (3, 8)]
+
+
+@pytest.mark.parametrize("r, m", BUDGET_CODES, ids=[f"r{r}m{m}" for r, m in BUDGET_CODES])
+def test_block_tables_do_not_depend_on_the_budget(r, m):
+    # singleton blocks are the finest refinement of every stabilizer orbit,
+    # and merging by enumerator still lands on the 64-generator table
+    for rec in classify_quotient(r, m - 2, random.Random(0), max_gens=DEFAULT_MAX_GENS):
+        (want,) = _block_tables([rec], r, m - 2, DEFAULT_CAP).values()
+        (got,) = _block_tables([replace(rec, gens=())], r, m - 2, DEFAULT_CAP).values()
+        assert np.array_equal(got[0].block_of, want[0].block_of)
+        assert np.array_equal(got[0].first, want[0].first)
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("r, m", LADDER, ids=[f"r{r}m{m}" for r, m in LADDER])
+def test_pipeline_budget_does_not_change_outputs(r, m):
+    full, default = MulCounter(), MulCounter()
+    want = run_pipeline(r, m, counter=full, max_gens=DEFAULT_MAX_GENS)
+    assert run_pipeline(r, m, counter=default) == want
+    assert (default.count, default.label) == (full.count, full.label)
 
 
 def test_r38_at_desk_scale():
