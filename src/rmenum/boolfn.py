@@ -164,13 +164,6 @@ def homogeneous_part(a: Anf, d: int) -> Anf:
     return Anf(a.m, frozenset(mask for mask in a.monomials if mask.bit_count() == d))
 
 
-def extend(a: Anf, m: int) -> Anf:
-    """Reinterpret a over a larger variable set (same monomials)."""
-    if m < a.m:
-        raise ValueError("cannot shrink the variable set")
-    return Anf(m, a.monomials)
-
-
 def decompose_top(p: Anf) -> tuple[Anf, Anf]:
     """Split p over m variables as e + f*x_m with e, f over m-1 variables.
 

@@ -39,7 +39,7 @@ transversal walk: its Schreier element is the identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .gf2 import (
     substituted_tables,
     transform_anf,
 )
-from .wenum import WeightEnumerator
+from .wenum import WeightEnumerator, _opened
 
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
@@ -227,7 +227,6 @@ class Partition:
     m: int
     block_of: np.ndarray
     first: np.ndarray
-    merged: bool = False
 
     @property
     def block_count(self) -> int:
@@ -239,9 +238,6 @@ class Partition:
         order = np.argsort(self.block_of, kind="stable")
         ends = np.cumsum(np.bincount(self.block_of, minlength=self.block_count))
         return tuple(tuple(b.tolist()) for b in np.split(order, ends[:-1]))
-
-    def find_block(self, g: int) -> int:
-        return int(self.block_of[g])
 
 
 def coset_action(e: Anf, g: int, a, r: int) -> int:
@@ -318,7 +314,6 @@ def merge_by_enumerator(partition: Partition, enums) -> tuple[Partition, list[We
         m=partition.m,
         block_of=group[partition.block_of],
         first=partition.first[lead],
-        merged=True,
     )
     return merged, [enums[b] for b in lead.tolist()]
 
@@ -333,18 +328,21 @@ class QuotientClassification:
     is its preimage under the generator that reached it: one lookup in the
     half tables of that generator's inverse. Representatives are the least
     packed index of each class; classes are numbered in representative
-    order.
+    order, and members[cid] holds the sorted member indices of class cid.
+    Stabilizer generators are drawn per class by stabilizer_gens, which
+    compute calls for every class in class order; a caller that needs
+    only some stabilizers computes with max_gens=0 and draws those.
     """
 
-    def __init__(self, d, m, space, records, class_of, via, tables, inverses, gens, seeds):
+    def __init__(self, d, m, space, class_of, via, tables, inverses, gens, members):
         self.d = d
         self.m = m
         self.space = space
-        self.records = records
+        self.records = [ClassRecord(rep=space.anf_of(int(b[0])), size=len(b)) for b in members]
         self.class_of = class_of
         self._via = via
         self.gens = gens
-        self.seeds = seeds
+        self.members = members
         # A zero-copy view and half-table lists that index to plain ints for
         # the transversal walk and the Schreier draws.
         self._via_view = memoryview(via)
@@ -376,18 +374,25 @@ class QuotientClassification:
         gens = gl2_generators(m)
         tables = [_action_table(space, AffineMap(g, 0)) for g in gens]
         inverses = [_action_table(space, AffineMap(g.inverse(), 0)) for g in gens]
-        class_of, blocks, via = _close_orbits(tables, space.size)
-        cls = QuotientClassification(
-            d, m, space, [], class_of, via, tables, inverses, gens, [int(b[0]) for b in blocks]
-        )
-        for members in blocks:
-            rep = space.anf_of(int(members[0]))
-            stab = []
-            if max_gens > 0:
-                stab = cls._schreier_sample(rep, members, rng, max_gens)
-            cls._memo.clear()
-            cls.records.append(ClassRecord(rep=rep, size=len(members), gens=tuple(stab)))
+        class_of, members, via = _close_orbits(tables, space.size)
+        cls = QuotientClassification(d, m, space, class_of, via, tables, inverses, gens, members)
+        if max_gens > 0:
+            cls.records = [
+                replace(rec, gens=cls.stabilizer_gens(cid, rng, max_gens))
+                for cid, rec in enumerate(cls.records)
+            ]
         return cls
+
+    def stabilizer_gens(self, cid: int, rng: random.Random, max_gens: int) -> tuple:
+        """Up to max_gens Schreier generators of the stabilizer of class cid's representative.
+
+        The draws come from rng, so the generators of a class depend on the
+        classes sampled before it from the same rng. The transversal memo is
+        cleared afterwards, so it never holds more than one class's walks.
+        """
+        gens = self._schreier_sample(self.records[cid].rep, self.members[cid], rng, max_gens)
+        self._memo.clear()
+        return tuple(gens)
 
     def _parent_of(self, node: int) -> int:
         """Preimage of a non-seed node under the generator that reached it."""
@@ -401,8 +406,8 @@ class QuotientClassification:
         class seed to idx, in seed-to-idx order; the path is read back from
         the via marks, one preimage walk per node. Each step maps packed rows
         through the generator's linear table, and the rows of every node on
-        the path are memoised. compute() clears the memo after each class;
-        calls made later keep their entries, at most one per index.
+        the path are memoised. stabilizer_gens clears the memo after each
+        class; other calls keep their entries, at most one per index.
         """
         memo, via = self._memo, self._via_view
         path = []
@@ -416,9 +421,6 @@ class QuotientClassification:
             rows = tuple(map(lin[via[node] - 2].__getitem__, rows))
             memo[node] = rows
         return Gf2Matrix(self.m, rows)
-
-    def class_index_of(self, a: Anf) -> int:
-        return int(self.class_of[self.space.index_of(a)])
 
     def _schreier_sample(self, rep, members, rng, max_gens):
         if len(members) == 1:
@@ -484,9 +486,7 @@ def write_classification(target, records, d: int, m: int, seed: int | None = Non
     separated by blank lines. The rep grammar is the ANF digit notation,
     "0" for the zero form; bit rows read leftmost character = x_1.
     """
-    own = not hasattr(target, "write")
-    fh = open(target, "w") if own else target
-    try:
+    with _opened(target, "w") as fh:
         fh.write("# classification\n")
         fh.write(f"# d {d}\n")
         fh.write(f"# m {m}\n")
@@ -497,9 +497,6 @@ def write_classification(target, records, d: int, m: int, seed: int | None = Non
             for a in rec.gens:
                 fh.write(f"gen {a.matrix.to_text()}\n")
             fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def ingest_classification(source, expect_d: int | None = None, expect_m: int | None = None):
@@ -509,13 +506,8 @@ def ingest_classification(source, expect_d: int | None = None, expect_m: int | N
     2**C(m,d), reps are homogeneous of degree d (or zero), stated gens are
     invertible and stabilize their representative.
     """
-    own = not hasattr(source, "read")
-    fh = open(source) if own else source
-    try:
+    with _opened(source) as fh:
         lines = fh.read().splitlines()
-    finally:
-        if own:
-            fh.close()
     d = m = None
     records = []
     current = None

@@ -41,7 +41,7 @@ import glob
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import comb
 
@@ -383,44 +383,39 @@ def rebase_representatives(classes, lookup: QuotientClassification) -> list[Clas
     return out
 
 
-def _block_tables(records, r, m0, cap):
-    """The merged block table above each given class of H^(r)(m0).
+def _block_table(rec: ClassRecord, r: int, m0: int, cap: int):
+    """The merged block table above a class of H^(r)(m0): (merged partition, per-block enumerators).
 
-    Returns {packed index of rep: (merged partition, per-block
-    enumerators)}, where the partition is the orbit partition of
-    H^(r-1)(m0) under the rep's stabilizer (singleton blocks when the rep
-    has no gens) and each enumerator is W[z; rep + g + R(r-2, m0)] for the
-    g of its block. Each class's sweep takes milliseconds and opens no
-    pool: jobs workers take whole classes, never one sweep.
+    The partition is the orbit partition of H^(r-1)(m0) under the rep's
+    stabilizer (singleton blocks when the rep has no gens) and each
+    enumerator is W[z; rep + g + R(r-2, m0)] for the g of its block. The
+    sweep takes milliseconds and opens no pool: jobs workers take whole
+    classes, never one sweep.
     """
     r0 = r - 2
-    espace = HomogeneousSpace(m0, r)
     gspace = HomogeneousSpace(m0, r0 + 1)
+    part = (
+        orbit_partition(rec.rep, rec.gens, r0, m0)
+        if rec.gens
+        else singleton_partition(rec.rep, r0, m0)
+    )
+    # Truth tables are linear in the packed index, so each leader's word
+    # is the previous word XOR the table of the step g ^ prev. Leaders
+    # ascend, so singleton blocks take only N distinct steps; the step
+    # tables are kept, and no table of the whole space is built.
     steps = {}
-    tables = {}
-    for rec in records:
-        part = (
-            orbit_partition(rec.rep, rec.gens, r0, m0)
-            if rec.gens
-            else singleton_partition(rec.rep, r0, m0)
-        )
-        # Truth tables are linear in the packed index, so each leader's word
-        # is the previous word XOR the table of the step g ^ prev. Leaders
-        # ascend, so singleton blocks take only N distinct steps; the step
-        # tables are kept, and no table of the whole space is built.
-        word, prev = truth_table_from_anf(rec.rep).bits, 0
-        rep_words = []
-        for g in part.first.tolist():
-            step = g ^ prev
-            if step not in steps:
-                steps[step] = gspace.table_of(step)
-            word ^= steps[step]
-            prev = g
-            rep_words.append(word)
-        raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
-        merged, menums = merge_by_enumerator(part, raw)
-        tables[espace.index_of(rec.rep)] = (merged, tuple(menums))
-    return tables
+    word, prev = truth_table_from_anf(rec.rep).bits, 0
+    rep_words = []
+    for g in part.first.tolist():
+        step = g ^ prev
+        if step not in steps:
+            steps[step] = gspace.table_of(step)
+        word ^= steps[step]
+        prev = g
+        rep_words.append(word)
+    raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
+    merged, menums = merge_by_enumerator(part, raw)
+    return merged, tuple(menums)
 
 
 def _walsh_hadamard(table: np.ndarray):
@@ -470,7 +465,7 @@ def _fourier_distribution(r, m, cap, nbits, width, low_bits, rec: ClassRecord):
     count. Signed intermediate terms may carry between digits; the power
     sum has proper digits.
     """
-    ((merged, menums),) = _block_tables([rec], r, m - 2, cap).values()
+    merged, menums = _block_table(rec, r, m - 2, cap)
     # |chi_b(u)| <= 2**N <= 2**MAX_INDEX_BITS at every butterfly stage
     chi = np.zeros((1 << nbits, merged.block_count), dtype=np.int32)
     chi[np.arange(1 << nbits), merged.block_of] = 1
@@ -530,8 +525,11 @@ def run_pipeline(
     costs a pair of half action tables per partition. Fewer generators
     give finer raw blocks, which merge_by_enumerator joins back, so
     distributions, checkpoints and counts are the same at every value; 0
-    gives singleton partitions. A class-sum run whose classes all have a
-    checkpoint reads no block table and samples none.
+    gives singleton partitions. Both "blocks" routes classify H^(r)(m-2)
+    without stabilizers and then sample, in class order, only the lower
+    classes that a pending class reads, so a fresh run draws what
+    QuotientClassification.compute would and a run whose classes all have
+    a checkpoint samples none and builds no block table.
 
     A checkpoint directory whose class files name another route is refused
     before any classification.
@@ -553,8 +551,6 @@ def run_pipeline(
     _check_route(checkpoint, route)
     if fourier:
         contribution, unit_total = _fourier_terms(r, m, cap)
-        classes = QuotientClassification.compute(r, m0, rng, max_gens=max_gens).records
-        class_m = m0
         if counter is not None:
             counter.label = FOURIER_LABEL
     else:
@@ -563,26 +559,32 @@ def run_pipeline(
         elif classes is None:
             # "direct" reads only reps and sizes, so it samples no stabilizers.
             classes = QuotientClassification.compute(r, m1, rng, max_gens=0).records
-        if strategy == "direct":
-            enum_fn = partial(_direct_enum, r0, m0, cap)
-        else:
-            # Rebasing needs only transversals; with every class checkpointed
-            # no table is built, so no stabilizer is sampled. Whether a class
-            # is pending does not depend on how representatives are based.
-            lower_gens = max_gens if _unfinished(classes, r, m1, checkpoint) else 0
-            lower = QuotientClassification.compute(r, m0, rng, max_gens=lower_gens)
-            classes = rebase_representatives(classes, lower)
-            # Tables only for the lower forms that a pending class reads.
-            espace = HomogeneousSpace(m0, r)
-            wanted = {
-                espace.index_of(decompose_top(rec.rep)[0])
-                for rec in _unfinished(classes, r, m1, checkpoint)
-            }
-            needed = [rec for rec in lower.records if espace.index_of(rec.rep) in wanted]
-            enum_fn = partial(_block_enum, espace, _block_tables(needed, r, m0, cap))
-        class_m = m1
-        contribution = partial(_squared_contribution, enum_fn)
         unit_total = 1 << (2 * rm_dimension(r - 1, m1))
+    if strategy == "direct":
+        contribution = partial(_squared_contribution, partial(_direct_enum, r0, m0, cap))
+    else:
+        # A Fourier class reads its own block table, a class-sum class the
+        # one of its rebased lower part. Stabilizers are drawn, in class
+        # order, and tables built only for the lower classes that a pending
+        # class reads; rebasing needs only transversals.
+        lower = QuotientClassification.compute(r, m0, rng, max_gens=0)
+        if fourier:
+            forms = [rec.rep for rec in _unfinished(lower.records, r, m0, checkpoint)]
+        else:
+            classes = rebase_representatives(classes, lower)
+            pending = _unfinished(classes, r, m1, checkpoint)
+            forms = [decompose_top(rec.rep)[0] for rec in pending]
+        tables = {}
+        for cid in sorted({int(lower.class_of[lower.space.index_of(e)]) for e in forms}):
+            rec = replace(lower.records[cid], gens=lower.stabilizer_gens(cid, rng, max_gens))
+            lower.records[cid] = rec
+            if not fourier:
+                tables[lower.space.index_of(rec.rep)] = _block_table(rec, r, m0, cap)
+        if fourier:
+            classes = lower.records
+        else:
+            contribution = partial(_squared_contribution, partial(_block_enum, lower.space, tables))
+    class_m = m0 if fourier else m1
     dist = distribution_from_classes(
         classes, r, class_m, contribution, 1 << m, unit_total, jobs, checkpoint, counter, route
     )

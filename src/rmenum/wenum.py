@@ -20,6 +20,7 @@ raises if the value does not fit in its n+1 digits.
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass, field
 
@@ -231,6 +232,16 @@ def validate_code_enumerator(a: WeightEnumerator) -> ValidationReport:
     return report
 
 
+@contextlib.contextmanager
+def _opened(file, mode: str = "r"):
+    """file itself when it is an open file object, else the file at that path, closed on exit."""
+    if hasattr(file, "write" if "w" in mode else "read"):
+        yield file
+    else:
+        with open(file, mode) as fh:
+            yield fh
+
+
 def write_distribution(target, a: WeightEnumerator, comments=(), folded: bool = False):
     """Write "weight count" lines in decimal, nonzero entries only.
 
@@ -240,9 +251,7 @@ def write_distribution(target, a: WeightEnumerator, comments=(), folded: bool = 
     <= n/2 are written and "# folded" marks the file; the reader restores
     the symmetric half.
     """
-    own = not hasattr(target, "write")
-    fh = open(target, "w") if own else target
-    try:
+    with _opened(target, "w") as fh:
         fh.write(f"# n {a.n}\n")
         if folded:
             fh.write("# folded\n")
@@ -252,15 +261,10 @@ def write_distribution(target, a: WeightEnumerator, comments=(), folded: bool = 
             if folded and 2 * w > a.n:
                 continue
             fh.write(f"{w} {c}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_distribution(source) -> WeightEnumerator:
-    own = not hasattr(source, "read")
-    fh = open(source) if own else source
-    try:
+    with _opened(source) as fh:
         n = None
         folded = False
         pairs = []
@@ -279,9 +283,6 @@ def read_distribution(source) -> WeightEnumerator:
             if len(fields) != 2:
                 raise ValueError(f"bad distribution line {line!r}")
             pairs.append((int(fields[0]), int(fields[1])))
-    finally:
-        if own:
-            fh.close()
     if n is None:
         if not pairs:
             raise ValueError("no data and no '# n' header")

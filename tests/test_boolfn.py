@@ -9,7 +9,6 @@ from rmenum.boolfn import (
     anf_from_truth_table,
     attach_top,
     decompose_top,
-    extend,
     format_anf,
     homogeneous_part,
     mobius_transform,
@@ -82,16 +81,6 @@ def test_homogeneous_part():
     assert homogeneous_part(f, 2) == parse_anf("12", 3)
     assert homogeneous_part(f, 1) == parse_anf("3", 3)
     assert homogeneous_part(f, 0).is_zero()
-
-
-def test_extend_keeps_function_on_low_half():
-    f = parse_anf("12", 2)
-    g = extend(f, 4)
-    assert g.m == 4
-    tf = truth_table_from_anf(f)
-    tg = truth_table_from_anf(g)
-    for x in range(4):
-        assert tg.evaluate(x) == tf.evaluate(x)
 
 
 def test_decompose_attach_round_trip():

@@ -90,7 +90,7 @@ def test_class_membership_is_closed_under_action():
         f = cls.space.anf_of(idx)
         a = AffineMap(random_invertible(4, rng), 0)
         g = homogeneous_part(transform_anf(f, a), 2)
-        assert cls.class_index_of(f) == cls.class_index_of(g)
+        assert cls.class_of[cls.space.index_of(f)] == cls.class_of[cls.space.index_of(g)]
 
 
 def expand(halves):
@@ -254,7 +254,7 @@ def test_orbit_partition_blocks_are_orbits():
     for a in rec.gens[:4]:
         for block in part.blocks[:6]:
             for g in block[:3]:
-                assert part.find_block(coset_action(e, g, a, 1)) == part.find_block(g)
+                assert part.block_of[coset_action(e, g, a, 1)] == part.block_of[g]
     assert sum(len(b) for b in part.blocks) == space.size
 
 
@@ -271,14 +271,13 @@ def test_merge_by_enumerator():
     reps = [space.table_of(b[0]) for b in part.blocks]
     enums = batch_coset_enumerators(reps, 1, 4)
     merged, menums = merge_by_enumerator(part, enums)
-    assert merged.merged
     assert merged.block_count <= part.block_count
     assert len(menums) == merged.block_count
     assert sum(len(b) for b in merged.blocks) == space.size
     # every index still maps to the enumerator its block carries
     for bid, block in enumerate(merged.blocks):
         for g in block[:4]:
-            assert merged.find_block(g) == bid
+            assert merged.block_of[g] == bid
 
 
 def tuple_merge_reference(partition, enums):
@@ -601,7 +600,7 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
     identity = Gf2Matrix.identity(m)
     involutive = [g @ g == identity for g in cls.gens]
     assert involutive == [True, False]  # the transvection and the cyclic shift
-    seeds = set(cls.seeds)
+    seeds = {int(members[0]) for members in cls.members}
     for v in range(cls.space.size):
         if v in seeds:
             assert cls._via[v] == 1
@@ -620,7 +619,7 @@ def test_preimage_walk_returns_the_reference_parent(d, m):
     cls = QuotientClassification.compute(d, m, random.Random(0))
     tables = [expand(t) for t in gl_tables(cls)]
     _, _, parent, _ = reference_close_orbits(tables, cls.space.size)
-    seeds = set(cls.seeds)
+    seeds = {int(members[0]) for members in cls.members}
     assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
     for v in range(cls.space.size):
         if v not in seeds:

@@ -33,8 +33,9 @@ from rmenum.cosetenum import (
 from rmenum.oracle import brute_force_distribution, min_weight_count, validate_reference
 from rmenum.pipeline import (
     FOURIER_LABEL,
+    PIPELINE_MAX_GENS,
     MulCounter,
-    _block_tables,
+    _block_table,
     coset_enum_blocks,
     coset_enum_split,
     distribution_from_classes,
@@ -218,13 +219,12 @@ def test_fully_checkpointed_resume_builds_no_block_table(monkeypatch, tmp_path, 
         raise AssertionError("a fully checkpointed resume built a block table")
 
     def no_sampling(*args, **kwargs):
-        raise AssertionError("a fully checkpointed class-sum resume sampled stabilizers")
+        raise AssertionError("a fully checkpointed resume sampled stabilizers")
 
     monkeypatch.setattr(pipeline, "orbit_partition", forbidden)
     monkeypatch.setattr(pipeline, "batch_coset_enumerators", forbidden)
-    if given:
-        # rebasing reads only the lower transversals
-        monkeypatch.setattr(QuotientClassification, "_schreier_sample", no_sampling)
+    # rebasing reads only the lower transversals, and no class is pending
+    monkeypatch.setattr(QuotientClassification, "_schreier_sample", no_sampling)
     counter = MulCounter()
     assert run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=ckpt, counter=counter) == want
     assert counter.count == 0
@@ -245,16 +245,24 @@ def test_partial_resume_builds_only_the_pending_lower_form(monkeypatch, tmp_path
     lower = decompose_top(parse_anf(rep, 6))[0] if given else parse_anf(rep, 5)
     victim.unlink()
 
-    built = []
+    built, sampled = [], []
+    sample = QuotientClassification._schreier_sample
 
     def spy(partition, enums):
         built.append(partition.e)
         return merge_by_enumerator(partition, enums)
 
+    def sample_spy(self, rep, *args):
+        sampled.append(rep)
+        return sample(self, rep, *args)
+
     monkeypatch.setattr(pipeline, "merge_by_enumerator", spy)
+    monkeypatch.setattr(QuotientClassification, "_schreier_sample", sample_spy)
     counter = MulCounter()
     got = run_pipeline(2, 7, classes=classes, jobs=jobs, checkpoint=str(ckpt), counter=counter)
     assert got == want
+    # of the 3 lower classes, only the one the pending class reads is sampled
+    assert sampled == [lower]
     assert built == [lower]
     assert counter.count > 0
     assert victim.read_text() == whole
@@ -338,7 +346,7 @@ def test_checkpoint_directory_of_another_route_raises(monkeypatch, tmp_path, cas
 
     # the route headers are read before any classification or block table
     monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
-    monkeypatch.setattr(pipeline, "_block_tables", forbidden)
+    monkeypatch.setattr(pipeline, "_block_table", forbidden)
     monkeypatch.setattr(pipeline, "_fourier_distribution", forbidden)
     monkeypatch.setattr(pipeline, "_squared_contribution", forbidden)
     with pytest.raises(ValueError, match="header 'route'"):
@@ -395,7 +403,7 @@ def test_rebase_onto_lower_representatives(r, m):
     lower = QuotientClassification.compute(r, m - 2)
 
     def representative(e):
-        return lower.records[lower.class_index_of(e)].rep
+        return lower.records[lower.class_of[lower.space.index_of(e)]].rep
 
     classes = classify_quotient(r, m - 1)
     rebased = rebase_representatives(classes, lower)
@@ -513,11 +521,43 @@ def test_block_tables_do_not_depend_on_the_budget(r, m):
     # singleton blocks are the finest refinement of every stabilizer orbit,
     # and merging by enumerator still lands on the 64-generator table
     for rec in classify_quotient(r, m - 2, random.Random(0), max_gens=DEFAULT_MAX_GENS):
-        (want,) = _block_tables([rec], r, m - 2, DEFAULT_CAP).values()
-        (got,) = _block_tables([replace(rec, gens=())], r, m - 2, DEFAULT_CAP).values()
+        want = _block_table(rec, r, m - 2, DEFAULT_CAP)
+        got = _block_table(replace(rec, gens=()), r, m - 2, DEFAULT_CAP)
         assert np.array_equal(got[0].block_of, want[0].block_of)
         assert np.array_equal(got[0].first, want[0].first)
         assert got[1] == want[1]
+
+
+FRESH_CASES = [(r, m, given) for r, m in LADDER for given in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "r, m, given",
+    FRESH_CASES,
+    ids=[f"r{r}m{m}-{'given' if given else 'self'}" for r, m, given in FRESH_CASES],
+)
+def test_fresh_run_partitions_every_lower_class_as_compute_samples_it(monkeypatch, r, m, given):
+    # a fresh run reads every lower class, so its per-class draws, made in
+    # class order, give the generators that compute draws for all of them
+    import rmenum.pipeline as pipeline
+
+    seed = 1
+    built = []
+
+    def spy(e, gens, r0, m0):
+        part = orbit_partition(e, gens, r0, m0)
+        built.append((e, len(gens), part.block_count, part.block_of.tobytes()))
+        return part
+
+    monkeypatch.setattr(pipeline, "orbit_partition", spy)
+    classes = classify_quotient(r, m - 1, random.Random(4), max_gens=0) if given else None
+    run_pipeline(r, m, classes=classes, seed=seed)
+    lower = QuotientClassification.compute(r, m - 2, random.Random(seed), PIPELINE_MAX_GENS)
+    want = []
+    for rec in lower.records:
+        part = orbit_partition(rec.rep, rec.gens, r - 2, m - 2)
+        want.append((rec.rep, len(rec.gens), part.block_count, part.block_of.tobytes()))
+    assert built == want
 
 
 @pytest.mark.parametrize("r, m", LADDER, ids=[f"r{r}m{m}" for r, m in LADDER])
