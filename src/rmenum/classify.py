@@ -5,26 +5,42 @@ Two group actions live here, both on packed form indices:
   * classify_quotient partitions H^(d)(m) under GL(m,2) acting by
     g -> [g o A]_d (top-degree part of the substitution), with orbit
     representatives, sizes, and Schreier-derived stabilizer generators;
-  * orbit_partition partitions H^(r+1)(m) under a stabilizer St(e),
-    where A sends the coset (e+g) + R(r,m) to (e+g') + R(r,m) with
-    g' = [e o A]_{r+1} xor [g o A]_{r+1}.
+  * quotient_partition partitions V/W_e, V = H^(r+1)(m), under a set of
+    stabilizer elements of e, where A sends the coset (e+g) + R(r,m) to
+    (e+g') + R(r,m) with g' = [e o A]_{r+1} xor [g o A]_{r+1}.
+
+A unit translation T_i fixes every top part, so it moves g only by the
+constant w_i = [e o T_i]_{r+1}, the derivative of e in x_i. W_e is the
+span of these constants, k = dim W_e. The linear part M of every
+stabilizer element A maps W_e onto itself: the derivative of e o A = e +
+(lower terms) along c shows that M carries w_(Mc) to w_c, where w_c is
+the degree-(r+1) part of the derivative of e along c. So each element
+permutes V/W_e, and
+translations act on it as the identity: a partition of V/W_e under the
+stabilizer generators alone is the partition of V under the generators and
+the translations, coset by coset. V/W_e is indexed by reduced vectors: a
+reduced echelon basis of W_e (pivot = top bit) clears the pivot bits of g,
+which leaves the least member of g's coset, and dropping the pivot bits
+packs it into N - k bits (quotient_index; quotient_leader puts the zeros
+back). Because x**2 = x over GF(2), [e o A]_{r+1} is not zero even for a
+linear stabilizer element, so every action keeps its constant.
 
 Both actions are affine over GF(2) in the packed coefficient vector, so a
-generator splits exactly into two half tables over N index bits: lo, the
-constant plus the span of the low N // 2 columns, and hi, the span of the
-rest, each filled by XOR-doubling over the images of the basis monomials.
-The image of g is lo[g % L] ^ hi[g // L] with L = len(lo), so a generator
-costs 2**(N//2) + 2**(N - N//2) entries, never 2**N, and closure is array
-chasing. The image of a basis monomial is the product of the map's
-substituted variable tables (gf2.substituted_tables), read as an ANF after
-one Mobius transform; no step walks the 2**m points of a truth table.
+generator splits exactly into two half tables over its N index bits: lo,
+the constant plus the span of the low N // 2 columns, and hi, the span of
+the rest, each filled by XOR-doubling over the images of the basis
+monomials. The image of g is lo[g % L] ^ hi[g // L] with L = len(lo), so a
+generator costs 2**(N//2) + 2**(N - N//2) entries, never 2**N, and closure
+is array chasing. The image of a basis monomial is the product of the
+map's substituted variable tables (gf2.substituted_tables), read as an ANF
+after one Mobius transform; no step walks the 2**m points of a truth table.
 
-Every table is a permutation of the index space: GL generators,
-stabilizer generators (stabilizer_check requires them invertible) and unit
-translations all act bijectively. So the BFS closure needs no dedup and no
-sort per level; it keeps the whole forest in one small array, via, where
-via[v] is 0 for an index not reached yet, 1 for a seed and 2 + gi when
-generator gi first reached v from the level above. The fresh check and
+Every table is a permutation of its index space: GL generators and
+stabilizer generators, which must be invertible, act bijectively. So the
+BFS closure needs no dedup and no sort per level; it keeps the whole
+forest in one small array, via, where via[v] is 0 for an index not
+reached yet, 1 for a seed and 2 + gi when generator gi first reached v
+from the level above. The fresh check and
 the write touch only that array, and block_of is written once per
 finished block. The parent of v is the unique preimage of v under
 gens[via[v] - 2], one lookup in the half tables of that generator's
@@ -47,7 +63,6 @@ from .boolfn import (
     Anf,
     HomogeneousSpace,
     format_anf,
-    homogeneous_part,
     mobius_transform,
     parse_anf,
 )
@@ -58,7 +73,6 @@ from .gf2 import (
     stabilizer_check,
     substitute,
     substituted_tables,
-    transform_anf,
 )
 from .wenum import WeightEnumerator, _opened
 
@@ -93,32 +107,83 @@ def _span(const: int, cols) -> np.ndarray:
     return table
 
 
+def _halves(const: int, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Half tables (lo, hi) of g -> const xor the columns at the set bits of g.
+
+    With k = len(cols) // 2, lo spans the constant and columns 0..k-1 and
+    hi the other columns, so the image of g is lo[g % L] ^ hi[g // L] with
+    L = 2**k.
+    """
+    k = len(cols) // 2
+    return _span(const, cols[:k]), _span(0, cols[k:])
+
+
+def _substitution(a: AffineMap, m: int):
+    """image(masks): the ANF indicator of the sum of the monomials masks after substituting a.
+
+    The substituted variable tables are built once; each image is a product
+    of them and one Mobius transform.
+    """
+    subs = substituted_tables(a)
+    return lambda masks: mobius_transform(substitute(masks, subs, m), m)
+
+
 def _action_table(
     space: HomogeneousSpace, a: AffineMap, e: Anf | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Half tables (lo, hi) of g -> [e o A]_d xor [g o A]_d over packed indices.
 
     The map is affine in the packed vector: column j holds the image of the
-    j-th basis monomial and the constant comes from e (zero when e is None).
-    With k = nbits // 2 and L = 2**k, lo spans the constant and columns
-    0..k-1, hi spans the other columns, and the image of g is
-    lo[g % L] ^ hi[g // L]; no table of the whole space is built. The
-    substituted variable tables are built once; each image is a product of
-    them, one Mobius transform, and its degree-d part read off as a packed
-    index.
+    j-th basis monomial and the constant comes from e (zero when e is None);
+    see _halves. No table of the whole space is built.
     """
     if space.nbits > MAX_INDEX_BITS:
         raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
-    m = space.m
-    subs = substituted_tables(a)
+    image = _substitution(a, space.m)
+    const = space.index_of_indicator(image(e.monomials)) if e is not None else 0
+    return _halves(const, [space.index_of_indicator(image((mask,))) for mask in space.masks])
 
-    def image(masks) -> int:
-        return space.index_of_indicator(mobius_transform(substitute(masks, subs, m), m))
 
-    const = image(e.monomials) if e is not None else 0
-    cols = [image((mask,)) for mask in space.masks]
-    k = space.nbits // 2
-    return _span(const, cols[:k]), _span(0, cols[k:])
+def _echelon(vectors) -> tuple[int, ...]:
+    """Reduced echelon basis of the span of vectors, pivot = top bit, pivots descending.
+
+    No basis vector has a bit at another one's pivot.
+    """
+    basis = []
+    for v in vectors:
+        for w in basis:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        if v:
+            pivot = v.bit_length() - 1
+            basis = [w ^ v if w >> pivot & 1 else w for w in basis]
+            basis.append(v)
+    return tuple(sorted(basis, reverse=True))
+
+
+def quotient_index(basis, g):
+    """Index in V/W of the coset of g, W spanned by a reduced echelon basis (pivots descending).
+
+    Clearing every pivot bit of g gives the least member of its coset;
+    dropping the pivot bits then packs it. g is an int or an integer array.
+    """
+    for w in basis:
+        g = g ^ (g >> (w.bit_length() - 1) & 1) * w
+    for w in basis:
+        pivot = w.bit_length() - 1
+        g = (g & ((1 << pivot) - 1)) | (g >> (pivot + 1) << pivot)
+    return g
+
+
+def quotient_leader(basis, s):
+    """Least member of the coset of index s in V/W: s with a zero put back at every pivot bit.
+
+    The inverse of quotient_index on reduced vectors, and increasing in s.
+    """
+    for w in reversed(basis):
+        pivot = w.bit_length() - 1
+        s = (s & ((1 << pivot) - 1)) | (s >> pivot << (pivot + 1))
+    return s
 
 
 def _next_unassigned(via: np.ndarray, start: int) -> int:
@@ -216,10 +281,14 @@ class ClassRecord:
 
 @dataclass
 class Partition:
-    """Blocks of packed degree-d indices above a fixed form e, as two arrays.
+    """Blocks of the packed degree-d indices of V = H^(d)(m) above a fixed form e.
 
-    block_of[g] is the block of index g and first[b] the least index of
-    block b. Blocks are numbered by their least index, so first ascends.
+    The blocks are taken modulo W, the span of basis, a reduced echelon
+    basis (pivots descending; empty for a partition of V itself): index s
+    stands for the coset of quotient_leader(basis, s), and every member of
+    a coset lies in its block. block_of[s] is the block of index s and
+    first[b] the least index of block b. Blocks are numbered by their least
+    index, so first ascends.
     """
 
     e: Anf
@@ -227,6 +296,7 @@ class Partition:
     m: int
     block_of: np.ndarray
     first: np.ndarray
+    basis: tuple[int, ...] = ()
 
     @property
     def block_count(self) -> int:
@@ -240,53 +310,76 @@ class Partition:
         return tuple(tuple(b.tolist()) for b in np.split(order, ends[:-1]))
 
 
-def coset_action(e: Anf, g: int, a, r: int) -> int:
-    """Image index of the coset (e+g) + R(r,m) under a stabilizer element.
+def _translation_basis(e: Anf, space: HomogeneousSpace) -> tuple[int, ...]:
+    """Reduced echelon basis of W_e, spanned by the unit-translation constants [e o T_i]_d.
 
-    g is a packed H^(r+1)(m) index; the result is [e o A]_{r+1} xor
-    [g o A]_{r+1}, which is where the substitution moves the coset inside
-    e + R(r+1,m). Raises for maps outside St(e).
+    For e homogeneous of degree d + 1, e(x + e_i) is e plus its derivative
+    in x_i, which is of degree d: the monomials of e holding x_i, with x_i
+    taken out.
     """
-    a = as_affine(a)
-    if not stabilizer_check(e, a):
-        raise ValueError("substitution does not stabilize e modulo lower degrees")
-    space = HomogeneousSpace(e.m, r + 1)
-    out = homogeneous_part(transform_anf(space.anf_of(g), a), r + 1)
-    if not e.is_zero():
-        out = out ^ homogeneous_part(transform_anf(e, a), r + 1)
-    return space.index_of(out)
+    consts = []
+    for i in range(space.m):
+        bit = 1 << i
+        derivative = Anf(space.m, frozenset(mask ^ bit for mask in e.monomials if mask & bit))
+        consts.append(space.index_of(derivative))
+    return _echelon(consts)
 
 
-def orbit_partition(e: Anf, gens, r: int, m: int) -> Partition:
-    """Partition of all H^(r+1)(m) indices under the group the gens generate.
+def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
+    """Partition of V/W_e, V = H^(r+1)(m), under the group the gens generate.
 
-    Unit translations are appended automatically (they always stabilize e),
-    so passing the GL generators for e = 0 yields the full affine-orbit
-    partition. Every generator must pass stabilizer_check.
+    e must be homogeneous of degree r+2 (or zero), and every generator must
+    be invertible and fix e modulo lower degrees. One substitution of e
+    gives both that check and the generator's constant [e o A]_{r+1}, which
+    is not zero even for a linear map. Each generator acts on the N - k
+    index bits of V/W_e by one pair of half tables: column j is the reduced
+    image of the j-th non-pivot monomial. Unit translations act as the
+    identity on V/W_e, so their orbits come for free (see the module
+    docstring); with no gens every index is its own block.
     """
     if e.m != m:
         raise ValueError("e has the wrong variable count")
-    maps = [as_affine(g) for g in gens]
-    for a in maps:
-        if not stabilizer_check(e, a):
+    space, top = HomogeneousSpace(m, r + 1), HomogeneousSpace(m, r + 2)
+    if space.nbits > MAX_INDEX_BITS:
+        raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
+    e_index = top.index_of(e)
+    basis = _translation_basis(e, space)
+    pivots = {w.bit_length() - 1 for w in basis}
+    free = [mask for j, mask in enumerate(space.masks) if j not in pivots]
+    tables = []
+    for a in map(as_affine, gens):
+        image = _substitution(a, m)
+        moved = image(e.monomials)
+        if not a.matrix.is_invertible() or top.index_of_indicator(moved) != e_index:
             raise ValueError(f"generator {a} does not stabilize e")
-    maps.extend(AffineMap.translation(m, 1 << i) for i in range(m))
-    space = HomogeneousSpace(m, r + 1)
-    tables = [_action_table(space, a, e) for a in maps]
-    block_of, blocks, _ = _close_orbits(tables, space.size)
-    first = np.array([b[0] for b in blocks], dtype=np.uint32)
-    return Partition(e=e, d=r + 1, m=m, block_of=block_of, first=first)
+        const = quotient_index(basis, space.index_of_indicator(moved))
+        cols = [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
+        tables.append(_halves(const, cols))
+    size = 1 << len(free)
+    if tables:
+        block_of, blocks, _ = _close_orbits(tables, size)
+        first = np.array([b[0] for b in blocks], dtype=np.uint32)
+    else:
+        block_of, first = np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32)
+    return Partition(e=e, d=r + 1, m=m, block_of=block_of, first=first, basis=basis)
 
 
-def singleton_partition(e: Anf, r: int, m: int) -> Partition:
-    """Degraded partition with every index in its own block (no gens known)."""
-    size = HomogeneousSpace(m, r + 1).size
+def orbit_partition(e: Anf, gens, r: int, m: int) -> Partition:
+    """Partition of all H^(r+1)(m) indices under the gens and the unit translations.
+
+    The quotient_partition expanded to V: the block of g is the block of
+    its coset, and the least member of a block is the leader of its least
+    coset. So passing the GL generators for e = 0 yields the full
+    affine-orbit partition. Every generator must pass stabilizer_check.
+    """
+    quotient = quotient_partition(e, gens, r, m)
+    indices = np.arange(HomogeneousSpace(m, r + 1).size, dtype=np.int64)
     return Partition(
         e=e,
         d=r + 1,
         m=m,
-        block_of=np.arange(size, dtype=np.int32),
-        first=np.arange(size, dtype=np.uint32),
+        block_of=quotient.block_of[quotient_index(quotient.basis, indices)],
+        first=quotient_leader(quotient.basis, quotient.first),
     )
 
 
@@ -308,13 +401,7 @@ def merge_by_enumerator(partition: Partition, enums) -> tuple[Partition, list[We
         group[bid] = gid.setdefault(enum.coeffs, len(gid))
     # the first block of each group, in group order
     lead = np.unique(group, return_index=True)[1]
-    merged = Partition(
-        e=partition.e,
-        d=partition.d,
-        m=partition.m,
-        block_of=group[partition.block_of],
-        first=partition.first[lead],
-    )
+    merged = replace(partition, block_of=group[partition.block_of], first=partition.first[lead])
     return merged, [enums[b] for b in lead.tolist()]
 
 

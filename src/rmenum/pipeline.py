@@ -17,17 +17,28 @@ packed once into a big int with digits as wide as the exact total of the
 product-sum (rounded up to whole bytes), the products are summed as ints,
 and the sum is unpacked once, so one multiplication is one big-int product.
 
-With A_g = W[z; e+g + R(r-2,m-2)], the product-sum is the XOR
-autocorrelation of A over GF(2)^N, N = C(m-2, r-1), so Parseval collapses
-the whole outer sum over the f of one e:
+Unit translations fix e modulo lower degrees and move g only by the
+derivatives of e, which span W_e, k = dim W_e (classify's module
+docstring). So A_g = W[z; e+g + R(r-2,m-2)] is constant on the cosets of
+W_e, and block tables live on V/W_e, V = H^(r-1)(m-2), whose 2**(N-k)
+indices stand for one coset each, N = C(m-2, r-1). The product-sum over
+g is 2**k times the sum over those indices s, with g+f read at s xor the
+index of f's coset.
+
+The product-sum is the XOR autocorrelation of A over GF(2)^N, so Parseval
+collapses the whole outer sum over the f of one e:
 
     sum_f W^2[z; (e + f x) + R(r-1,m-1)] = 2**-N * sum_u Ahat_u**4,
 
 where Ahat is the Walsh-Hadamard transform of A (MacWilliams & Sloane,
-ch. 5 and 13). A is constant on each merged block b of the orbit partition
-above e, so Ahat_u = sum_b chi_b(u) * A_b, with chi_b the transform of
-b's indicator: only a 2**N x (merged blocks) table of small integers is
-transformed. Summed over the classes of e in H^(r)(m-2), weighted by size,
+ch. 5 and 13). Ahat vanishes off W_e^perp, and on it Ahat is 2**k times
+the transform Ahat' of A over V/W_e, so the sum is 2**(4k-N) * sum_u'
+Ahat'_u'**4. A is constant on each merged block b of the partition above
+e, so Ahat'_u' = sum_b chi_b(u') * A_b, with chi_b the transform of b's
+indicator: only a 2**(N-k) x (merged blocks) table of small integers is
+transformed. The partition keeps the constant [e o A]_{r-1} of every
+stabilizer generator A: over GF(2), x**2 = x, so it is not zero even for
+a linear A. Summed over the classes of e in H^(r)(m-2), weighted by size,
 this is W[z; R(r,m)] without classifying H^(r)(m-1) at all.
 run_pipeline takes that Fourier route for self-classified "blocks" runs,
 and the class sum over H^(r)(m-1) for given classes or "direct"; see its
@@ -62,8 +73,9 @@ from .classify import (
     QuotientClassification,
     ingest_classification,
     merge_by_enumerator,
-    orbit_partition,
-    singleton_partition,
+    quotient_index,
+    quotient_leader,
+    quotient_partition,
 )
 from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, coset_histograms, rm_dimension
 from .gf2 import AffineMap, top_image
@@ -140,26 +152,30 @@ def coset_enum_blocks(
 ) -> WeightEnumerator:
     """Same value as coset_enum_split, using one multiplication per block.
 
-    partition must be the (merged) orbit partition above e = partition.e
-    and block_enums its per-block coset enumerators; all g in a block share
-    their factor, so the inner factor of block b is the sum, over the g of
-    b, of the factor of the block holding g+f. The enumerators are packed
-    into big ints once, the inner sums are accumulated packed, and each
-    block costs one big-int product, so the multiplication count equals
-    the block count.
+    partition must be the (merged) orbit partition above e = partition.e,
+    of V itself or of V/W for W = span(partition.basis), and block_enums
+    its per-block coset enumerators; all g in a block share their factor,
+    so the inner factor of block b is the sum, over the g of b, of the
+    factor of the block holding g+f. Over V/W the sum over g runs over
+    coset indices s: g+f lies in the coset of s xor the index of f, and
+    each s stands for the 2**k members of its coset, k = len(basis). The
+    enumerators are packed into big ints once, the inner sums are
+    accumulated packed, and each block costs one big-int product, so the
+    multiplication count equals the block count.
     """
     nblocks = partition.block_count
     if len(block_enums) != nblocks:
         raise ValueError("one enumerator per block required")
     space = HomogeneousSpace(partition.m, partition.d)
-    f_idx = space.index_of(f)
+    f_idx = quotient_index(partition.basis, space.index_of(f))
     block_of = partition.block_of.astype(np.int64)
-    # (b, c, k): k indices g lie in block b with g+f in block c
+    # (b, c, k): k indices g lie in block b with g+f in block c; an index of
+    # V/W stands for the 2**len(basis) members of its coset
     keys, ks = np.unique(
         block_of * nblocks + block_of[np.arange(block_of.size) ^ f_idx], return_counts=True
     )
     rows, cols = np.divmod(keys, nblocks)
-    pairs = list(zip(rows.tolist(), cols.tolist(), ks.tolist()))
+    pairs = list(zip(rows.tolist(), cols.tolist(), (ks << len(partition.basis)).tolist()))
     totals = [enum.total() for enum in block_enums]
     width = _digit_width(sum(totals[b] * k * totals[c] for b, c, k in pairs))
     packed = [_pack_coeffs(enum.coeffs, width) for enum in block_enums]
@@ -386,19 +402,16 @@ def rebase_representatives(classes, lookup: QuotientClassification) -> list[Clas
 def _block_table(rec: ClassRecord, r: int, m0: int, cap: int):
     """The merged block table above a class of H^(r)(m0): (merged partition, per-block enumerators).
 
-    The partition is the orbit partition of H^(r-1)(m0) under the rep's
-    stabilizer (singleton blocks when the rep has no gens) and each
-    enumerator is W[z; rep + g + R(r-2, m0)] for the g of its block. The
-    sweep takes milliseconds and opens no pool: jobs workers take whole
-    classes, never one sweep.
+    The partition is the quotient_partition of V/W_e, V = H^(r-1)(m0),
+    under the rep's stabilizer (singleton blocks of V/W_e when the rep has
+    no gens), and each enumerator is W[z; rep + g + R(r-2, m0)] for the g
+    of its block. One leader per raw block is swept: the least V index of
+    the block's least coset. The sweep takes milliseconds and opens no
+    pool: jobs workers take whole classes, never one sweep.
     """
     r0 = r - 2
     gspace = HomogeneousSpace(m0, r0 + 1)
-    part = (
-        orbit_partition(rec.rep, rec.gens, r0, m0)
-        if rec.gens
-        else singleton_partition(rec.rep, r0, m0)
-    )
+    part = quotient_partition(rec.rep, rec.gens, r0, m0)
     # Truth tables are linear in the packed index, so each leader's word
     # is the previous word XOR the table of the step g ^ prev. Leaders
     # ascend, so singleton blocks take only N distinct steps; the step
@@ -406,7 +419,7 @@ def _block_table(rec: ClassRecord, r: int, m0: int, cap: int):
     steps = {}
     word, prev = truth_table_from_anf(rec.rep).bits, 0
     rep_words = []
-    for g in part.first.tolist():
+    for g in quotient_leader(part.basis, part.first).tolist():
         step = g ^ prev
         if step not in steps:
             steps[step] = gspace.table_of(step)
@@ -435,11 +448,11 @@ def _fourier_terms(r: int, m: int, cap: int):
     """The per-class Fourier term of R(r,m), its run constants bound, and its unit total.
 
     Refuses a transform indexed past the cap: block characters, like orbit
-    partitions, are indexed by H^(r-1)(m-2), N = C(m-2, r-1) bits. A
+    partitions, are indexed by V/W_e, at most N = C(m-2, r-1) bits. A
     class's sum_u Ahat_u**4 totals 2**N * sum_f W^2 = 2**(4N + 4 dim
     R(r-2,m-2)), so its term totals size * unit_total. The digit width
-    covers that sum and the result, 2**dim R(r,m); low_bits masks the N
-    low bits of every digit.
+    covers that sum and the result, 2**dim R(r,m); digit_ones has a 1 at
+    the foot of every digit.
     """
     nbits, n = comb(m - 2, r - 1), 1 << m
     if nbits > MAX_INDEX_BITS:
@@ -448,46 +461,56 @@ def _fourier_terms(r: int, m: int, cap: int):
         )
     unit_total = 1 << (3 * nbits + 4 * rm_dimension(r - 2, m - 2))
     width = _digit_width(max(unit_total << nbits, 1 << rm_dimension(r, m)))
-    low_bits = sum(((1 << nbits) - 1) << (width * w) for w in range(n + 1))
-    return partial(_fourier_distribution, r, m, cap, nbits, width, low_bits), unit_total
+    digit_ones = sum(1 << (width * w) for w in range(n + 1))
+    return partial(_fourier_distribution, r, m, cap, nbits, width, digit_ones), unit_total
 
 
-def _fourier_distribution(r, m, cap, nbits, width, low_bits, rec: ClassRecord):
+def _fourier_distribution(r, m, cap, nbits, width, digit_ones, rec: ClassRecord):
     """A lower class's term s * 2**-N * sum_u Ahat_u**4 of W[z; R(r,m)], and its squarings.
 
-    The class (rep e, size s) of H^(r)(m-2) builds its own block table.
-    A_g = W[z; e+g+R(r-2,m-2)] is constant on each merged block b, so
-    Ahat_u = sum_b chi_b(u) * A_b, with chi_b the Walsh-Hadamard transform
-    of b's indicator: only the 2**N x (merged blocks) indicator table is
-    transformed, and each distinct chi row is formed once. Polynomials are
-    packed into big ints of _fourier_terms' digit width, so a fourth power
-    is two squarings; equal Ahat_u are powered once and weighted by their
-    count. Signed intermediate terms may carry between digits; the power
+    The class (rep e, size s) of H^(r)(m-2) builds its own block table over
+    V/W_e, k = dim W_e. A_g = W[z; e+g+R(r-2,m-2)] is constant on each
+    coset of W_e, so Ahat_u is 0 off W_e^perp and 2**k * Ahat'_u' on it,
+    where Ahat' is the transform over the 2**(N-k) indices of V/W_e:
+    sum_u Ahat_u**4 = 2**(4k) * sum_u' Ahat'_u'**4. A is also constant on
+    each merged block b, so Ahat'_u' = sum_b chi_b(u') * A_b, with chi_b the
+    Walsh-Hadamard transform of b's indicator: only the 2**(N-k) x (merged
+    blocks) indicator table is transformed, and each distinct chi row is
+    formed once. Polynomials are packed into big ints of _fourier_terms'
+    digit width, so a fourth power is two squarings; equal Ahat' are
+    powered once and weighted by their count. The term is s * 2**(4k-N) *
+    sum_u' Ahat'_u'**4; when N > 4k the N - 4k low bits of every digit must
+    be 0. Signed intermediate terms may carry between digits; the power
     sum has proper digits.
     """
     merged, menums = _block_table(rec, r, m - 2, cap)
-    # |chi_b(u)| <= 2**N <= 2**MAX_INDEX_BITS at every butterfly stage
-    chi = np.zeros((1 << nbits, merged.block_count), dtype=np.int32)
-    chi[np.arange(1 << nbits), merged.block_of] = 1
+    size = merged.block_of.size
+    # |chi_b(u)| <= 2**(N-k) <= 2**MAX_INDEX_BITS at every butterfly stage
+    chi = np.zeros((size, merged.block_count), dtype=np.int32)
+    chi[np.arange(size), merged.block_of] = 1
     _walsh_hadamard(chi)
     # Equal rows are found by their bytes: a void view sorts far faster
     # than np.unique(axis=0), which compares column by column.
     keys = chi.view(np.dtype((np.void, chi.shape[1] * chi.itemsize))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    rows = chi[first].tolist()
+    del chi, keys
     packed = [_pack_coeffs(enum.coeffs, width) for enum in menums]
     hats: dict[int, int] = {}
-    for row, count in zip(chi[first].tolist(), counts.tolist()):
+    for row, count in zip(rows, counts.tolist()):
         hat = sum(c * p for c, p in zip(row, packed) if c)
         hats[hat] = hats.get(hat, 0) + count
     power_sum = 0
     for hat, count in hats.items():
         hat *= hat
         power_sum += count * (hat * hat)
-    if power_sum < 0 or power_sum & low_bits:
+    shift = nbits - 4 * len(merged.basis)
+    if power_sum < 0 or (shift > 0 and power_sum & digit_ones * ((1 << shift) - 1)):
         raise ValueError(
-            f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{nbits}"
+            f"Fourier sum of class {format_anf(rec.rep)} is not divisible by 2**{shift}"
         )
-    return _kronecker_unpack(rec.size * (power_sum >> nbits), 1 << m, width), 2 * len(hats)
+    power_sum = power_sum >> shift if shift > 0 else power_sum << -shift
+    return _kronecker_unpack(rec.size * power_sum, 1 << m, width), 2 * len(hats)
 
 
 def run_pipeline(
@@ -508,10 +531,10 @@ def run_pipeline(
     distribution_from_classes with per-class checkpoints and jobs workers:
 
     * Fourier (strategy "blocks", classes None): classify only H^(r)(m-2)
-      and sum size * 2**-N * sum_u Ahat_u**4 over its classes (see the
-      module docstring), each class building its own block table. The
-      counter counts big-int squarings, two per distinct Ahat_u, and its
-      label says so (FOURIER_LABEL). A transform indexed by N = C(m-2, r-1)
+      and sum size * 2**(4k-N) * sum_u' Ahat'_u'**4 over its classes (see
+      the module docstring), each class building its own block table over
+      V/W_e. The counter counts big-int squarings, two per distinct
+      Ahat'_u', and its label says so (FOURIER_LABEL). A transform indexed by N = C(m-2, r-1)
       > MAX_INDEX_BITS bits is refused before any classification.
     * Class sum (classes given as a list of ClassRecord or a file path, or
       "direct"): sum size * W^2[z; rep + R(r-1,m-1)] over the classes of
@@ -525,7 +548,7 @@ def run_pipeline(
     costs a pair of half action tables per partition. Fewer generators
     give finer raw blocks, which merge_by_enumerator joins back, so
     distributions, checkpoints and counts are the same at every value; 0
-    gives singleton partitions. Both "blocks" routes classify H^(r)(m-2)
+    gives singleton partitions of V/W_e. Both "blocks" routes classify H^(r)(m-2)
     without stabilizers and then sample, in class order, only the lower
     classes that a pending class reads, so a fresh run draws what
     QuotientClassification.compute would and a run whose classes all have

@@ -21,13 +21,15 @@ from rmenum.classify import (
     QuotientClassification,
     _action_table,
     _close_orbits,
+    _echelon,
     classify_quotient,
-    coset_action,
     gl2_generators,
     ingest_classification,
     merge_by_enumerator,
     orbit_partition,
-    singleton_partition,
+    quotient_index,
+    quotient_leader,
+    quotient_partition,
     write_classification,
 )
 from rmenum.cosetenum import batch_coset_enumerators
@@ -35,6 +37,7 @@ from rmenum.gf2 import (
     AffineMap,
     Gf2Matrix,
     apply,
+    as_affine,
     random_invertible,
     stabilizer_check,
     transform_anf,
@@ -220,6 +223,18 @@ def test_classification_never_walks_truth_tables(monkeypatch):
     run_pipeline(2, 6, classes=classify_quotient(2, 5))
 
 
+def coset_action(e, g, a, r):
+    # image index of the coset (e+g) + R(r,m) under a stabilizer element:
+    # [e o A]_{r+1} xor [g o A]_{r+1}, by substituting forms one at a time
+    a = as_affine(a)
+    if not stabilizer_check(e, a):
+        raise ValueError("substitution does not stabilize e modulo lower degrees")
+    space = HomogeneousSpace(e.m, r + 1)
+    out = homogeneous_part(transform_anf(space.anf_of(g), a), r + 1)
+    out ^= homogeneous_part(transform_anf(e, a), r + 1)
+    return space.index_of(out)
+
+
 def test_coset_action_examples():
     e = parse_anf("123", 4)
     swap12 = Gf2Matrix(4, (0b0010, 0b0001, 0b0100, 0b1000))
@@ -258,10 +273,16 @@ def test_orbit_partition_blocks_are_orbits():
     assert sum(len(b) for b in part.blocks) == space.size
 
 
-def test_singleton_partition():
-    part = singleton_partition(parse_anf("12", 3), 0, 3)
-    assert part.block_count == HomogeneousSpace(3, 1).size
+def test_quotient_partition_without_generators_is_singletons():
+    # W_e of x1x2 is spanned by its derivatives x2 and x1, so H^(1)(3)/W_e
+    # has 2 indices, each its own block; expanded, the blocks are the cosets
+    e = parse_anf("12", 3)
+    part = quotient_partition(e, [], 0, 3)
+    assert part.basis == (0b010, 0b001)
+    assert part.block_count == 2
     assert all(len(b) == 1 for b in part.blocks)
+    full = orbit_partition(e, [], 0, 3)
+    assert [set(b) for b in full.blocks] == [{0, 1, 2, 3}, {4, 5, 6, 7}]
 
 
 def test_merge_by_enumerator():
@@ -471,11 +492,11 @@ def test_closure_matches_reference_on_gl_tables(d, m):
 LADDER_LOWER = [(3, 4), (2, 5), (4, 5), (3, 5), (2, 6), (3, 6)]
 
 
-def partition_tables(r, m0):
-    # stabilizer generators plus unit translations, as orbit_partition builds
-    # them, for each class of H^(r)(m0)
+def partition_tables(r, m0, seed=0, max_gens=DEFAULT_MAX_GENS):
+    # stabilizer generators plus unit translations over all of H^(r-1)(m0),
+    # the tables the orbit partition of each class of H^(r)(m0) closes
     space = HomogeneousSpace(m0, r - 1)
-    for rec in classify_quotient(r, m0, random.Random(0)):
+    for rec in classify_quotient(r, m0, random.Random(seed), max_gens=max_gens):
         maps = list(rec.gens) + [AffineMap.translation(m0, 1 << i) for i in range(m0)]
         yield [_action_table(space, a, rec.rep) for a in maps], space.size
 
@@ -502,6 +523,114 @@ def test_closure_does_not_depend_on_the_gather_window(monkeypatch, r, m0):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
         assert len(got[1]) == len(want[1])
         assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+
+QUOTIENT_CASES = [(r, m0, seed) for seed in (0, 1, 7) for r, m0 in (*LADDER_LOWER, (4, 6))]
+
+
+@pytest.mark.parametrize(
+    "r, m0, seed", QUOTIENT_CASES, ids=[f"d{r}m{m0}-seed{seed}" for r, m0, seed in QUOTIENT_CASES]
+)
+def test_expanded_quotient_equals_the_closure_with_translations(r, m0, seed):
+    # the closure over V/W_e, expanded to V, gives the partition that closing
+    # all of V under the stabilizer generators and the unit translations gives
+    records = classify_quotient(r, m0, random.Random(seed), max_gens=PIPELINE_MAX_GENS)
+    tables = partition_tables(r, m0, seed, PIPELINE_MAX_GENS)
+    for rec, (full_tables, size) in zip(records, tables, strict=True):
+        block_of, blocks, _ = _close_orbits(full_tables, size)
+        part = orbit_partition(rec.rep, rec.gens, r - 2, m0)
+        assert np.array_equal(part.block_of, block_of), format_anf(rec.rep)
+        assert part.first.tolist() == [int(b[0]) for b in blocks]
+        assert part.block_of.dtype == np.int32 and part.first.dtype == np.uint32
+
+
+def span_rank(vectors):
+    # rank over GF(2) of packed vectors, by plain elimination on the top bit
+    basis = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
+
+
+# the lower classes of the ladder codes, R(3,8) and R(4,8)
+W_E_LOWER = [*LADDER_LOWER, (4, 6)]
+
+
+@pytest.mark.parametrize("r, m0", W_E_LOWER, ids=[f"d{r}m{m0}" for r, m0 in W_E_LOWER])
+def test_stabilizer_linear_parts_map_w_e_into_itself(r, m0):
+    # W_e is spanned by the constants of the unit-translation tables, lo[0];
+    # the partition's basis spans it, and the linear part of every sampled
+    # generator maps it into itself
+    space = HomogeneousSpace(m0, r - 1)
+    ks = []
+    for rec in classify_quotient(r, m0, random.Random(0), max_gens=PIPELINE_MAX_GENS):
+        consts = [
+            int(_action_table(space, AffineMap.translation(m0, 1 << i), rec.rep)[0][0])
+            for i in range(m0)
+        ]
+        basis = quotient_partition(rec.rep, (), r - 2, m0).basis
+        k = span_rank(consts)
+        assert len(basis) == k == span_rank([*consts, *basis])
+        ks.append(k)
+        for a in rec.gens:
+            for w in basis:
+                moved = homogeneous_part(transform_anf(space.anf_of(w), a), r - 1)
+                assert span_rank([*basis, space.index_of(moved)]) == k, format_anf(rec.rep)
+    if (r, m0) == (4, 6):
+        assert ks == [0, 4, 6, 6]
+
+
+def test_linear_stabilizers_keep_a_constant_outside_w_e():
+    # x**2 = x over GF(2), so a linear stabilizer element A of e can move the
+    # coset of 0 by [e o A]_(r-1) outside W_e; the quotient tables keep that
+    # constant. Classes of H^(3)(6), the lower forms of R(3,8), have such A.
+    space = HomogeneousSpace(6, 2)
+    outside = 0
+    for rec in classify_quotient(3, 6, random.Random(0), max_gens=PIPELINE_MAX_GENS):
+        basis = quotient_partition(rec.rep, (), 1, 6).basis
+        for a in rec.gens:
+            assert a.shift == 0
+            const = space.index_of(homogeneous_part(transform_anf(rec.rep, a), 2))
+            outside += quotient_index(basis, const) != 0
+    assert outside > 0
+
+
+def test_quotient_partition_rejects_a_map_outside_the_stabilizer():
+    e = parse_anf("123", 4)
+    cyclic = Gf2Matrix(4, (0b1000, 0b0001, 0b0010, 0b0100))
+    singular = Gf2Matrix(4, (0b0001, 0b0001, 0b0100, 0b1000))
+    for gen in (cyclic, singular):
+        with pytest.raises(ValueError, match="does not stabilize"):
+            quotient_partition(e, [gen], 1, 4)
+        with pytest.raises(ValueError, match="does not stabilize"):
+            orbit_partition(e, [gen], 1, 4)
+
+
+def test_quotient_index_and_leader():
+    # every coset of a random W has one index, its leader is its least
+    # member, and leaders ascend with the index
+    rng = random.Random(5)
+    for nbits in (1, 4, 9):
+        for _ in range(4):
+            vectors = [rng.randrange(1 << nbits) for _ in range(rng.randrange(nbits + 1))]
+            basis = _echelon(vectors)
+            k = span_rank(vectors)
+            assert len(basis) == k
+            span = {0}
+            for w in basis:
+                span |= {v ^ w for v in span}
+            index = quotient_index(basis, np.arange(1 << nbits, dtype=np.int64))
+            assert set(index.tolist()) == set(range(1 << (nbits - k)))
+            for g in range(1 << nbits):
+                assert index[g] == quotient_index(basis, g)
+                assert quotient_leader(basis, int(index[g])) == min(g ^ w for w in span)
+            leaders = quotient_leader(basis, np.arange(1 << (nbits - k)))
+            assert (np.diff(leaders) > 0).all()
 
 
 # and of R(2,9) at seeds 0-2: the lower classes run_pipeline partitions. The

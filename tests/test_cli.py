@@ -94,7 +94,7 @@ def test_pipeline_matches_brute_data(tmp_path, capsys):
 def test_pipeline_fourier_route_counts_big_int_squarings(capsys):
     code, stdout, _ = run(capsys, "pipeline", "--r", "3", "--m", "7")
     assert code == 0
-    assert "26 big-int multiplications (squarings, Fourier route)" in stdout
+    assert "22 big-int multiplications (squarings, Fourier route)" in stdout
     assert "polynomial multiplications" not in stdout
 
 

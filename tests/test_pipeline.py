@@ -17,11 +17,13 @@ from rmenum.boolfn import (
 from rmenum.classify import (
     DEFAULT_MAX_GENS,
     ClassRecord,
+    Partition,
     QuotientClassification,
     classify_quotient,
     merge_by_enumerator,
     orbit_partition,
-    singleton_partition,
+    quotient_leader,
+    quotient_partition,
     write_classification,
 )
 from rmenum.cosetenum import (
@@ -36,13 +38,14 @@ from rmenum.pipeline import (
     PIPELINE_MAX_GENS,
     MulCounter,
     _block_table,
+    _fourier_terms,
     coset_enum_blocks,
     coset_enum_split,
     distribution_from_classes,
     rebase_representatives,
     run_pipeline,
 )
-from rmenum.wenum import WeightEnumerator, write_distribution
+from rmenum.wenum import WeightEnumerator, square, write_distribution
 
 
 def split_reference(e, f, r, m):
@@ -80,32 +83,38 @@ def test_split_rejects_inhomogeneous():
 
 
 def test_blocks_equal_split_with_fewer_multiplications():
+    # on the orbit partition of V and on the same blocks over V/W_e
     e = parse_anf("123", 5)
     cls = QuotientClassification.compute(3, 5)
     rec = next(r for r in cls.records if r.rep == e)
-    part = orbit_partition(e, rec.gens, 1, 5)
     space = HomogeneousSpace(5, 2)
     e_bits = truth_table_from_anf(e).bits
     tables = space.all_tables()
-    raw = batch_coset_enumerators([e_bits ^ tables[b[0]] for b in part.blocks], 1, 5)
-    merged, menums = merge_by_enumerator(part, raw)
+    built = []
+    for part in (orbit_partition(e, rec.gens, 1, 5), quotient_partition(e, rec.gens, 1, 5)):
+        leaders = quotient_leader(part.basis, part.first).tolist()
+        raw = batch_coset_enumerators([e_bits ^ tables[g] for g in leaders], 1, 5)
+        built.append(merge_by_enumerator(part, raw))
+    (full, full_enums), (merged, menums) = built
+    assert len(merged.basis) == 3 and full_enums == menums
 
-    f_space = HomogeneousSpace(5, 2)
     rng = random.Random(19)
     for _ in range(4):
-        f = f_space.anf_of(rng.randrange(f_space.size))
+        f = space.anf_of(rng.randrange(space.size))
         c_split = MulCounter()
+        c_full = MulCounter()
         c_blocks = MulCounter()
         want = coset_enum_split(e, f, 1, 5, counter=c_split)
-        got = coset_enum_blocks(f, merged, menums, counter=c_blocks)
-        assert got == want
-        assert c_blocks.count == merged.block_count < c_split.count
+        assert coset_enum_blocks(f, full, full_enums, counter=c_full) == want
+        assert coset_enum_blocks(f, merged, menums, counter=c_blocks) == want
+        assert c_blocks.count == c_full.count == merged.block_count < c_split.count
 
 
 def test_blocks_on_singleton_blocks_equal_split():
     # unmerged singleton blocks: one product per index of H^(2)(4)
     e = parse_anf("123", 4)
-    part = singleton_partition(e, 1, 4)
+    size = HomogeneousSpace(4, 2).size
+    part = Partition(e, 2, 4, np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32))
     e_bits = truth_table_from_anf(e).bits
     enums = batch_coset_enumerators([e_bits ^ t for t in HomogeneousSpace(4, 2).all_tables()], 1, 4)
     rng = random.Random(37)
@@ -221,7 +230,7 @@ def test_fully_checkpointed_resume_builds_no_block_table(monkeypatch, tmp_path, 
     def no_sampling(*args, **kwargs):
         raise AssertionError("a fully checkpointed resume sampled stabilizers")
 
-    monkeypatch.setattr(pipeline, "orbit_partition", forbidden)
+    monkeypatch.setattr(pipeline, "quotient_partition", forbidden)
     monkeypatch.setattr(pipeline, "batch_coset_enumerators", forbidden)
     # rebasing reads only the lower transversals, and no class is pending
     monkeypatch.setattr(QuotientClassification, "_schreier_sample", no_sampling)
@@ -545,17 +554,17 @@ def test_fresh_run_partitions_every_lower_class_as_compute_samples_it(monkeypatc
     built = []
 
     def spy(e, gens, r0, m0):
-        part = orbit_partition(e, gens, r0, m0)
+        part = quotient_partition(e, gens, r0, m0)
         built.append((e, len(gens), part.block_count, part.block_of.tobytes()))
         return part
 
-    monkeypatch.setattr(pipeline, "orbit_partition", spy)
+    monkeypatch.setattr(pipeline, "quotient_partition", spy)
     classes = classify_quotient(r, m - 1, random.Random(4), max_gens=0) if given else None
     run_pipeline(r, m, classes=classes, seed=seed)
     lower = QuotientClassification.compute(r, m - 2, random.Random(seed), PIPELINE_MAX_GENS)
     want = []
     for rec in lower.records:
-        part = orbit_partition(rec.rep, rec.gens, r - 2, m - 2)
+        part = quotient_partition(rec.rep, rec.gens, r - 2, m - 2)
         want.append((rec.rep, len(rec.gens), part.block_count, part.block_of.tobytes()))
     assert built == want
 
@@ -566,6 +575,47 @@ def test_pipeline_budget_does_not_change_outputs(r, m):
     want = run_pipeline(r, m, counter=full, max_gens=DEFAULT_MAX_GENS)
     assert run_pipeline(r, m, counter=default) == want
     assert (default.count, default.label) == (full.count, full.label)
+
+
+# Two squarings per distinct row of the transform over V/W_e, summed over
+# the lower classes; the zero rows off W_e^perp never occur.
+FOURIER_COUNTS = {
+    (3, 6): 10,
+    (2, 7): 12,
+    (4, 7): 12,
+    (3, 7): 22,
+    (2, 8): 14,
+    (3, 8): 82,
+    (2, 9): 16,
+}
+
+
+@pytest.mark.parametrize("r, m", FOURIER_COUNTS, ids=[f"r{r}m{m}" for r, m in FOURIER_COUNTS])
+def test_fourier_counts_are_pinned(r, m):
+    counter = MulCounter()
+    run_pipeline(r, m, counter=counter)
+    assert (counter.count, counter.label) == (FOURIER_COUNTS[r, m], FOURIER_LABEL)
+
+
+@pytest.mark.parametrize("r, m", [(3, 6), (2, 7)], ids=["r3m6", "r2m7"])
+def test_fourier_term_equals_the_sum_over_f(r, m):
+    # size * 2**(4k-N) * sum_u' Ahat'_u'**4 is size * sum_f W^2[z; (e + f x) +
+    # R(r-1,m-1)], the plain product-sums, both when N > 4k (the zero class,
+    # a divisibility check) and when N <= 4k (a left shift)
+    contribution, unit_total = _fourier_terms(r, m, DEFAULT_CAP)
+    space = HomogeneousSpace(m - 2, r - 1)
+    regimes = set()
+    for rec in classify_quotient(r, m - 2, random.Random(0), max_gens=PIPELINE_MAX_GENS):
+        k = len(quotient_partition(rec.rep, (), r - 2, m - 2).basis)
+        regimes.add(space.nbits > 4 * k)
+        coeffs, _ = contribution(rec)
+        want = WeightEnumerator(1 << m, [0] * ((1 << m) + 1))
+        for f in range(space.size):
+            enum = coset_enum_split(rec.rep, space.anf_of(f), r - 2, m - 2)
+            want = want + WeightEnumerator(1 << m, [c * rec.size for c in square(enum).coeffs])
+        assert list(coeffs) == list(want.coeffs), rec.rep
+        assert sum(coeffs) == rec.size * unit_total
+    assert regimes == {True, False}
 
 
 def test_r38_at_desk_scale():
