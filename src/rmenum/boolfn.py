@@ -117,16 +117,18 @@ def monomial_table(mask: int, m: int) -> int:
     return out
 
 
-_LOW_MASKS: dict[int, list[int]] = {}
+@lru_cache(maxsize=None)
+def _low_masks(m: int) -> tuple[int, ...]:
+    full = (1 << (1 << m)) - 1
+    return tuple(full ^ variable_table(i + 1, m) for i in range(m))
 
 
-def _low_masks(m: int) -> list[int]:
-    masks = _LOW_MASKS.get(m)
-    if masks is None:
-        full = (1 << (1 << m)) - 1
-        masks = [full ^ variable_table(i + 1, m) for i in range(m)]
-        _LOW_MASKS[m] = masks
-    return masks
+def xor_span(vectors) -> list[int]:
+    """Entry x is the XOR of the vectors at the set bits of x (XOR-doubling)."""
+    span = [0]
+    for v in vectors:
+        span += [s ^ v for s in span]
+    return span
 
 
 def mobius_transform(bits: int, m: int) -> int:
@@ -315,9 +317,4 @@ class HomogeneousSpace:
 
     def all_tables(self) -> list[int]:
         """Truth tables of every form in the space, indexed by packed index."""
-        mono = [monomial_table(mask, self.m) for mask in self.masks]
-        out = [0] * self.size
-        for idx in range(1, self.size):
-            low = idx & -idx
-            out[idx] = out[idx ^ low] ^ mono[low.bit_length() - 1]
-        return out
+        return xor_span(monomial_table(mask, self.m) for mask in self.masks)

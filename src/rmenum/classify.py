@@ -22,8 +22,10 @@ the translations, coset by coset. V/W_e is indexed by reduced vectors: a
 reduced echelon basis of W_e (pivot = top bit) clears the pivot bits of g,
 which leaves the least member of g's coset, and dropping the pivot bits
 packs it into N - k bits (quotient_index; quotient_leader puts the zeros
-back). Because x**2 = x over GF(2), [e o A]_{r+1} is not zero even for a
-linear stabilizer element, so every action keeps its constant.
+back). The basis comes from gf2._echelon, the elimination that
+Gf2Matrix.rank and inverse read too. Because x**2 = x over GF(2),
+[e o A]_{r+1} is not zero even for a linear stabilizer element, so every
+action keeps its constant.
 
 Both actions are affine over GF(2) in the packed coefficient vector, so a
 generator splits exactly into two half tables over its N index bits: lo,
@@ -65,10 +67,12 @@ from .boolfn import (
     format_anf,
     mobius_transform,
     parse_anf,
+    xor_span,
 )
 from .gf2 import (
     AffineMap,
     Gf2Matrix,
+    _echelon,
     as_affine,
     stabilizer_check,
     substitute,
@@ -144,23 +148,6 @@ def _action_table(
     return _halves(const, [space.index_of_indicator(image((mask,))) for mask in space.masks])
 
 
-def _echelon(vectors) -> tuple[int, ...]:
-    """Reduced echelon basis of the span of vectors, pivot = top bit, pivots descending.
-
-    No basis vector has a bit at another one's pivot.
-    """
-    basis = []
-    for v in vectors:
-        for w in basis:
-            if v >> (w.bit_length() - 1) & 1:
-                v ^= w
-        if v:
-            pivot = v.bit_length() - 1
-            basis = [w ^ v if w >> pivot & 1 else w for w in basis]
-            basis.append(v)
-    return tuple(sorted(basis, reverse=True))
-
-
 def quotient_index(basis, g):
     """Index in V/W of the coset of g, W spanned by a reduced echelon basis (pivots descending).
 
@@ -199,17 +186,6 @@ def _next_unassigned(via: np.ndarray, start: int) -> int:
             return start + k
         start += _SCAN_WINDOW
     return size
-
-
-def _linear_table(g: Gf2Matrix) -> list[int]:
-    """lin[x] = XOR of g.rows over the set bits of x.
-
-    So (A @ g).rows == tuple(lin[r] for r in A.rows) for any A.
-    """
-    lin = [0]
-    for row in g.rows:
-        lin += [v ^ row for v in lin]
-    return lin
 
 
 def _close_orbits(tables, size: int):
@@ -437,7 +413,9 @@ class QuotientClassification:
         self._mask = (1 << self._shift) - 1
         self._tables = [(lo.tolist(), hi.tolist()) for lo, hi in tables]
         self._inverses = [(lo.tolist(), hi.tolist()) for lo, hi in inverses]
-        self._lin = [_linear_table(g) for g in gens]
+        # lin[x] is the XOR of g.rows at the set bits of x, so the rows of
+        # A @ g are tuple(map(lin.__getitem__, A.rows)).
+        self._lin = [xor_span(g.rows) for g in gens]
         self._identity_rows = Gf2Matrix.identity(m).rows
         self._involutive = [
             tuple(map(lin.__getitem__, g.rows)) == self._identity_rows
@@ -545,7 +523,7 @@ class QuotientClassification:
             t_ys = self.transversal(ys)
             if moved == t_ys.rows:
                 continue
-            inv_lin = _linear_table(t_ys.inverse())
+            inv_lin = xor_span(t_ys.inverse().rows)
             sigma = Gf2Matrix(self.m, tuple(map(inv_lin.__getitem__, moved)))
             if sigma.rows in seen:
                 continue

@@ -147,8 +147,10 @@ def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1
     are cut into min(jobs, segments) contiguous ranges, one per worker, and
     each worker sweeps its range for every rep; the workers' histograms are
     summed, so each one holds a full len(reps) x (2**m + 1) array. Every
-    row must total 2**dim, or ValueError is raised.
+    row must total 2**dim, or ValueError is raised, as it is for jobs < 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     dim = rm_dimension(r, m)
     if 1 << dim > cap:
         raise ValueError(f"2**{dim} codewords exceed the cap of {cap}")

@@ -17,6 +17,15 @@ Substituting an invertible map never raises degree and changes only the
 parts below the top degree, which is what the classification machinery
 relies on: the induced action on degree-d homogeneous parts is a genuine
 group action.
+
+_echelon is the package's one elimination: a reduced echelon basis, pivot =
+top bit. rank is the length of the basis of the rows; classify reads the
+basis for the span W_e. inverse eliminates each row k beside its unit
+vector, as (row << m) | (1 << k). The matrix is nonsingular exactly when
+every pivot lies in the high m bits; the basis vector with pivot m + j then
+has high part 1 << j, so its low m bits, the unit vectors summed to reach
+it, are row j of the inverse, and the rows come out in ascending pivot
+order.
 """
 
 from __future__ import annotations
@@ -31,6 +40,23 @@ from .boolfn import (
     homogeneous_part,
     variable_table,
 )
+
+
+def _echelon(vectors) -> tuple[int, ...]:
+    """Reduced echelon basis of the span of vectors, pivot = top bit, pivots descending.
+
+    No basis vector has a bit at another one's pivot.
+    """
+    basis = []
+    for v in vectors:
+        for w in basis:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        if v:
+            pivot = v.bit_length() - 1
+            basis = [w ^ v if w >> pivot & 1 else w for w in basis]
+            basis.append(v)
+    return tuple(sorted(basis, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -81,47 +107,20 @@ class Gf2Matrix:
         return Gf2Matrix(self.m, tuple(self.column(j) for j in range(self.m)))
 
     def rank(self) -> int:
-        rows = list(self.rows)
-        rank = 0
-        for j in range(self.m):
-            pivot = None
-            for i in range(rank, self.m):
-                if (rows[i] >> j) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(self.m):
-                if i != rank and (rows[i] >> j) & 1:
-                    rows[i] ^= rows[rank]
-            rank += 1
-        return rank
+        return len(_echelon(self.rows))
 
     def is_invertible(self) -> bool:
         return self.rank() == self.m
 
     def inverse(self) -> "Gf2Matrix":
+        """The B with B @ A == identity; see the module docstring. Raises if A is singular."""
         m = self.m
-        rows = list(self.rows)
-        aug = [1 << i for i in range(m)]
-        rank = 0
-        for j in range(m):
-            pivot = None
-            for i in range(rank, m):
-                if (rows[i] >> j) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            for i in range(m):
-                if i != rank and (rows[i] >> j) & 1:
-                    rows[i] ^= rows[rank]
-                    aug[i] ^= aug[rank]
-            rank += 1
-        return Gf2Matrix(m, tuple(aug))
+        basis = _echelon([(row << m) | (1 << k) for k, row in enumerate(self.rows)])
+        # pivots descend, so the last one is the least
+        if basis and basis[-1] >> m == 0:
+            raise ValueError("matrix is singular")
+        low = (1 << m) - 1
+        return Gf2Matrix(m, tuple([w & low for w in reversed(basis)]))
 
     def to_text(self) -> str:
         """Rows as bit strings, leftmost character the x_1 coefficient."""
@@ -183,22 +182,6 @@ def apply(t: TruthTable, a) -> TruthTable:
         y ^= cols[flip]
         out |= ((t.bits >> y) & 1) << x
     return TruthTable(m, out)
-
-
-def compose(a, b) -> AffineMap:
-    """Map with apply(f, compose(a, b)) == apply(apply(f, b), a)."""
-    a, b = as_affine(a), as_affine(b)
-    if a.m != b.m:
-        raise ValueError("mixed dimensions")
-    matrix = b.matrix @ a.matrix
-    shift = b.matrix.mul_vec(a.shift) ^ b.shift
-    return AffineMap(matrix, shift)
-
-
-def invert(a) -> AffineMap:
-    a = as_affine(a)
-    inv = a.matrix.inverse()
-    return AffineMap(inv, inv.mul_vec(a.shift))
 
 
 def substituted_tables(a) -> list[int]:

@@ -345,8 +345,11 @@ def distribution_from_classes(
     each term is exact, and the result is identical for every jobs value.
     With a checkpoint directory, finished terms are persisted, headed by
     route unless it is None, and resumed after header and total checks;
-    the counter only sees multiplications actually performed.
+    the counter only sees multiplications actually performed. jobs < 1
+    raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ordered = _class_order(classes, d, m1)
     contributions: dict[int, WeightEnumerator] = {}
     if checkpoint:
@@ -567,6 +570,8 @@ def run_pipeline(
         raise ValueError(f"need 2 <= r <= m and m >= 3, got r={r} m={m}")
     if strategy not in ("direct", "blocks"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     m1, m0, r0 = m - 1, m - 2, r - 2
     rng = random.Random(seed)
     fourier = strategy == "blocks" and classes is None

@@ -21,7 +21,6 @@ from rmenum.classify import (
     QuotientClassification,
     _action_table,
     _close_orbits,
-    _echelon,
     classify_quotient,
     gl2_generators,
     ingest_classification,
@@ -36,6 +35,7 @@ from rmenum.cosetenum import batch_coset_enumerators
 from rmenum.gf2 import (
     AffineMap,
     Gf2Matrix,
+    _echelon,
     apply,
     as_affine,
     random_invertible,

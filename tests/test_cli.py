@@ -36,6 +36,13 @@ def test_brute_cap_error(capsys):
     assert "exceeds the cap" in stderr
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_brute_rejects_jobs_below_one(capsys, jobs):
+    code, _, stderr = run(capsys, "brute", "--r", "2", "--m", "5", "--jobs", jobs)
+    assert code == 2
+    assert f"error: jobs must be at least 1, got {jobs}" in stderr
+
+
 def test_coset_prints_polynomials(capsys):
     code, stdout, _ = run(capsys, "coset", "--anf", "0", "--r", "1", "--m", "3")
     assert code == 0

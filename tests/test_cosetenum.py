@@ -145,6 +145,17 @@ def test_batch_jobs_invariance():
     assert (a == b).all()
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_coset_histograms_rejects_jobs_below_one(monkeypatch, jobs):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran before the jobs check")
+
+    monkeypatch.setattr(cosetenum, "_gray_histograms", forbidden)
+    for reps in ([0], []):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            coset_histograms(reps, 2, 5, jobs=jobs)
+
+
 def test_affine_invariance():
     # W[z; (f o A) + R(r,m)] = W[z; f + R(r,m)] for affine A
     rng = random.Random(31)

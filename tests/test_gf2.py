@@ -13,9 +13,7 @@ from rmenum.gf2 import (
     AffineMap,
     Gf2Matrix,
     apply,
-    compose,
     find_equivalence,
-    invert,
     random_invertible,
     stabilizer_check,
     substituted_tables,
@@ -56,6 +54,68 @@ def test_singular_inverse_raises():
         Gf2Matrix(2, (0b01, 0b01)).inverse()
 
 
+def span_size(rows):
+    """Number of distinct subset-XORs of rows, by listing them."""
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return len(span)
+
+
+def check_rank_and_inverse(a, want_inverse):
+    """a.rank() from the span size; a.inverse() is want_inverse, or raises when that is None."""
+    assert 1 << a.rank() == span_size(a.rows)
+    assert a.is_invertible() == (want_inverse is not None)
+    if want_inverse is None:
+        with pytest.raises(ValueError, match="singular"):
+            a.inverse()
+    else:
+        assert a.inverse() == want_inverse
+
+
+def test_rank_and_inverse_of_every_small_matrix():
+    # every A with m <= 3 (512 for m = 3) against the B with B @ A == I,
+    # found by trying every B
+    for m in range(4):
+        eye = Gf2Matrix.identity(m)
+        mats = [
+            Gf2Matrix(m, tuple(code >> (m * k) & ((1 << m) - 1) for k in range(m)))
+            for code in range(1 << (m * m))
+        ]
+        left_inverse = {}
+        for b in mats:
+            for a in mats:
+                if b @ a == eye:
+                    assert a not in left_inverse
+                    left_inverse[a] = b
+        assert len(left_inverse) == {0: 1, 1: 1, 2: 6, 3: 168}[m]  # |GL(m,2)|
+        for a in mats:
+            check_rank_and_inverse(a, left_inverse.get(a))
+
+
+def test_rank_and_inverse_of_random_matrices():
+    rng = random.Random(12)
+    for m in range(4, 10):
+        eye = Gf2Matrix.identity(m)
+        for _ in range(8):
+            a = Gf2Matrix(m, tuple(rng.getrandbits(m) for _ in range(m)))
+            if 1 << m != span_size(a.rows):
+                check_rank_and_inverse(a, None)
+                continue
+            inv = a.inverse()
+            assert inv @ a == eye and a @ inv == eye
+            check_rank_and_inverse(a, inv)
+            # a singular one: row k replaced by a sum of other rows
+            k = rng.randrange(m)
+            others = [row for i, row in enumerate(a.rows) if i != k]
+            dep = 0
+            for row in rng.sample(others, rng.randrange(m)):
+                dep ^= row
+            rows = list(a.rows)
+            rows[k] = dep
+            check_rank_and_inverse(Gf2Matrix(m, tuple(rows)), None)
+
+
 def test_mul_vec_matches_columns():
     rng = random.Random(3)
     a = random_invertible(5, rng)
@@ -90,25 +150,6 @@ def test_apply_pointwise():
     f = truth_table_from_anf(parse_anf("1", 2))
     g = apply(f, swap)
     assert g == truth_table_from_anf(parse_anf("2", 2))
-
-
-def test_apply_compose_contract():
-    rng = random.Random(6)
-    for _ in range(20):
-        m = rng.randrange(1, 6)
-        f = rand_table(rng, m)
-        a = rand_affine(rng, m)
-        b = rand_affine(rng, m)
-        assert apply(f, compose(a, b)) == apply(apply(f, b), a)
-
-
-def test_invert_round_trip():
-    rng = random.Random(7)
-    for _ in range(20):
-        m = rng.randrange(1, 6)
-        f = rand_table(rng, m)
-        a = rand_affine(rng, m)
-        assert apply(apply(f, a), invert(a)) == f
 
 
 def test_transform_anf_matches_apply():

@@ -137,6 +137,23 @@ def test_distribution_from_classes_validates_sizes():
         distribution_from_classes(short, 2, 4, lambda rec: ([0] * 33, 0), 32, 1)
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_rejected_before_any_work(monkeypatch, jobs):
+    import rmenum.pipeline as pipeline
+
+    classes = classify_quotient(2, 4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done before the jobs check")
+
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
+    monkeypatch.setattr(pipeline, "_class_order", forbidden)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        distribution_from_classes(classes, 2, 4, forbidden, 32, 1, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_pipeline(3, 6, jobs=jobs)
+
+
 def test_pipeline_matches_brute_force_small():
     for r, m in [(2, 4), (2, 5), (3, 4)]:
         for strategy in ("direct", "blocks"):
