@@ -42,9 +42,13 @@ stabilizer generators, which must be invertible, act bijectively. So the
 BFS closure needs no dedup and no sort per level; it keeps the whole
 forest in one small array, via, where via[v] is 0 for an index not
 reached yet, 1 for a seed and 2 + gi when generator gi first reached v
-from the level above. The fresh check and
-the write touch only that array, and block_of is written once per
-finished block. The parent of v is the unique preimage of v under
+from the level above. The fresh check and the write touch only that
+array, and the class map is written one BFS level at a time in the
+narrowest unsigned type that holds the block count. Per index the
+closure keeps 1 byte of via plus the class map, 1 byte up to 256 blocks,
+and no member list: a block is known by its seed, which is its least
+index, and its size. The sorted members of a class are built only while its
+stabilizer is sampled. The parent of v is the unique preimage of v under
 gens[via[v] - 2], one lookup in the half tables of that generator's
 inverse. A table that was not a permutation could put an index into a
 block twice, and the closure raises unless the block sizes sum to the
@@ -83,10 +87,13 @@ from .wenum import WeightEnumerator, _opened
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
 _SCAN_WINDOW = 1 << 12
-# Images gathered per take in _close_orbits. Measured on R(4,8)'s orbit
-# partitions (2**20 indices, up to 70 generators): 2**20 is about 40 % slower,
-# 2**16 no faster, and wider windows only grow the temporaries.
-_GATHER_WINDOW = 1 << 18
+# Images gathered per take in _close_orbits, and class-map entries scanned
+# per window in QuotientClassification._members. Measured on R(4,8)'s
+# partitions (2**20 indices, 12 and 64 generators) and the closure of
+# H^(2)(7) (2**21): 2**15 through 2**20 run in the same time within noise,
+# 2**12 about 20 % slower, while the traced peak of the 64-generator
+# partitions grows from 6.3 MB at 2**15 to 13 MB at 2**18 and 32 MB at 2**20.
+_GATHER_WINDOW = 1 << 15
 
 
 def gl2_generators(m: int) -> list[Gf2Matrix]:
@@ -194,17 +201,26 @@ def _close_orbits(tables, size: int):
     tables holds one (lo, hi) pair per generator, all of one shape: the
     image of v is lo[v % L] ^ hi[v // L] with L = len(lo), a power of two
     or at least size (then hi is [0]; any permutation p of the indices is
-    the pair (p, [0])). Returns (block_of, blocks, via): the block of each
-    index, each block's sorted members, and the BFS forest as one mark per
-    index (0 unreached, 1 seed, 2 + gi reached by tables[gi] from the level
-    above). via is uint8 unless there are more than 254 tables. All halves
-    are stacked once, so each level gathers the images of a window of
-    generators in two flat takes of about _GATHER_WINDOW entries; the fresh
-    test and the marks still go generator by generator. Every table is a
-    permutation, so one generator's fresh images are distinct and only via
-    is read and written per image; block_of is written once per finished
-    block. A table that is not injective could add an index to a block
-    twice; the block sizes must therefore sum to the space size.
+    the pair (p, [0])). Returns (block_of, first, sizes, via): the block of
+    each index, each block's least index and size, and the BFS forest as
+    one mark per index (0 unreached, 1 seed, 2 + gi reached by tables[gi]
+    from the level above). via is uint8 unless there are more than 254
+    tables; block_of is the narrowest unsigned type that holds the block
+    count, uint8 until a 257th block widens it. So the closure keeps 2
+    bytes per index for up to 254 tables and 256 blocks, and no member
+    list: block_of is written one BFS level at a time, a block's size is
+    the sum of its level sizes, and its least index is its seed, since
+    _next_unassigned hands out seeds in ascending order and every smaller
+    index already lies in an earlier block.
+
+    All halves are stacked once. A level gathers the images of a window of
+    generators in two flat takes of at most _GATHER_WINDOW entries; a
+    larger level is taken in chunks of that many nodes, one generator after
+    another, so the takes stay bounded and via is the same. The fresh test
+    and the marks go generator by generator. Every table is a permutation,
+    so one generator's fresh images are distinct and only via is read and
+    written per image. A table that is not injective could add an index to
+    a block twice; the block sizes must therefore sum to the space size.
     """
     lo_len, hi_len = len(tables[0][0]), len(tables[0][1])
     shift = (lo_len - 1).bit_length()
@@ -214,38 +230,41 @@ def _close_orbits(tables, size: int):
     lo_off = np.arange(len(tables), dtype=np.intp)[:, None] * lo_len
     hi_off = np.arange(len(tables), dtype=np.intp)[:, None] * hi_len
     via = np.zeros(size, dtype=np.min_scalar_type(len(tables) + 1))
-    block_of = np.empty(size, dtype=np.int32)
-    blocks = []
-    total = 0
+    block_of = np.empty(size, dtype=np.uint8)
+    first, sizes = [], []
     seed = _next_unassigned(via, 0)
     while seed < size:
+        bid = len(first)
+        if bid > np.iinfo(block_of.dtype).max:
+            block_of = block_of.astype(np.min_scalar_type(bid))
         via[seed] = 1
         frontier = np.array([seed], dtype=np.intp)
-        members = []
+        count = 0
         while frontier.size:
-            members.append(frontier.astype(np.uint32))
-            low, high = frontier & mask, frontier >> shift
+            block_of[frontier] = bid
+            count += frontier.size
+            chunk = min(frontier.size, _GATHER_WINDOW)
             step = max(1, _GATHER_WINDOW // frontier.size)
             grown = []
             for start in range(0, len(tables), step):
-                rows = los.take(lo_off[start : start + step] + low)
-                rows ^= his.take(hi_off[start : start + step] + high)
-                for gi, images in enumerate(rows, start):
-                    vals = images[via[images] == 0]
-                    if not vals.size:
-                        continue
-                    via[vals] = 2 + gi
-                    grown.append(vals)
+                for part in range(0, frontier.size, chunk):
+                    nodes = frontier[part : part + chunk]
+                    rows = los.take(lo_off[start : start + step] + (nodes & mask))
+                    rows ^= his.take(hi_off[start : start + step] + (nodes >> shift))
+                    for gi, images in enumerate(rows, start):
+                        vals = images[via[images] == 0]
+                        if not vals.size:
+                            continue
+                        via[vals] = 2 + gi
+                        grown.append(vals)
             frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.intp)
-        block = np.concatenate(members)
-        block.sort()
-        block_of[block] = len(blocks)
-        blocks.append(block)
-        total += block.size
+        first.append(seed)
+        sizes.append(count)
         seed = _next_unassigned(via, seed + 1)
+    total = sum(sizes)
     if total != size:
         raise ValueError(f"orbit sizes sum to {total}, not {size}: a table is not a permutation")
-    return block_of, blocks, via
+    return block_of, np.array(first, dtype=np.uint32), np.array(sizes, dtype=np.int64), via
 
 
 @dataclass(frozen=True)
@@ -333,8 +352,8 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
         tables.append(_halves(const, cols))
     size = 1 << len(free)
     if tables:
-        block_of, blocks, _ = _close_orbits(tables, size)
-        first = np.array([b[0] for b in blocks], dtype=np.uint32)
+        block_of, first, _, _ = _close_orbits(tables, size)
+        block_of = block_of.astype(np.int32)
     else:
         block_of, first = np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32)
     return Partition(e=e, d=r + 1, m=m, block_of=block_of, first=first, basis=basis)
@@ -391,21 +410,27 @@ class QuotientClassification:
     is its preimage under the generator that reached it: one lookup in the
     half tables of that generator's inverse. Representatives are the least
     packed index of each class; classes are numbered in representative
-    order, and members[cid] holds the sorted member indices of class cid.
-    Stabilizer generators are drawn per class by stabilizer_gens, which
-    compute calls for every class in class order; a caller that needs
-    only some stabilizers computes with max_gens=0 and draws those.
+    order, and class_of[idx] is the class of index idx, in the narrowest
+    unsigned type that holds the class count (uint8 for every space under
+    the cap today). Per index the object keeps 1 byte of via plus class_of,
+    and no member list. Stabilizer generators are drawn per class by
+    stabilizer_gens, which compute calls for every class in class order; a
+    caller that needs only some stabilizers computes with max_gens=0 and
+    draws those. A draw builds the sorted members of its class from
+    class_of and frees them after the draw.
     """
 
-    def __init__(self, d, m, space, class_of, via, tables, inverses, gens, members):
+    def __init__(self, d, m, space, class_of, via, tables, inverses, gens, first, sizes):
         self.d = d
         self.m = m
         self.space = space
-        self.records = [ClassRecord(rep=space.anf_of(int(b[0])), size=len(b)) for b in members]
+        self.records = [
+            ClassRecord(rep=space.anf_of(int(s)), size=int(n)) for s, n in zip(first, sizes)
+        ]
         self.class_of = class_of
         self._via = via
+        self._first = first
         self.gens = gens
-        self.members = members
         # A zero-copy view and half-table lists that index to plain ints for
         # the transversal walk and the Schreier draws.
         self._via_view = memoryview(via)
@@ -430,6 +455,7 @@ class QuotientClassification:
         rng: random.Random | None = None,
         max_gens: int = DEFAULT_MAX_GENS,
     ) -> "QuotientClassification":
+        _check_max_gens(max_gens)
         rng = rng if rng is not None else random.Random(0)
         space = HomogeneousSpace(m, d)
         if space.nbits > MAX_INDEX_BITS:
@@ -439,8 +465,10 @@ class QuotientClassification:
         gens = gl2_generators(m)
         tables = [_action_table(space, AffineMap(g, 0)) for g in gens]
         inverses = [_action_table(space, AffineMap(g.inverse(), 0)) for g in gens]
-        class_of, members, via = _close_orbits(tables, space.size)
-        cls = QuotientClassification(d, m, space, class_of, via, tables, inverses, gens, members)
+        class_of, first, sizes, via = _close_orbits(tables, space.size)
+        cls = QuotientClassification(
+            d, m, space, class_of, via, tables, inverses, gens, first, sizes
+        )
         if max_gens > 0:
             cls.records = [
                 replace(rec, gens=cls.stabilizer_gens(cid, rng, max_gens))
@@ -454,10 +482,32 @@ class QuotientClassification:
         The draws come from rng, so the generators of a class depend on the
         classes sampled before it from the same rng. The transversal memo is
         cleared afterwards, so it never holds more than one class's walks.
+        The class's sorted members are built for the draw (see _members)
+        and dropped with it; max_gens 0 draws nothing and builds nothing.
         """
-        gens = self._schreier_sample(self.records[cid].rep, self.members[cid], rng, max_gens)
+        _check_max_gens(max_gens)
+        if max_gens == 0:
+            return ()
+        gens = self._schreier_sample(self.records[cid].rep, cid, rng, max_gens)
         self._memo.clear()
         return tuple(gens)
+
+    def _members(self, cid: int) -> np.ndarray:
+        """Sorted uint32 member indices of class cid.
+
+        The class map is scanned from the class seed, its least member, in
+        windows of _GATHER_WINDOW entries into an array of the class size,
+        and the scan stops once the array is full.
+        """
+        size = self.records[cid].size
+        members = np.empty(size, dtype=np.uint32)
+        start, filled = int(self._first[cid]), 0
+        while filled < size:
+            hits = np.flatnonzero(self.class_of[start : start + _GATHER_WINDOW] == cid)
+            members[filled : filled + hits.size] = hits + start
+            filled += hits.size
+            start += _GATHER_WINDOW
+        return members
 
     def _parent_of(self, node: int) -> int:
         """Preimage of a non-seed node under the generator that reached it."""
@@ -487,8 +537,8 @@ class QuotientClassification:
             memo[node] = rows
         return Gf2Matrix(self.m, rows)
 
-    def _schreier_sample(self, rep, members, rng, max_gens):
-        if len(members) == 1:
+    def _schreier_sample(self, rep, cid, rng, max_gens):
+        if self.records[cid].size == 1:
             out = []
             for mat in self.gens:
                 a = AffineMap(mat, 0)
@@ -496,6 +546,7 @@ class QuotientClassification:
                     raise AssertionError("whole group should stabilize a fixed form")
                 out.append(a)
             return out[:max_gens]
+        members = self._members(cid)
         out = []
         seen = set()
         attempts = 0
@@ -533,6 +584,11 @@ class QuotientClassification:
                 raise AssertionError("Schreier element failed the stabilizer check")
             out.append(a)
         return out
+
+
+def _check_max_gens(max_gens: int) -> None:
+    if max_gens < 0:
+        raise ValueError(f"max_gens must be at least 0, got {max_gens}")
 
 
 def classify_quotient(

@@ -90,12 +90,6 @@ class Gf2Matrix:
             rows.append(acc)
         return Gf2Matrix(self.m, tuple(rows))
 
-    def mul_vec(self, x: int) -> int:
-        y = 0
-        for k, row in enumerate(self.rows):
-            y |= ((row & x).bit_count() & 1) << k
-        return y
-
     def column(self, j: int) -> int:
         """Column j as a mask over output positions (0-based j)."""
         c = 0

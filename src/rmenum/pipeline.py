@@ -71,6 +71,7 @@ from .classify import (
     ClassRecord,
     Partition,
     QuotientClassification,
+    _check_max_gens,
     ingest_classification,
     merge_by_enumerator,
     quotient_index,
@@ -551,11 +552,12 @@ def run_pipeline(
     costs a pair of half action tables per partition. Fewer generators
     give finer raw blocks, which merge_by_enumerator joins back, so
     distributions, checkpoints and counts are the same at every value; 0
-    gives singleton partitions of V/W_e. Both "blocks" routes classify H^(r)(m-2)
-    without stabilizers and then sample, in class order, only the lower
-    classes that a pending class reads, so a fresh run draws what
-    QuotientClassification.compute would and a run whose classes all have
-    a checkpoint samples none and builds no block table.
+    gives singleton partitions of V/W_e; a negative value is refused.
+    Both "blocks" routes classify H^(r)(m-2) without stabilizers and then
+    sample, in class order, only the lower classes that a pending class
+    reads, so a fresh run draws what QuotientClassification.compute would
+    and a run whose classes all have a checkpoint samples none and builds
+    no block table.
 
     A checkpoint directory whose class files name another route is refused
     before any classification.
@@ -572,6 +574,7 @@ def run_pipeline(
         raise ValueError(f"unknown strategy {strategy!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_max_gens(max_gens)
     m1, m0, r0 = m - 1, m - 2, r - 2
     rng = random.Random(seed)
     fourier = strategy == "blocks" and classes is None

@@ -470,15 +470,23 @@ def reference_close_orbits(tables, size):
     return block_of, blocks, parent, pgen
 
 
+def assert_reference_blocks(first, sizes, blocks):
+    # each block's least member and size, against the reference's sorted blocks
+    assert [int(s) for s in first] == [int(b[0]) for b in blocks]
+    assert [int(n) for n in sizes] == [len(b) for b in blocks]
+
+
 def assert_same_closure(tables, size):
-    block_of, blocks, via = _close_orbits(tables, size)
+    block_of, first, sizes, via = _close_orbits(tables, size)
     want = reference_close_orbits([expand(t) for t in tables], size)
     assert np.array_equal(block_of, want[0])
-    assert len(blocks) == len(want[1])
-    assert all(np.array_equal(a, b) for a, b in zip(blocks, want[1]))
+    # the narrowest unsigned type that holds every block id
+    assert block_of.dtype == np.min_scalar_type(len(want[1]) - 1)
+    assert_reference_blocks(first, sizes, want[1])
+    assert first.dtype == np.uint32
     parent, pgen = forest_from_via(via, tables)
     assert np.array_equal(parent, want[2]) and np.array_equal(pgen, want[3])
-    return via
+    return block_of, first, sizes, via
 
 
 @pytest.mark.parametrize("d, m", [(2, 4), (2, 5), (3, 5), (2, 6), (4, 6), (3, 6)])
@@ -509,20 +517,21 @@ def test_closure_matches_reference_on_orbit_partition_tables(r, m0):
 
 @pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
 def test_closure_does_not_depend_on_the_gather_window(monkeypatch, r, m0):
-    # one generator per gather against the default window, on the GL closure
-    # of H^(r)(m0) and on the orbit partitions above its classes
+    # a window of 2**8 entries takes every level past 256 nodes in chunks,
+    # one generator at a time, and gathers few generators per take below
+    # that; on the GL closure of H^(r)(m0) and on the orbit partitions above
+    # its classes it gives the reference closure and the default window's
     import rmenum.classify as classify
 
     space = HomogeneousSpace(m0, r)
     gl = [_action_table(space, AffineMap(g, 0)) for g in gl2_generators(m0)]
     for tables, size in [(gl, space.size), *partition_tables(r, m0)]:
         want = _close_orbits(tables, size)
-        monkeypatch.setattr(classify, "_GATHER_WINDOW", 1)
-        got = _close_orbits(tables, size)
+        monkeypatch.setattr(classify, "_GATHER_WINDOW", 1 << 8)
+        got = assert_same_closure(tables, size)
         monkeypatch.undo()
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-        assert len(got[1]) == len(want[1])
-        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 QUOTIENT_CASES = [(r, m0, seed) for seed in (0, 1, 7) for r, m0 in (*LADDER_LOWER, (4, 6))]
@@ -537,10 +546,10 @@ def test_expanded_quotient_equals_the_closure_with_translations(r, m0, seed):
     records = classify_quotient(r, m0, random.Random(seed), max_gens=PIPELINE_MAX_GENS)
     tables = partition_tables(r, m0, seed, PIPELINE_MAX_GENS)
     for rec, (full_tables, size) in zip(records, tables, strict=True):
-        block_of, blocks, _ = _close_orbits(full_tables, size)
+        block_of, first, _, _ = assert_same_closure(full_tables, size)
         part = orbit_partition(rec.rep, rec.gens, r - 2, m0)
         assert np.array_equal(part.block_of, block_of), format_anf(rec.rep)
-        assert part.first.tolist() == [int(b[0]) for b in blocks]
+        assert part.first.tolist() == first.tolist()
         assert part.block_of.dtype == np.int32 and part.first.dtype == np.uint32
 
 
@@ -682,12 +691,14 @@ def test_closure_matches_reference_on_random_permutations():
 
 
 def test_closure_forest_is_one_byte_per_index():
+    # and so is the class map, for the 6 classes of H^(3)(6)
     cls = QuotientClassification.compute(3, 6, random.Random(0))
     assert cls._via.dtype == np.uint8 and cls._via.shape == (cls.space.size,)
+    assert cls.class_of.dtype == np.uint8 and cls.class_of.shape == (cls.space.size,)
     space = HomogeneousSpace(6, 2)
     rec = classify_quotient(3, 6, random.Random(0))[2]
     maps = list(rec.gens) + [AffineMap.translation(6, 1 << i) for i in range(6)]
-    via = _close_orbits([_action_table(space, a, rec.rep) for a in maps], space.size)[2]
+    via = _close_orbits([_action_table(space, a, rec.rep) for a in maps], space.size)[3]
     assert via.dtype == np.uint8 and via.shape == (space.size,)
 
 
@@ -697,7 +708,7 @@ def test_closure_with_more_generators_than_a_byte_marks():
     tables = [
         (random_cycles_permutation(64, rng.choice((2, 3, 64)), rng), [0]) for _ in range(300)
     ]
-    via = assert_same_closure(tables, 64)
+    via = assert_same_closure(tables, 64)[3]
     assert via.dtype == np.uint16
     assert int(via.max()) > 255
 
@@ -729,7 +740,12 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
     identity = Gf2Matrix.identity(m)
     involutive = [g @ g == identity for g in cls.gens]
     assert involutive == [True, False]  # the transvection and the cyclic shift
-    seeds = {int(members[0]) for members in cls.members}
+    want = reference_close_orbits(tables, cls.space.size)
+    assert np.array_equal(cls.class_of, want[0])
+    assert np.array_equal(parent, want[2]) and np.array_equal(pgen, want[3])
+    first = [cls.space.index_of(rec.rep) for rec in cls.records]
+    assert_reference_blocks(first, [rec.size for rec in cls.records], want[1])
+    seeds = set(first)
     for v in range(cls.space.size):
         if v in seeds:
             assert cls._via[v] == 1
@@ -748,8 +764,72 @@ def test_preimage_walk_returns_the_reference_parent(d, m):
     cls = QuotientClassification.compute(d, m, random.Random(0))
     tables = [expand(t) for t in gl_tables(cls)]
     _, _, parent, _ = reference_close_orbits(tables, cls.space.size)
-    seeds = {int(members[0]) for members in cls.members}
+    seeds = {cls.space.index_of(rec.rep) for rec in cls.records}
     assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
     for v in range(cls.space.size):
         if v not in seeds:
             assert cls._parent_of(v) == parent[v]
+
+
+@pytest.mark.parametrize("d, m", [(3, 5), (2, 6), (3, 6)])
+@pytest.mark.parametrize("window", [None, 1 << 8])
+def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
+    # the members a Schreier draw reads are built from the class map alone,
+    # scanned from the class seed in windows (several of them at 2**8)
+    import rmenum.classify as classify
+
+    if window is not None:
+        monkeypatch.setattr(classify, "_GATHER_WINDOW", window)
+    cls = QuotientClassification.compute(d, m, max_gens=0)
+    for cid in range(len(cls.records)):
+        members = cls._members(cid)
+        assert members.dtype == np.uint32
+        assert np.array_equal(members, np.flatnonzero(cls.class_of == cid))
+
+
+def test_closure_widens_the_block_map_past_255_blocks():
+    # 1024 singletons need block ids up to 1023: block_of starts as uint8 and
+    # widens to uint16 at the 257th block; 2**16 + 1 singletons need uint32
+    identity = np.arange(1024, dtype=np.uint32)
+    block_of = assert_same_closure([(identity, [0])], 1024)[0]
+    assert block_of.dtype == np.uint16 and np.array_equal(block_of, identity)
+    size = (1 << 16) + 1
+    block_of, first, sizes, _ = _close_orbits([(np.arange(size, dtype=np.uint32), [0])], size)
+    assert block_of.dtype == np.uint32 and np.array_equal(block_of, np.arange(size))
+    assert np.array_equal(first, np.arange(size)) and (sizes == 1).all()
+
+
+def test_classification_keeps_two_bytes_per_index():
+    # H^(3)(6) has 2**20 indices: the closure keeps its via marks and a uint8
+    # class map, and no member list; its traced peak includes the BFS levels
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cls = QuotientClassification.compute(3, 6, max_gens=0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.space.size == 1 << 20
+    assert kept < 3.5e6
+    assert peak < 6e6
+
+
+def test_negative_max_gens_is_refused(monkeypatch):
+    import rmenum.classify as classify
+
+    cls = QuotientClassification.compute(3, 6, max_gens=0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closure or a draw ran before the max_gens check")
+
+    monkeypatch.setattr(classify, "_close_orbits", forbidden)
+    monkeypatch.setattr(QuotientClassification, "_schreier_sample", forbidden)
+    with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
+        QuotientClassification.compute(3, 6, max_gens=-1)
+    with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
+        classify_quotient(2, 4, max_gens=-1)
+    # the singleton zero class once gave one generator at -1, the others none
+    for cid in range(len(cls.records)):
+        with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
+            cls.stabilizer_gens(cid, random.Random(0), -1)

@@ -86,6 +86,16 @@ def test_classify_refuses_degree_zero(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classify_refuses_negative_max_gens(tmp_path, capsys):
+    out = tmp_path / "neg.txt"
+    code, _, err = run(
+        capsys, "classify", "--d", "3", "--m", "6", "--max-gens", "-1", "--out", str(out)
+    )
+    assert code == 2
+    assert "max_gens must be at least 0, got -1" in err
+    assert not out.exists()
+
+
 def test_pipeline_matches_brute_data(tmp_path, capsys):
     pipe = tmp_path / "pipe.txt"
     code, stdout, _ = run(

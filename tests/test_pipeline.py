@@ -154,6 +154,16 @@ def test_jobs_below_one_is_rejected_before_any_work(monkeypatch, jobs):
         run_pipeline(3, 6, jobs=jobs)
 
 
+def test_negative_max_gens_is_rejected_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done before the max_gens check")
+
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
+    for strategy in ("direct", "blocks"):
+        with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
+            run_pipeline(3, 6, strategy=strategy, max_gens=-1)
+
+
 def test_pipeline_matches_brute_force_small():
     for r, m in [(2, 4), (2, 5), (3, 4)]:
         for strategy in ("direct", "blocks"):
