@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 
+import numpy as np
+
 MAX_M = 16
 
 
@@ -129,6 +131,32 @@ def xor_span(vectors) -> list[int]:
     for v in vectors:
         span += [s ^ v for s in span]
     return span
+
+
+def xor_span_array(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry x is base XOR the rows at the set bits of x, as one array (XOR-doubling).
+
+    rows stacks vectors shaped like base, such as packed words of shape
+    (lanes,) or scalar indices; the span has 2**len(rows) entries.
+    """
+    span = np.empty((1 << len(rows), *base.shape), dtype=base.dtype)
+    span[0] = base
+    for j, row in enumerate(rows):
+        np.bitwise_xor(span[: 1 << j], row, out=span[1 << j : 2 << j])
+    return span
+
+
+def xor_half_spans(base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half spans (lo, hi) of x -> base XOR the rows at the set bits of x.
+
+    With k = len(rows) // 2, lo spans base and rows 0..k-1 and hi the
+    other rows, so the entry at x is lo[x & (L - 1)] ^ hi[x >> k] with
+    L = len(lo) = 2**k: 2**k + 2**(len(rows) - k) entries, never
+    2**len(rows).
+    """
+    k = len(rows) // 2
+    zero = np.zeros(base.shape, dtype=base.dtype)
+    return xor_span_array(base, rows[:k]), xor_span_array(zero, rows[k:])
 
 
 def mobius_transform(bits: int, m: int) -> int:

@@ -47,15 +47,16 @@ array, and the class map is written one BFS level at a time in the
 narrowest unsigned type that holds the block count. Per index the
 closure keeps 1 byte of via plus the class map, 1 byte up to 256 blocks,
 and no member list: a block is known by its seed, which is its least
-index, and its size. The sorted members of a class are built only while its
-stabilizer is sampled. The parent of v is the unique preimage of v under
-gens[via[v] - 2], one lookup in the half tables of that generator's
-inverse. A table that was not a permutation could put an index into a
-block twice, and the closure raises unless the block sizes sum to the
-space size. The Schreier sampler skips an attempt
-y -> ys by generator s that retraces a BFS tree edge (via[ys] == 2 + s),
-or the reverse edge of an involution (via[y] == 2 + s), before any
-transversal walk: its Schreier element is the identity.
+index, and its size. A class of more than 2**15 members is sampled
+without a member array: its Schreier draws are taken ahead from a copy of
+the rng and only their members read, in one scan of the class map. The
+parent of v is the unique preimage of v under gens[via[v] - 2], one
+lookup in the half tables of that generator's inverse. A table that was
+not a permutation could put an index into a block twice, and the closure
+raises unless the block sizes sum to the space size. The Schreier sampler
+skips an attempt y -> ys by generator s that retraces a BFS tree edge
+(via[ys] == 2 + s), or the reverse edge of an involution (via[y] == 2 +
+s), before any transversal walk: its Schreier element is the identity.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .boolfn import (
     format_anf,
     mobius_transform,
     parse_anf,
+    xor_half_spans,
     xor_span,
 )
 from .gf2 import (
@@ -88,7 +90,7 @@ MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
 _SCAN_WINDOW = 1 << 12
 # Images gathered per take in _close_orbits, and class-map entries scanned
-# per window in QuotientClassification._members. Measured on R(4,8)'s
+# per chunk in QuotientClassification._member_chunks. Measured on R(4,8)'s
 # partitions (2**20 indices, 12 and 64 generators) and the closure of
 # H^(2)(7) (2**21): 2**15 through 2**20 run in the same time within noise,
 # 2**12 about 20 % slower, while the traced peak of the 64-generator
@@ -108,25 +110,16 @@ def gl2_generators(m: int) -> list[Gf2Matrix]:
     return [Gf2Matrix(m, tuple(transvection)), Gf2Matrix(m, shift)]
 
 
-def _span(const: int, cols) -> np.ndarray:
-    """const XOR every subset-sum of cols, indexed by the subset's bits (XOR-doubling)."""
-    table = np.empty(1 << len(cols), dtype=np.uint32)
-    table[0] = const
-    for j, col in enumerate(cols):
-        half = 1 << j
-        table[half : 2 * half] = table[:half] ^ np.uint32(col)
-    return table
+def _halves(consts, cols) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Half tables (lo, hi) of g -> consts[i] xor the cols[i] at the set bits of g, per map i.
 
-
-def _halves(const: int, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Half tables (lo, hi) of g -> const xor the columns at the set bits of g.
-
-    With k = len(cols) // 2, lo spans the constant and columns 0..k-1 and
-    hi the other columns, so the image of g is lo[g % L] ^ hi[g // L] with
-    L = 2**k.
+    With k = N // 2 for N columns per map, lo spans the constant and
+    columns 0..k-1 and hi the other columns, so the image of g is
+    lo[g % L] ^ hi[g // L] with L = 2**k. The maps are spanned side by side
+    (boolfn.xor_half_spans over uint32 indices), one XOR per column for all.
     """
-    k = len(cols) // 2
-    return _span(const, cols[:k]), _span(0, cols[k:])
+    lo, hi = xor_half_spans(np.array(consts, dtype=np.uint32), np.array(cols, dtype=np.uint32).T)
+    return list(zip(lo.T.copy(), hi.T.copy()))
 
 
 def _substitution(a: AffineMap, m: int):
@@ -152,7 +145,7 @@ def _action_table(
         raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
     image = _substitution(a, space.m)
     const = space.index_of_indicator(image(e.monomials)) if e is not None else 0
-    return _halves(const, [space.index_of_indicator(image((mask,))) for mask in space.masks])
+    return _halves([const], [[space.index_of_indicator(image((mask,))) for mask in space.masks]])[0]
 
 
 def quotient_index(basis, g):
@@ -341,18 +334,19 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
     basis = _translation_basis(e, space)
     pivots = {w.bit_length() - 1 for w in basis}
     free = [mask for j, mask in enumerate(space.masks) if j not in pivots]
-    tables = []
+    consts, cols = [], []
     for a in map(as_affine, gens):
         image = _substitution(a, m)
         moved = image(e.monomials)
         if not a.matrix.is_invertible() or top.index_of_indicator(moved) != e_index:
             raise ValueError(f"generator {a} does not stabilize e")
-        const = quotient_index(basis, space.index_of_indicator(moved))
-        cols = [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
-        tables.append(_halves(const, cols))
+        consts.append(quotient_index(basis, space.index_of_indicator(moved)))
+        cols.append(
+            [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
+        )
     size = 1 << len(free)
-    if tables:
-        block_of, first, _, _ = _close_orbits(tables, size)
+    if consts:
+        block_of, first, _, _ = _close_orbits(_halves(consts, cols), size)
         block_of = block_of.astype(np.int32)
     else:
         block_of, first = np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32)
@@ -416,8 +410,10 @@ class QuotientClassification:
     and no member list. Stabilizer generators are drawn per class by
     stabilizer_gens, which compute calls for every class in class order; a
     caller that needs only some stabilizers computes with max_gens=0 and
-    draws those. A draw builds the sorted members of its class from
-    class_of and frees them after the draw.
+    draws those. A draw lists the members of a class of at most
+    _GATHER_WINDOW members (see _member_chunks) and reads only the drawn
+    members of a larger one (see _members_at), so no large member array is
+    built.
     """
 
     def __init__(self, d, m, space, class_of, via, tables, inverses, gens, first, sizes):
@@ -482,8 +478,8 @@ class QuotientClassification:
         The draws come from rng, so the generators of a class depend on the
         classes sampled before it from the same rng. The transversal memo is
         cleared afterwards, so it never holds more than one class's walks.
-        The class's sorted members are built for the draw (see _members)
-        and dropped with it; max_gens 0 draws nothing and builds nothing.
+        Members come from one scan of the class map (see _member_chunks);
+        max_gens 0 draws nothing and scans nothing.
         """
         _check_max_gens(max_gens)
         if max_gens == 0:
@@ -492,22 +488,41 @@ class QuotientClassification:
         self._memo.clear()
         return tuple(gens)
 
-    def _members(self, cid: int) -> np.ndarray:
-        """Sorted uint32 member indices of class cid.
+    def _member_chunks(self, cid: int):
+        """The members of class cid, ascending, one array per chunk of the class map.
 
         The class map is scanned from the class seed, its least member, in
-        windows of _GATHER_WINDOW entries into an array of the class size,
-        and the scan stops once the array is full.
+        chunks of _GATHER_WINDOW entries, and the scan stops at the class's
+        last member; a chunk's array can be dropped once it is read.
         """
-        size = self.records[cid].size
-        members = np.empty(size, dtype=np.uint32)
-        start, filled = int(self._first[cid]), 0
-        while filled < size:
+        left, start = self.records[cid].size, int(self._first[cid])
+        while left:
             hits = np.flatnonzero(self.class_of[start : start + _GATHER_WINDOW] == cid)
-            members[filled : filled + hits.size] = hits + start
-            filled += hits.size
+            yield hits + start
+            left -= hits.size
             start += _GATHER_WINDOW
-        return members
+
+    def _members_at(self, cid: int, ranks: list[int]) -> list[int]:
+        """The k-th least member of class cid for each k in ranks, in the order of ranks.
+
+        One pass over _member_chunks, ending at the chunk of the largest
+        rank, so no member array of the class is built (the largest class
+        of H^(2)(7) has 1,763,776 members, 7 MB as uint32).
+        """
+        ranks = np.array(ranks, dtype=np.int64)
+        order = np.argsort(ranks, kind="stable")
+        wanted = ranks[order]
+        members = np.empty(ranks.size, dtype=np.int64)
+        found = done = 0
+        for hits in self._member_chunks(cid):
+            if done == ranks.size:
+                break
+            stop = int(np.searchsorted(wanted, found + hits.size))
+            members[order[done:stop]] = hits[wanted[done:stop] - found]
+            done, found = stop, found + hits.size
+        if done < ranks.size:
+            raise ValueError(f"class {cid} has {found} members, rank {wanted[-1]} asked")
+        return members.tolist()
 
     def _parent_of(self, node: int) -> int:
         """Preimage of a non-seed node under the generator that reached it."""
@@ -546,14 +561,29 @@ class QuotientClassification:
                     raise AssertionError("whole group should stabilize a fixed form")
                 out.append(a)
             return out[:max_gens]
-        members = self._members(cid)
+        size = self.records[cid].size
+        if size <= _GATHER_WINDOW:
+            member = np.concatenate(list(self._member_chunks(cid))).item
+        else:
+            # Each attempt draws rng.randrange(size), then
+            # rng.randrange(len(gens)). A copy of rng replays the draws of all
+            # max_gens * 8 attempts first, so only their members are read.
+            # Replaying costs more than listing a class of at most
+            # _GATHER_WINDOW members, which holds 256 KB at most.
+            probe = random.Random()
+            probe.setstate(rng.getstate())
+            ranks = []
+            for _ in range(max_gens * 8):
+                ranks.append(probe.randrange(size))
+                probe.randrange(len(self.gens))
+            member = dict(zip(ranks, self._members_at(cid, ranks))).__getitem__
         out = []
         seen = set()
         attempts = 0
         via = self._via_view
         while len(out) < max_gens and attempts < max_gens * 8:
             attempts += 1
-            y = int(members[rng.randrange(len(members))])
+            y = member(rng.randrange(size))
             si = rng.randrange(len(self.gens))
             lo, hi = self._tables[si]
             ys = lo[y & self._mask] ^ hi[y >> self._shift]

@@ -5,16 +5,22 @@ engine, _gray_histograms, serves every sweep in the package. R(r,m)
 contains the all-ones word, so f + R(r,m) is f + R' together with its
 complement, where R' is the span of the dim - 1 non-constant basis tables;
 the engine sweeps only R' and folds each histogram by complement,
-hist[w] = h'[w] + h'[n - w]. The span of the low (at most 16) tables of R'
-is laid out once as a packed numpy block of words in reflected Gray order,
-and the Gray sequence over the high tables is cut into segments, each
-adding one XOR offset to the representatives. Representatives are swept
-in chunks of whole blocks, popcounted in numpy, and histogrammed by a
-single bincount per chunk. A batch call amortises one sweep over many
-representatives, which is how the product-sum recursion consumes whole
-families of cosets at once; the brute-force oracle is the same sweep of
-the zero representative. With jobs workers, the segments are split into
-contiguous ranges, one per worker, and the histograms summed.
+hist[w] = h'[w] + h'[n - w]. Words are packed numpy rows: 64-bit lanes,
+or for m <= 5 one word in the narrowest unsigned dtype that holds it. The
+span of the low (at most 16) tables of R' is laid out once as a block of
+words by XOR-doubling, and the Gray sequence over the high tables is cut
+into segments, each adding one XOR offset, looked up in the half spans of
+the high tables, to the representatives. When R' fits the block, the
+representatives are swept in chunks of whole blocks, popcounted and
+histogrammed by one bincount per chunk. Otherwise each representative
+sweeps its segments a few at a time into reused buffers, and up to m = 7
+one bincount over byte pairs of weights per batch feeds a pair histogram
+whose two marginals give the row. A batch call amortises one sweep over
+many representatives, which is how the product-sum recursion consumes
+whole families of cosets at once; callers that build many cosets pass
+their packed words as one array. The brute-force oracle is the same sweep
+of the zero representative. With jobs workers, the segments are split
+into contiguous ranges, one per worker, and the histograms summed.
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from math import comb
 
 import numpy as np
 
-from .boolfn import Anf, TruthTable, monomial_table, truth_table_from_anf
+from .boolfn import (
+    Anf,
+    TruthTable,
+    monomial_table,
+    truth_table_from_anf,
+    xor_half_spans,
+    xor_span_array,
+)
 from .wenum import WeightEnumerator
 
 DEFAULT_CAP = 1 << 30
@@ -34,6 +47,10 @@ DEFAULT_CAP = 1 << 30
 # Representatives are chunked so that no more words than one full block
 # (2**_LOW_BITS) are popcounted at once.
 _LOW_BITS = 16
+# Bytes of swept words per batch of segments, the size of the reused
+# buffers of a single-rep sweep: two segments of uint32 words, one of
+# 64-bit words.
+_BATCH_BYTES = 1 << 19
 
 
 def rm_dimension(r: int, m: int) -> int:
@@ -66,9 +83,44 @@ def _rep_bits(rep, m: int) -> int:
     return bits
 
 
+def _lanes(m: int) -> int:
+    """64-bit lanes of one packed word of length 2**m."""
+    return max(1, (1 << m) // 64)
+
+
 def _pack(words, lanes: int) -> np.ndarray:
     buf = b"".join(w.to_bytes(lanes * 8, "little") for w in words)
     return np.frombuffer(buf, dtype="<u8").reshape(len(words), lanes)
+
+
+def packed_words(words, m: int) -> np.ndarray:
+    """Truth tables of 2**m bits (Python ints) as packed words, one row each (see _pack)."""
+    return _pack(words, _lanes(m))
+
+
+def packed_tables(masks, m: int) -> np.ndarray:
+    """Truth tables of the monomials masks as packed words, one row each."""
+    return packed_words([monomial_table(mask, m) for mask in masks], m)
+
+
+def _packed_reps(reps, m: int) -> np.ndarray:
+    """reps as packed words: an array is checked as given, anything else goes rep by rep.
+
+    An array must be 2-D, of dtype <u8, with one column per 64-bit lane,
+    and set no bit at or past 2**m.
+    """
+    lanes = _lanes(m)
+    if not isinstance(reps, np.ndarray):
+        return _pack([_rep_bits(rep, m) for rep in reps], lanes)
+    if reps.ndim != 2 or reps.shape[1] != lanes:
+        raise ValueError(
+            f"packed words of length 2**{m} need shape (count, {lanes}), got {reps.shape}"
+        )
+    if reps.dtype != np.dtype("<u8"):
+        raise ValueError(f"packed words need dtype <u8, got {reps.dtype}")
+    if m < 6 and (reps >> np.uint64(1 << m)).any():
+        raise ValueError("representative wider than the code length")
+    return reps
 
 
 def _segments(r: int, m: int) -> int:
@@ -76,45 +128,88 @@ def _segments(r: int, m: int) -> int:
     return 1 << max(0, rm_dimension(r, m) - 1 - _LOW_BITS)
 
 
-def _gray_histograms(rep_bits: list[int], r: int, m: int, lo: int, hi: int) -> np.ndarray:
+def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.ndarray:
     """Weight histograms of each rep + R(r,m) over Gray segments lo..hi-1.
 
-    Returns an int64 array of shape (len(rep_bits), 2**m + 1). Only the
-    non-constant basis tables are swept (rm_basis_masks puts the all-ones
-    table, mask 0, first); each swept word also stands for its complement,
-    so the histograms are folded as hists + hists[:, ::-1] and count
-    2**dim words per rep over a full sweep. Segment s covers the low block
-    XORed with the high tables selected by the bits of gray(s); a full
+    reps are packed words, shaped like _pack's output. Returns an int64
+    array of shape (len(reps), 2**m + 1). Only the non-constant basis
+    tables are swept (rm_basis_masks puts the all-ones table, mask 0,
+    first); each swept word also stands for its complement, so the
+    histograms are folded as hists + hists[:, ::-1] and count 2**dim words
+    per rep over a full sweep. The low (at most _LOW_BITS) tables span the
+    block, and segment s covers the block XORed with the high tables
+    selected by the bits of gray(s), looked up in their half spans; a full
     sweep is segments 0.._segments(r, m)-1, and any split of that range
     sums to the same histograms.
+
+    Words narrower than 64 bits (m <= 5) are swept in the narrowest
+    unsigned dtype that holds them. When R' fits the block there is one
+    segment, and reps go in chunks of 2**(_LOW_BITS - log2 block) with one
+    bincount per chunk over weight + (n + 1) * (rep in chunk). Otherwise
+    each rep sweeps its segments alone, a batch of them at a time into
+    buffers of about _BATCH_BYTES bytes of words, reused for every batch
+    and rep. Up to m = 7 a weight fits one byte, so the batch's weights are
+    read as uint16 pairs and one bincount over their keys goes into one
+    pair histogram of 256 * (n + 1) keys; the rep's row is the sum of its
+    two marginals. From m = 8 a weight can reach 256, so weights are int64
+    and binned directly.
     """
     n = 1 << m
-    lanes = max(1, n // 64)
-    tables = _pack([monomial_table(mask, m) for mask in rm_basis_masks(r, m)[1:]], lanes)
+    dtype = np.min_scalar_type((1 << min(n, 64)) - 1)
+    tables = packed_tables(rm_basis_masks(r, m)[1:], m).astype(dtype)
+    lanes = tables.shape[1]
     nlow = min(len(tables), _LOW_BITS)
-    # reflected Gray order: the block so far, then its mirror XOR the next table
-    low = np.zeros((1 << nlow, lanes), dtype="<u8")
-    for i in range(nlow):
-        low[1 << i : 2 << i] = low[(1 << i) - 1 :: -1] ^ tables[i]
-    high = tables[nlow:]
-    reps = _pack(rep_bits, lanes)
-    chunk = 1 << (_LOW_BITS - nlow)
-    hists = np.zeros((len(rep_bits), n + 1), dtype=np.int64)
-    for seg in range(lo, hi):
-        gray = seg ^ (seg >> 1)
-        offset = np.bitwise_xor.reduce(high[[i for i in range(len(high)) if gray >> i & 1]])
-        shifted = reps ^ offset
-        for c0 in range(0, len(rep_bits), chunk):
-            part = shifted[c0 : c0 + chunk]
-            words = part[:, None, :] ^ low
+    # lane-major, so the lanes of a word's popcount are summed as planes
+    block = np.ascontiguousarray(xor_span_array(np.zeros(lanes, dtype=dtype), tables[:nlow]).T)
+    words = reps.astype(dtype)
+    hists = np.zeros((len(reps), n + 1), dtype=np.int64)
+    if nlow < _LOW_BITS:
+        # R' is the block, so the sweep is segment 0, whose offset is 0
+        chunk = 1 << (_LOW_BITS - nlow)
+        for c0 in range(0, len(reps), chunk) if lo < hi else ():
+            part = words[c0 : c0 + chunk]
+            popcounts = np.bitwise_count(part[:, :, None] ^ block)
             if lanes == 1:
-                weights = np.bitwise_count(words[..., 0])
+                weights = popcounts[:, 0]
             else:
-                weights = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+                weights = popcounts.sum(axis=1, dtype=np.int64)
             if len(part) > 1:
                 weights = weights + np.arange(len(part), dtype=np.int64)[:, None] * (n + 1)
             counts = np.bincount(weights.ravel(), minlength=len(part) * (n + 1))
             hists[c0 : c0 + len(part)] += counts.reshape(len(part), n + 1)
+        return hists + hists[:, ::-1]
+    high_lo, high_hi = xor_half_spans(np.zeros(lanes, dtype=dtype), tables[nlow:])
+    mask, shift = len(high_lo) - 1, len(high_lo).bit_length() - 1
+    batch = max(1, _BATCH_BYTES // block.nbytes)
+    buf = np.empty((batch, *block.shape), dtype=dtype)
+    popcounts = np.empty(buf.shape, dtype=np.uint8)
+    paired = m <= 7
+    if lanes == 1:
+        weights = popcounts[:, 0]
+    else:
+        weights = np.empty((batch, block.shape[1]), dtype=np.uint8 if paired else np.int64)
+    # pair key w + 256 * w' < 256 * (n + 1), with w, w' <= n
+    pairs = np.zeros(256 * (n + 1), dtype=np.int64)
+    for i, rep in enumerate(words):
+        for s0 in range(lo, hi, batch):
+            seg = np.arange(s0, min(s0 + batch, hi))
+            gray = seg ^ (seg >> 1)
+            # a segment past the span wraps round, so a wrong segment count
+            # sweeps words twice and fails the totals check
+            offsets = high_lo[gray & mask] ^ high_hi.take(gray >> shift, axis=0, mode="wrap") ^ rep
+            k = len(seg)
+            np.bitwise_xor(offsets[:, :, None], block, out=buf[:k])
+            np.bitwise_count(buf[:k], out=popcounts[:k])
+            if lanes > 1:
+                np.sum(popcounts[:k], axis=1, dtype=weights.dtype, out=weights[:k])
+            if paired:
+                pairs += np.bincount(weights[:k].reshape(-1).view(np.uint16), minlength=len(pairs))
+            else:
+                hists[i] += np.bincount(weights[:k].ravel(), minlength=n + 1)
+        if paired:
+            square = pairs.reshape(n + 1, 256)
+            hists[i] = square.sum(axis=1) + square.sum(axis=0)[: n + 1]
+            pairs[:] = 0
     return hists + hists[:, ::-1]
 
 
@@ -132,8 +227,13 @@ def batch_coset_enumerators(
 ) -> list[WeightEnumerator]:
     """One Gray sweep of R(r,m) shared by every representative.
 
-    The result list is aligned with reps and identical for any jobs value;
-    workers sweep disjoint ranges of Gray segments for every rep.
+    reps is a sequence of TruthTables, Anfs or raw table bits, or one 2-D
+    <u8 array of packed words, a row of 64-bit lanes (little-endian, least
+    significant lane first) per rep, shaped like _pack's output; an array
+    of the wrong shape or dtype, or with a bit set at or past 2**m, raises
+    ValueError before any sweep. The result list is aligned with reps and
+    identical for any jobs value; workers sweep disjoint ranges of Gray
+    segments for every rep.
     """
     n = 1 << m
     return [WeightEnumerator(n, h) for h in coset_histograms(reps, r, m, cap, jobs).tolist()]
@@ -142,8 +242,9 @@ def batch_coset_enumerators(
 def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
     """The sweep of batch_coset_enumerators as int64 rows, one per rep, of 2**m + 1 counts.
 
-    For callers that pack the rows straight into big ints rather than
-    building a WeightEnumerator per coset. With jobs > 1 the Gray segments
+    reps takes the same forms as in batch_coset_enumerators. For callers
+    that pack the rows straight into big ints rather than building a
+    WeightEnumerator per coset. With jobs > 1 the Gray segments
     are cut into min(jobs, segments) contiguous ranges, one per worker, and
     each worker sweeps its range for every rep; the workers' histograms are
     summed, so each one holds a full len(reps) x (2**m + 1) array. Every
@@ -154,16 +255,16 @@ def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1
     dim = rm_dimension(r, m)
     if 1 << dim > cap:
         raise ValueError(f"2**{dim} codewords exceed the cap of {cap}")
-    rep_bits = [_rep_bits(rep, m) for rep in reps]
-    if not rep_bits:
+    packed = _packed_reps(reps, m)
+    if not len(packed):
         return np.zeros((0, (1 << m) + 1), dtype=np.int64)
     nseg = _segments(r, m)
     jobs = min(jobs, nseg)
     if jobs <= 1:
-        hists = _gray_histograms(rep_bits, r, m, 0, nseg)
+        hists = _gray_histograms(packed, r, m, 0, nseg)
     else:
         bounds = [nseg * k // jobs for k in range(jobs + 1)]
-        sweep = partial(_gray_histograms, rep_bits, r, m)
+        sweep = partial(_gray_histograms, packed, r, m)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             hists = sum(pool.map(sweep, bounds[:-1], bounds[1:]))
     if (hists.sum(axis=1) != 1 << dim).any():

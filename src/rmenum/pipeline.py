@@ -65,6 +65,8 @@ from .boolfn import (
     decompose_top,
     format_anf,
     truth_table_from_anf,
+    xor_half_spans,
+    xor_span_array,
 )
 from .classify import (
     MAX_INDEX_BITS,
@@ -78,7 +80,14 @@ from .classify import (
     quotient_leader,
     quotient_partition,
 )
-from .cosetenum import DEFAULT_CAP, batch_coset_enumerators, coset_histograms, rm_dimension
+from .cosetenum import (
+    DEFAULT_CAP,
+    batch_coset_enumerators,
+    coset_histograms,
+    packed_tables,
+    packed_words,
+    rm_dimension,
+)
 from .gf2 import AffineMap, top_image
 from .oracle import require_reference
 from .wenum import (
@@ -120,7 +129,8 @@ def coset_enum_split(
     """W[z; (e + f x_{m+1}) + R(r+1,m+1)] as a product-sum over H^(r+1)(m).
 
     One Gray sweep of R(r,m) collects the enumerators of every coset
-    e + g + R(r,m) at once; the factor at g+f is then a lookup because
+    e + g + R(r,m) at once, its packed words e XOR the XOR-doubling span
+    of the monomial tables; the factor at g+f is then a lookup because
     adding f is XOR on packed indices. Each enumerator is packed into one
     big int once, and exactly 2**C(m,r+1) packed products are summed.
     """
@@ -129,9 +139,8 @@ def coset_enum_split(
     if not f.is_zero() and not f.is_homogeneous(r + 1):
         raise ValueError("f must be homogeneous of degree r+1")
     space = HomogeneousSpace(m, r + 1)
-    e_bits = truth_table_from_anf(e).bits
-    tables = space.all_tables()
-    hists = coset_histograms([e_bits ^ t for t in tables], r, m, cap=cap)
+    e_word = packed_words([truth_table_from_anf(e).bits], m)[0]
+    hists = coset_histograms(xor_span_array(e_word, packed_tables(space.masks, m)), r, m, cap=cap)
     f_idx = space.index_of(f)
     # every coset totals 2**dim, so the product-sum totals size * 2**(2*dim)
     width = _digit_width(space.size << (2 * rm_dimension(r, m)))
@@ -416,20 +425,12 @@ def _block_table(rec: ClassRecord, r: int, m0: int, cap: int):
     r0 = r - 2
     gspace = HomogeneousSpace(m0, r0 + 1)
     part = quotient_partition(rec.rep, rec.gens, r0, m0)
-    # Truth tables are linear in the packed index, so each leader's word
-    # is the previous word XOR the table of the step g ^ prev. Leaders
-    # ascend, so singleton blocks take only N distinct steps; the step
-    # tables are kept, and no table of the whole space is built.
-    steps = {}
-    word, prev = truth_table_from_anf(rec.rep).bits, 0
-    rep_words = []
-    for g in quotient_leader(part.basis, part.first).tolist():
-        step = g ^ prev
-        if step not in steps:
-            steps[step] = gspace.table_of(step)
-        word ^= steps[step]
-        prev = g
-        rep_words.append(word)
+    # Truth tables are linear in the packed index: a leader's word is the
+    # rep's word XOR one entry of each packed half span of the monomial tables.
+    rep_word = packed_words([truth_table_from_anf(rec.rep).bits], m0)[0]
+    lo, hi = xor_half_spans(rep_word, packed_tables(gspace.masks, m0))
+    leaders = quotient_leader(part.basis, part.first)
+    rep_words = lo[leaders & (len(lo) - 1)] ^ hi[leaders >> (len(lo).bit_length() - 1)]
     raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
     merged, menums = merge_by_enumerator(part, raw)
     return merged, tuple(menums)

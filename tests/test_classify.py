@@ -771,20 +771,56 @@ def test_preimage_walk_returns_the_reference_parent(d, m):
             assert cls._parent_of(v) == parent[v]
 
 
-@pytest.mark.parametrize("d, m", [(3, 5), (2, 6), (3, 6)])
+@pytest.mark.parametrize("d, m", [(2, 4), (3, 5), (2, 6), (3, 6)])
 @pytest.mark.parametrize("window", [None, 1 << 8])
 def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
-    # the members a Schreier draw reads are built from the class map alone,
-    # scanned from the class seed in windows (several of them at 2**8)
+    # the members a Schreier draw reads come from one scan of the class map
+    # alone, from the class seed in chunks (many of them at 2**8), for ranks
+    # in any order and with repeats
     import rmenum.classify as classify
 
     if window is not None:
         monkeypatch.setattr(classify, "_GATHER_WINDOW", window)
     cls = QuotientClassification.compute(d, m, max_gens=0)
-    for cid in range(len(cls.records)):
-        members = cls._members(cid)
-        assert members.dtype == np.uint32
-        assert np.array_equal(members, np.flatnonzero(cls.class_of == cid))
+    rng = random.Random(5)
+    for cid, rec in enumerate(cls.records):
+        want = np.flatnonzero(cls.class_of == cid)
+        n = want.size
+        if cls.space.size <= 1 << 15:
+            ranks = list(range(n))
+        else:
+            # both ranks at every chunk boundary, the first and last ranks
+            # and 400 random ones
+            chunk = (want - want[0]) // classify._GATHER_WINDOW
+            crossing = np.flatnonzero(np.diff(chunk)) + 1
+            ranks = sorted({0, n - 1, *crossing.tolist(), *(crossing - 1).tolist()})
+            ranks += [rng.randrange(n) for _ in range(400)]
+        rng.shuffle(ranks)
+        ranks += ranks[:3]
+        assert np.array_equal(np.concatenate(list(cls._member_chunks(cid))), want)
+        assert cls._members_at(cid, ranks) == want[ranks].tolist()
+        with pytest.raises(ValueError, match="members, rank"):
+            cls._members_at(cid, [0, n])
+
+
+@pytest.mark.parametrize("d, m", [(3, 5), (2, 6)])
+def test_replayed_draws_give_the_generators_of_the_listed_members(monkeypatch, d, m):
+    # at a window of 2**8 every class of more than 256 members is sampled by
+    # replaying its draws from a copy of the rng; the generators and the rng
+    # state afterwards must be those of the listed members
+    import rmenum.classify as classify
+
+    def sample():
+        cls = QuotientClassification.compute(d, m, max_gens=0)
+        rng = random.Random(3)
+        gens = [cls.stabilizer_gens(cid, rng, 16) for cid in range(len(cls.records))]
+        return gens, rng.getstate(), [rec.size for rec in cls.records]
+
+    listed = sample()
+    monkeypatch.setattr(classify, "_GATHER_WINDOW", 1 << 8)
+    replayed = sample()
+    assert max(listed[2]) > 1 << 8
+    assert replayed == listed
 
 
 def test_closure_widens_the_block_map_past_255_blocks():
@@ -813,6 +849,24 @@ def test_classification_keeps_two_bytes_per_index():
     assert cls.space.size == 1 << 20
     assert kept < 3.5e6
     assert peak < 6e6
+
+
+def test_stabilizer_sampling_builds_no_member_array():
+    # the largest class of H^(2)(7) has 1,763,776 members; a draw finds its
+    # member by rank, so sampling 64 generators per class keeps the traced
+    # peak at the closure's (8.2 MB), where a sorted uint32 member array of
+    # the class took it to 12.8 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cls = QuotientClassification.compute(2, 7, random.Random(1), max_gens=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(rec.size for rec in cls.records) == 1763776
+    assert [len(rec.gens) for rec in cls.records] == [2, 64, 64, 64]
+    assert peak < 9.5e6
 
 
 def test_negative_max_gens_is_refused(monkeypatch):

@@ -9,6 +9,7 @@ from rmenum.boolfn import TruthTable, monomial_table, parse_anf, truth_table_fro
 from rmenum.cosetenum import (
     _LOW_BITS,
     _gray_histograms,
+    _pack,
     _segments,
     batch_coset_enumerators,
     coset_enumerator,
@@ -94,10 +95,40 @@ def test_segment_split_sums_to_full_sweep():
         assert nseg == 1 << (rm_dimension(r, m) - 1 - _LOW_BITS)
         k = nseg // 2 - 1
         assert k % 2 == 1
-        reps = [rng.getrandbits(1 << m) for _ in range(2)]
+        reps = _pack([rng.getrandbits(1 << m) for _ in range(2)], 1)
         full = _gray_histograms(reps, r, m, 0, nseg)
         split = _gray_histograms(reps, r, m, 0, k) + _gray_histograms(reps, r, m, k, nseg)
         assert (split == full).all()
+
+
+def test_engine_matches_slow_reference_at_every_width(monkeypatch):
+    # words of 1..8 bits (uint8), 16 (uint16), 32 (uint32), then 1, 2 and 4
+    # 64-bit lanes, weights up to 256 at m = 8; one rep, six reps and the
+    # all-ones rep. A low block of 3, 5 or 8 tables sends most codes through
+    # the single-rep path, whose batches here hold 3 segments of 2**m = 256
+    # bits (more of narrower words), so longer sweeps end on a partial batch;
+    # each is also split into two sweeps at an odd segment
+    rng = random.Random(47)
+    for m in range(9):
+        n = 1 << m
+        for r in range(m + 1):
+            if rm_dimension(r, m) > 12:
+                continue
+            reps = [rng.getrandbits(n) for _ in range(5)] + [(1 << n) - 1]
+            want = [list(slow_coset_enumerator(rep, r, m).coeffs) for rep in reps]
+            packed = _pack(reps, max(1, n // 64))
+            for low_bits in (_LOW_BITS, 3, 5, 8):
+                with monkeypatch.context() as mp:
+                    mp.setattr(cosetenum, "_LOW_BITS", low_bits)
+                    mp.setattr(cosetenum, "_BATCH_BYTES", 3 << (low_bits + 5))
+                    assert coset_histograms(reps[:1], r, m).tolist() == want[:1]
+                    assert coset_histograms(reps, r, m).tolist() == want
+                    nseg = _segments(r, m)
+                    if nseg > 2:
+                        k = nseg // 2 - 1 | 1
+                        split = _gray_histograms(packed, r, m, 0, k)
+                        split += _gray_histograms(packed, r, m, k, nseg)
+                        assert split.tolist() == want
 
 
 def test_histograms_check_their_totals(monkeypatch):
@@ -143,6 +174,46 @@ def test_batch_jobs_invariance():
     a = coset_histograms(reps, 2, 6, jobs=1)
     b = coset_histograms(reps, 2, 6, jobs=3)
     assert (a == b).all()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_packed_words_give_the_rows_of_their_ints(jobs):
+    # R(2,6) splits 32 segments across workers; R(1,5) packs 32-bit words
+    # into one lane and R(1,8) 256-bit words into four
+    rng = random.Random(53)
+    for r, m in [(2, 6), (1, 5), (1, 8)]:
+        n = 1 << m
+        reps = [rng.getrandbits(n) for _ in range(4)] + [(1 << n) - 1]
+        packed = _pack(reps, max(1, n // 64))
+        want = coset_histograms(reps, r, m, jobs=jobs)
+        assert (coset_histograms(packed, r, m, jobs=jobs) == want).all()
+        got = batch_coset_enumerators(packed, r, m, jobs=jobs)
+        assert got == batch_coset_enumerators(reps, r, m, jobs=jobs)
+        assert [list(enum.coeffs) for enum in got] == want.tolist()
+    assert coset_histograms(np.zeros((0, 1), dtype="<u8"), 2, 5).shape == (0, 33)
+
+
+def test_packed_words_are_checked_before_any_sweep(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran before the packed words were checked")
+
+    monkeypatch.setattr(cosetenum, "_gray_histograms", forbidden)
+    good = np.ones((2, 2), dtype="<u8")
+    for bad, match in [
+        (good[:, :1], "shape"),
+        (np.ones((2, 4), dtype="<u8"), "shape"),
+        (good[0], "shape"),
+        (good.astype(np.int64), "dtype"),
+        (good.astype(">u8"), "dtype"),
+        (good.astype(np.uint32), "dtype"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            coset_histograms(bad, 1, 7)
+    # a 32-bit word has no bit 32; 64-bit lanes use every bit
+    with pytest.raises(ValueError, match="wider than the code length"):
+        batch_coset_enumerators(np.array([[1], [1 << 32]], dtype="<u8"), 1, 5)
+    with pytest.raises(ValueError, match="wider than the code length"):
+        coset_histograms(np.array([[2]], dtype="<u8"), 0, 0)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

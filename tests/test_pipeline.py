@@ -77,6 +77,18 @@ def test_split_identity_random():
         assert counter.count == f_space.size
 
 
+def test_split_identity_on_packed_lanes():
+    # the split's packed reps span one 64-bit lane at m = 6 and two at m = 7
+    rng = random.Random(59)
+    for m in (6, 7):
+        e_space, f_space = HomogeneousSpace(m, 2), HomogeneousSpace(m, 1)
+        e = e_space.anf_of(rng.randrange(e_space.size))
+        f = f_space.anf_of(rng.randrange(f_space.size))
+        counter = MulCounter()
+        assert coset_enum_split(e, f, 0, m, counter=counter) == split_reference(e, f, 0, m)
+        assert counter.count == f_space.size
+
+
 def test_split_rejects_inhomogeneous():
     with pytest.raises(ValueError, match="homogeneous"):
         coset_enum_split(parse_anf("12", 4), parse_anf("12", 4), 1, 4)
