@@ -47,13 +47,13 @@ array, and the class map is written one BFS level at a time in the
 narrowest unsigned type that holds the block count. Per index the
 closure keeps 1 byte of via plus the class map, 1 byte up to 256 blocks,
 and no member list: a block is known by its seed, which is its least
-index, and its size. A class of more than 2**15 members is sampled
-without a member array: its Schreier draws are taken ahead from a copy of
-the rng and only their members read, in one scan of the class map. The
-parent of v is the unique preimage of v under gens[via[v] - 2], one
-lookup in the half tables of that generator's inverse. A table that was
-not a permutation could put an index into a block twice, and the closure
-raises unless the block sizes sum to the space size. The Schreier sampler
+index, and its size. No class is listed for its Schreier draws either:
+the draws are taken ahead from a copy of the rng and only their members
+read, in one scan of the class map. The parent of v is the unique
+preimage of v under gens[via[v] - 2], one lookup in the half tables of
+that generator's inverse. A table that was not a permutation could put
+an index into a block twice, and the closure raises unless the block
+sizes sum to the space size. The Schreier sampler
 skips an attempt y -> ys by generator s that retraces a BFS tree edge
 (via[ys] == 2 + s), or the reverse edge of an involution (via[y] == 2 +
 s), before any transversal walk: its Schreier element is the identity.
@@ -90,7 +90,7 @@ MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
 _SCAN_WINDOW = 1 << 12
 # Images gathered per take in _close_orbits, and class-map entries scanned
-# per chunk in QuotientClassification._member_chunks. Measured on R(4,8)'s
+# per chunk in QuotientClassification._members_at. Measured on R(4,8)'s
 # partitions (2**20 indices, 12 and 64 generators) and the closure of
 # H^(2)(7) (2**21): 2**15 through 2**20 run in the same time within noise,
 # 2**12 about 20 % slower, while the traced peak of the 64-generator
@@ -410,10 +410,8 @@ class QuotientClassification:
     and no member list. Stabilizer generators are drawn per class by
     stabilizer_gens, which compute calls for every class in class order; a
     caller that needs only some stabilizers computes with max_gens=0 and
-    draws those. A draw lists the members of a class of at most
-    _GATHER_WINDOW members (see _member_chunks) and reads only the drawn
-    members of a larger one (see _members_at), so no large member array is
-    built.
+    draws those. A draw reads only the drawn members of its class (see
+    _members_at), so no member array is built.
     """
 
     def __init__(self, d, m, space, class_of, via, tables, inverses, gens, first, sizes):
@@ -478,8 +476,8 @@ class QuotientClassification:
         The draws come from rng, so the generators of a class depend on the
         classes sampled before it from the same rng. The transversal memo is
         cleared afterwards, so it never holds more than one class's walks.
-        Members come from one scan of the class map (see _member_chunks);
-        max_gens 0 draws nothing and scans nothing.
+        The drawn members come from one scan of the class map (see
+        _members_at); a class of one member and max_gens 0 scan nothing.
         """
         _check_max_gens(max_gens)
         if max_gens == 0:
@@ -488,24 +486,11 @@ class QuotientClassification:
         self._memo.clear()
         return tuple(gens)
 
-    def _member_chunks(self, cid: int):
-        """The members of class cid, ascending, one array per chunk of the class map.
-
-        The class map is scanned from the class seed, its least member, in
-        chunks of _GATHER_WINDOW entries, and the scan stops at the class's
-        last member; a chunk's array can be dropped once it is read.
-        """
-        left, start = self.records[cid].size, int(self._first[cid])
-        while left:
-            hits = np.flatnonzero(self.class_of[start : start + _GATHER_WINDOW] == cid)
-            yield hits + start
-            left -= hits.size
-            start += _GATHER_WINDOW
-
     def _members_at(self, cid: int, ranks: list[int]) -> list[int]:
         """The k-th least member of class cid for each k in ranks, in the order of ranks.
 
-        One pass over _member_chunks, ending at the chunk of the largest
+        The class map is scanned from the class seed, its least member, in
+        chunks of _GATHER_WINDOW entries, up to the chunk of the largest
         rank, so no member array of the class is built (the largest class
         of H^(2)(7) has 1,763,776 members, 7 MB as uint32).
         """
@@ -513,13 +498,14 @@ class QuotientClassification:
         order = np.argsort(ranks, kind="stable")
         wanted = ranks[order]
         members = np.empty(ranks.size, dtype=np.int64)
+        size, start = self.records[cid].size, int(self._first[cid])
         found = done = 0
-        for hits in self._member_chunks(cid):
-            if done == ranks.size:
-                break
+        while done < ranks.size and found < size:
+            hits = np.flatnonzero(self.class_of[start : start + _GATHER_WINDOW] == cid) + start
             stop = int(np.searchsorted(wanted, found + hits.size))
             members[order[done:stop]] = hits[wanted[done:stop] - found]
             done, found = stop, found + hits.size
+            start += _GATHER_WINDOW
         if done < ranks.size:
             raise ValueError(f"class {cid} has {found} members, rank {wanted[-1]} asked")
         return members.tolist()
@@ -562,21 +548,16 @@ class QuotientClassification:
                 out.append(a)
             return out[:max_gens]
         size = self.records[cid].size
-        if size <= _GATHER_WINDOW:
-            member = np.concatenate(list(self._member_chunks(cid))).item
-        else:
-            # Each attempt draws rng.randrange(size), then
-            # rng.randrange(len(gens)). A copy of rng replays the draws of all
-            # max_gens * 8 attempts first, so only their members are read.
-            # Replaying costs more than listing a class of at most
-            # _GATHER_WINDOW members, which holds 256 KB at most.
-            probe = random.Random()
-            probe.setstate(rng.getstate())
-            ranks = []
-            for _ in range(max_gens * 8):
-                ranks.append(probe.randrange(size))
-                probe.randrange(len(self.gens))
-            member = dict(zip(ranks, self._members_at(cid, ranks))).__getitem__
+        # Each attempt draws rng.randrange(size), then rng.randrange(len(gens)).
+        # A copy of rng replays the draws of all max_gens * 8 attempts first,
+        # so only their members are read.
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        ranks = []
+        for _ in range(max_gens * 8):
+            ranks.append(probe.randrange(size))
+            probe.randrange(len(self.gens))
+        member = dict(zip(ranks, self._members_at(cid, ranks))).__getitem__
         out = []
         seen = set()
         attempts = 0

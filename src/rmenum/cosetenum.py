@@ -10,17 +10,19 @@ or for m <= 5 one word in the narrowest unsigned dtype that holds it. The
 span of the low (at most 16) tables of R' is laid out once as a block of
 words by XOR-doubling, and the Gray sequence over the high tables is cut
 into segments, each adding one XOR offset, looked up in the half spans of
-the high tables, to the representatives. When R' fits the block, the
-representatives are swept in chunks of whole blocks, popcounted and
-histogrammed by one bincount per chunk. Otherwise each representative
-sweeps its segments a few at a time into reused buffers, and up to m = 7
-one bincount over byte pairs of weights per batch feeds a pair histogram
-whose two marginals give the row. A batch call amortises one sweep over
-many representatives, which is how the product-sum recursion consumes
-whole families of cosets at once; callers that build many cosets pass
-their packed words as one array. The brute-force oracle is the same sweep
-of the zero representative. With jobs workers, the segments are split
-into contiguous ranges, one per worker, and the histograms summed.
+the high tables, to the representatives. One loop serves every sweep:
+representatives go in groups, and each group sweeps its segments a batch
+at a time into buffers reused for every batch. A short sweep groups many
+representatives into one batch, whose weights are binned with each
+representative's place as the key's high part; a long one takes one
+representative's segments a few at a time, and up to m = 7 bins its
+weights as byte pairs into a pair histogram whose two marginals give the
+row. A batch call amortises one sweep over many representatives, which
+is how the product-sum recursion consumes whole families of cosets at
+once; callers that build many cosets pass their packed words as one
+array. The brute-force oracle is the same sweep of the zero
+representative. With jobs workers, the segments are split into
+contiguous ranges, one per worker, and the histograms summed.
 """
 
 from __future__ import annotations
@@ -44,12 +46,10 @@ from .wenum import WeightEnumerator
 
 DEFAULT_CAP = 1 << 30
 # Swept tables spanned by the in-memory block; the rest index segments.
-# Representatives are chunked so that no more words than one full block
-# (2**_LOW_BITS) are popcounted at once.
 _LOW_BITS = 16
-# Bytes of swept words per batch of segments, the size of the reused
-# buffers of a single-rep sweep: two segments of uint32 words, one of
-# 64-bit words.
+# Bytes of swept words per batch, the size of the reused word buffer: two
+# full blocks of uint32 words, one of 64-bit words, or a group of reps
+# over all the segments of a shorter sweep (whose int64 keys fit it too).
 _BATCH_BYTES = 1 << 19
 
 
@@ -88,14 +88,14 @@ def _lanes(m: int) -> int:
     return max(1, (1 << m) // 64)
 
 
-def _pack(words, lanes: int) -> np.ndarray:
+def packed_words(words, m: int) -> np.ndarray:
+    """Truth tables of 2**m bits (Python ints) as packed words, one row each.
+
+    A row is _lanes(m) little-endian 64-bit lanes, least significant first.
+    """
+    lanes = _lanes(m)
     buf = b"".join(w.to_bytes(lanes * 8, "little") for w in words)
     return np.frombuffer(buf, dtype="<u8").reshape(len(words), lanes)
-
-
-def packed_words(words, m: int) -> np.ndarray:
-    """Truth tables of 2**m bits (Python ints) as packed words, one row each (see _pack)."""
-    return _pack(words, _lanes(m))
 
 
 def packed_tables(masks, m: int) -> np.ndarray:
@@ -111,7 +111,7 @@ def _packed_reps(reps, m: int) -> np.ndarray:
     """
     lanes = _lanes(m)
     if not isinstance(reps, np.ndarray):
-        return _pack([_rep_bits(rep, m) for rep in reps], lanes)
+        return packed_words([_rep_bits(rep, m) for rep in reps], m)
     if reps.ndim != 2 or reps.shape[1] != lanes:
         raise ValueError(
             f"packed words of length 2**{m} need shape (count, {lanes}), got {reps.shape}"
@@ -131,8 +131,8 @@ def _segments(r: int, m: int) -> int:
 def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.ndarray:
     """Weight histograms of each rep + R(r,m) over Gray segments lo..hi-1.
 
-    reps are packed words, shaped like _pack's output. Returns an int64
-    array of shape (len(reps), 2**m + 1). Only the non-constant basis
+    reps are packed words, shaped like packed_words' output. Returns an
+    int64 array of shape (len(reps), 2**m + 1). Only the non-constant basis
     tables are swept (rm_basis_masks puts the all-ones table, mask 0,
     first); each swept word also stands for its complement, so the
     histograms are folded as hists + hists[:, ::-1] and count 2**dim words
@@ -143,16 +143,20 @@ def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.n
     sums to the same histograms.
 
     Words narrower than 64 bits (m <= 5) are swept in the narrowest
-    unsigned dtype that holds them. When R' fits the block there is one
-    segment, and reps go in chunks of 2**(_LOW_BITS - log2 block) with one
-    bincount per chunk over weight + (n + 1) * (rep in chunk). Otherwise
-    each rep sweeps its segments alone, a batch of them at a time into
-    buffers of about _BATCH_BYTES bytes of words, reused for every batch
-    and rep. Up to m = 7 a weight fits one byte, so the batch's weights are
-    read as uint16 pairs and one bincount over their keys goes into one
-    pair histogram of 256 * (n + 1) keys; the rep's row is the sum of its
-    two marginals. From m = 8 a weight can reach 256, so weights are int64
-    and binned directly.
+    unsigned dtype that holds them. A batch holds batch =
+    _BATCH_BYTES // block.nbytes (at least 1) swept blocks. Reps go in
+    groups of as many as sweep all hi - lo segments in one batch whose
+    words and whose int64 keys each fit _BATCH_BYTES, or one rep, and each
+    group sweeps its segments batch at a time into word, popcount and
+    weight buffers reused for every batch. So a sweep of few segments takes
+    many reps per batch, and a long one takes one rep's segments over many
+    batches. A one-rep group up to m = 7, with a block of at least 2 words,
+    reads its one-byte weights as uint16 pairs, and one bincount per batch
+    over their keys goes into one pair histogram of 256 * (n + 1) keys; the
+    rep's row is the sum of its two marginals, taken once per rep. Any
+    other group bins int64 keys weight + (n + 1) * (rep's place in the
+    group), written over the batch's words; from m = 8 a weight can reach
+    256, so weights are int64 there.
     """
     n = 1 << m
     dtype = np.min_scalar_type((1 << min(n, 64)) - 1)
@@ -161,54 +165,55 @@ def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.n
     nlow = min(len(tables), _LOW_BITS)
     # lane-major, so the lanes of a word's popcount are summed as planes
     block = np.ascontiguousarray(xor_span_array(np.zeros(lanes, dtype=dtype), tables[:nlow]).T)
-    words = reps.astype(dtype)
-    hists = np.zeros((len(reps), n + 1), dtype=np.int64)
-    if nlow < _LOW_BITS:
-        # R' is the block, so the sweep is segment 0, whose offset is 0
-        chunk = 1 << (_LOW_BITS - nlow)
-        for c0 in range(0, len(reps), chunk) if lo < hi else ():
-            part = words[c0 : c0 + chunk]
-            popcounts = np.bitwise_count(part[:, :, None] ^ block)
-            if lanes == 1:
-                weights = popcounts[:, 0]
-            else:
-                weights = popcounts.sum(axis=1, dtype=np.int64)
-            if len(part) > 1:
-                weights = weights + np.arange(len(part), dtype=np.int64)[:, None] * (n + 1)
-            counts = np.bincount(weights.ravel(), minlength=len(part) * (n + 1))
-            hists[c0 : c0 + len(part)] += counts.reshape(len(part), n + 1)
-        return hists + hists[:, ::-1]
+    size = block.shape[1]
     high_lo, high_hi = xor_half_spans(np.zeros(lanes, dtype=dtype), tables[nlow:])
     mask, shift = len(high_lo) - 1, len(high_lo).bit_length() - 1
     batch = max(1, _BATCH_BYTES // block.nbytes)
-    buf = np.empty((batch, *block.shape), dtype=dtype)
+    # a grouped batch holds at most _BATCH_BYTES of words and of int64 keys
+    group = max(1, _BATCH_BYTES // max(block.nbytes, 8 * size) // max(1, hi - lo))
+    rows = min(group, len(reps)) * min(batch, max(0, hi - lo))
+    # only a one-rep group bins byte pairs: every group when group is 1, else
+    # a last group of one rep
+    paired = m <= 7 and size > 1 and (group == 1 or len(reps) % group == 1)
+    # a batch's int64 keys overwrite its words, which are popcounted by then
+    key_bytes = rows * size * 8 if group > 1 or not paired else 0
+    raw = np.empty(max(rows * block.nbytes, key_bytes), dtype=np.uint8)
+    buf = raw[: rows * block.nbytes].view(dtype).reshape(rows, *block.shape)
+    keys = raw[:key_bytes].view(np.int64)
     popcounts = np.empty(buf.shape, dtype=np.uint8)
-    paired = m <= 7
     if lanes == 1:
         weights = popcounts[:, 0]
     else:
-        weights = np.empty((batch, block.shape[1]), dtype=np.uint8 if paired else np.int64)
+        weights = np.empty((rows, size), dtype=np.uint8 if m <= 7 else np.int64)
     # pair key w + 256 * w' < 256 * (n + 1), with w, w' <= n
-    pairs = np.zeros(256 * (n + 1), dtype=np.int64)
-    for i, rep in enumerate(words):
+    pairs = np.zeros(256 * (n + 1) if paired else 0, dtype=np.int64)
+    words = reps.astype(dtype)
+    hists = np.zeros((len(reps), n + 1), dtype=np.int64)
+    for g0 in range(0, len(words), group):
+        part = words[g0 : g0 + group]
+        g = len(part)
         for s0 in range(lo, hi, batch):
             seg = np.arange(s0, min(s0 + batch, hi))
             gray = seg ^ (seg >> 1)
             # a segment past the span wraps round, so a wrong segment count
             # sweeps words twice and fails the totals check
-            offsets = high_lo[gray & mask] ^ high_hi.take(gray >> shift, axis=0, mode="wrap") ^ rep
-            k = len(seg)
-            np.bitwise_xor(offsets[:, :, None], block, out=buf[:k])
+            offsets = high_lo[gray & mask] ^ high_hi.take(gray >> shift, axis=0, mode="wrap")
+            k = g * len(seg)
+            np.bitwise_xor((part[:, None] ^ offsets).reshape(k, lanes, 1), block, out=buf[:k])
             np.bitwise_count(buf[:k], out=popcounts[:k])
             if lanes > 1:
                 np.sum(popcounts[:k], axis=1, dtype=weights.dtype, out=weights[:k])
-            if paired:
+            if g == 1 and paired:
                 pairs += np.bincount(weights[:k].reshape(-1).view(np.uint16), minlength=len(pairs))
             else:
-                hists[i] += np.bincount(weights[:k].ravel(), minlength=n + 1)
-        if paired:
+                # key w + (n + 1) * (rep's place in the group)
+                places = np.arange(0, g * (n + 1), n + 1)[:, None]
+                np.add(weights[:k].reshape(g, -1), places, out=keys[: k * size].reshape(g, -1))
+                counts = np.bincount(keys[: k * size], minlength=g * (n + 1))
+                hists[g0 : g0 + g] += counts.reshape(g, n + 1)
+        if g == 1 and paired:
             square = pairs.reshape(n + 1, 256)
-            hists[i] = square.sum(axis=1) + square.sum(axis=0)[: n + 1]
+            hists[g0] = square.sum(axis=1) + square.sum(axis=0)[: n + 1]
             pairs[:] = 0
     return hists + hists[:, ::-1]
 
@@ -229,9 +234,9 @@ def batch_coset_enumerators(
 
     reps is a sequence of TruthTables, Anfs or raw table bits, or one 2-D
     <u8 array of packed words, a row of 64-bit lanes (little-endian, least
-    significant lane first) per rep, shaped like _pack's output; an array
-    of the wrong shape or dtype, or with a bit set at or past 2**m, raises
-    ValueError before any sweep. The result list is aligned with reps and
+    significant lane first) per rep, shaped like packed_words' output; an
+    array of the wrong shape or dtype, or with a bit set at or past 2**m,
+    raises ValueError before any sweep. The result list is aligned with reps and
     identical for any jobs value; workers sweep disjoint ranges of Gray
     segments for every rep.
     """

@@ -776,7 +776,8 @@ def test_preimage_walk_returns_the_reference_parent(d, m):
 def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
     # the members a Schreier draw reads come from one scan of the class map
     # alone, from the class seed in chunks (many of them at 2**8), for ranks
-    # in any order and with repeats
+    # in any order and with repeats; every rank of every class up to 2**15
+    # indices
     import rmenum.classify as classify
 
     if window is not None:
@@ -797,30 +798,47 @@ def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
             ranks += [rng.randrange(n) for _ in range(400)]
         rng.shuffle(ranks)
         ranks += ranks[:3]
-        assert np.array_equal(np.concatenate(list(cls._member_chunks(cid))), want)
         assert cls._members_at(cid, ranks) == want[ranks].tolist()
         with pytest.raises(ValueError, match="members, rank"):
             cls._members_at(cid, [0, n])
 
 
-@pytest.mark.parametrize("d, m", [(3, 5), (2, 6)])
-def test_replayed_draws_give_the_generators_of_the_listed_members(monkeypatch, d, m):
-    # at a window of 2**8 every class of more than 256 members is sampled by
-    # replaying its draws from a copy of the rng; the generators and the rng
-    # state afterwards must be those of the listed members
-    import rmenum.classify as classify
+def reference_schreier_sample(cls, cid, rng, max_gens):
+    # draws straight from rng over the members listed from the class map, and
+    # keeps each Schreier element t_y @ g @ t_ys^-1 that is neither the
+    # identity nor one drawn before
+    members = np.flatnonzero(cls.class_of == cid)
+    if members.size == 1:
+        return tuple(AffineMap(g, 0) for g in cls.gens[:max_gens])
+    images = [expand(halves) for halves in gl_tables(cls)]
+    identity = Gf2Matrix.identity(cls.m)
+    out, seen = [], set()
+    for _ in range(max_gens * 8):
+        if len(out) == max_gens:
+            break
+        y = int(members[rng.randrange(members.size)])
+        si = rng.randrange(len(cls.gens))
+        ys = int(images[si][y])
+        sigma = cls.transversal(y) @ cls.gens[si] @ cls.transversal(ys).inverse()
+        if sigma != identity and sigma.rows not in seen:
+            seen.add(sigma.rows)
+            out.append(AffineMap(sigma, 0))
+    return tuple(out)
 
-    def sample():
-        cls = QuotientClassification.compute(d, m, max_gens=0)
-        rng = random.Random(3)
-        gens = [cls.stabilizer_gens(cid, rng, 16) for cid in range(len(cls.records))]
-        return gens, rng.getstate(), [rec.size for rec in cls.records]
 
-    listed = sample()
-    monkeypatch.setattr(classify, "_GATHER_WINDOW", 1 << 8)
-    replayed = sample()
-    assert max(listed[2]) > 1 << 8
-    assert replayed == listed
+@pytest.mark.parametrize("d, m", [(3, 5), (2, 6), (3, 6)])
+def test_replayed_draws_give_the_generators_of_the_listed_members(d, m):
+    # every class of more than one member is sampled by replaying its draws
+    # from a copy of the rng and reading only the drawn members (H^(3)(6) has
+    # classes past 2**15 members); the generators and the rng state
+    # afterwards must be those of a sampler that draws from the rng itself
+    # over the listed members
+    cls = QuotientClassification.compute(d, m, max_gens=0)
+    rng, ref_rng = random.Random(3), random.Random(3)
+    for cid in range(len(cls.records)):
+        want = reference_schreier_sample(cls, cid, ref_rng, 16)
+        assert cls.stabilizer_gens(cid, rng, 16) == want
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_closure_widens_the_block_map_past_255_blocks():

@@ -9,11 +9,11 @@ from rmenum.boolfn import TruthTable, monomial_table, parse_anf, truth_table_fro
 from rmenum.cosetenum import (
     _LOW_BITS,
     _gray_histograms,
-    _pack,
     _segments,
     batch_coset_enumerators,
     coset_enumerator,
     coset_histograms,
+    packed_words,
     rm_basis_masks,
     rm_dimension,
 )
@@ -71,9 +71,10 @@ def test_matches_slow_reference():
             rep = rng.getrandbits(1 << m)
             assert coset_enumerator(rep, r, m) == slow_coset_enumerator(rep, r, m)
     # the sweep engine's edges, against a reference that includes the all-ones
-    # table the engine folds in: more representatives than one chunk (2048 for
-    # R(1,5)'s 5 swept tables), R(2,5)'s 15 swept tables (2-rep chunks, here
-    # with an odd remainder), R(0,5) with no swept table, and two 64-bit lanes
+    # table the engine folds in: more representatives than one group (2048
+    # for R(1,5)'s 32-word block), R(2,5)'s 15 swept tables (groups of 2
+    # reps, here one rep and a group with a one-rep tail), R(0,5) with no
+    # swept table, and two 64-bit lanes
     for r, m, count in [(1, 5, 1100), (1, 5, 2100), (2, 5, 1), (2, 5, 3), (0, 5, 3), (1, 7, 1)]:
         reps = [rng.getrandbits(1 << m) for _ in range(count)]
         got = batch_coset_enumerators(reps, r, m)
@@ -95,7 +96,7 @@ def test_segment_split_sums_to_full_sweep():
         assert nseg == 1 << (rm_dimension(r, m) - 1 - _LOW_BITS)
         k = nseg // 2 - 1
         assert k % 2 == 1
-        reps = _pack([rng.getrandbits(1 << m) for _ in range(2)], 1)
+        reps = packed_words([rng.getrandbits(1 << m) for _ in range(2)], m)
         full = _gray_histograms(reps, r, m, 0, nseg)
         split = _gray_histograms(reps, r, m, 0, k) + _gray_histograms(reps, r, m, k, nseg)
         assert (split == full).all()
@@ -104,10 +105,11 @@ def test_segment_split_sums_to_full_sweep():
 def test_engine_matches_slow_reference_at_every_width(monkeypatch):
     # words of 1..8 bits (uint8), 16 (uint16), 32 (uint32), then 1, 2 and 4
     # 64-bit lanes, weights up to 256 at m = 8; one rep, six reps and the
-    # all-ones rep. A low block of 3, 5 or 8 tables sends most codes through
-    # the single-rep path, whose batches here hold 3 segments of 2**m = 256
-    # bits (more of narrower words), so longer sweeps end on a partial batch;
-    # each is also split into two sweeps at an odd segment
+    # all-ones rep. A low block of 3, 5 or 8 tables gives most codes several
+    # segments, and batches here hold 3 segments of 2**m = 256 bits (more of
+    # narrower words), so reps go alone or in small groups and longer sweeps
+    # end on a partial batch; each is also split into two sweeps at an odd
+    # segment
     rng = random.Random(47)
     for m in range(9):
         n = 1 << m
@@ -116,7 +118,7 @@ def test_engine_matches_slow_reference_at_every_width(monkeypatch):
                 continue
             reps = [rng.getrandbits(n) for _ in range(5)] + [(1 << n) - 1]
             want = [list(slow_coset_enumerator(rep, r, m).coeffs) for rep in reps]
-            packed = _pack(reps, max(1, n // 64))
+            packed = packed_words(reps, m)
             for low_bits in (_LOW_BITS, 3, 5, 8):
                 with monkeypatch.context() as mp:
                     mp.setattr(cosetenum, "_LOW_BITS", low_bits)
@@ -129,6 +131,30 @@ def test_engine_matches_slow_reference_at_every_width(monkeypatch):
                         split = _gray_histograms(packed, r, m, 0, k)
                         split += _gray_histograms(packed, r, m, k, nseg)
                         assert split.tolist() == want
+
+
+@pytest.mark.parametrize("nseg", [2, 4])
+@pytest.mark.parametrize("m", [5, 7, 8])
+def test_batches_group_reps_and_split_one_rep(monkeypatch, m, nseg):
+    # R(1,m) sweeps m tables: a low block of 2**low words and nseg Gray
+    # segments. Batches of 3 * nseg + 1 segments of words and of int64 keys
+    # take the 7 reps in groups of 3, each group's segments in one batch,
+    # and a one-rep tail; batches of nseg - 1 segments of words (at least 1)
+    # take each rep alone over two batches or more, summed in one pair
+    # histogram up to m = 7 (uint32 words at m = 5, two lanes at m = 7) and
+    # as int64 weights at m = 8
+    rng = random.Random(59 + m + nseg)
+    n = 1 << m
+    low = m - (nseg.bit_length() - 1)
+    reps = [rng.getrandbits(n) for _ in range(6)] + [(1 << n) - 1]
+    want = [list(slow_coset_enumerator(rep, 1, m).coeffs) for rep in reps]
+    monkeypatch.setattr(cosetenum, "_LOW_BITS", low)
+    assert _segments(1, m) == nseg
+    words = (1 << low) * max(1, n // 8)
+    keys = (1 << low) * 8
+    for batch_bytes in ((3 * nseg + 1) * max(words, keys), max(1, nseg - 1) * words):
+        monkeypatch.setattr(cosetenum, "_BATCH_BYTES", batch_bytes)
+        assert coset_histograms(reps, 1, m).tolist() == want
 
 
 def test_histograms_check_their_totals(monkeypatch):
@@ -184,7 +210,7 @@ def test_packed_words_give_the_rows_of_their_ints(jobs):
     for r, m in [(2, 6), (1, 5), (1, 8)]:
         n = 1 << m
         reps = [rng.getrandbits(n) for _ in range(4)] + [(1 << n) - 1]
-        packed = _pack(reps, max(1, n // 64))
+        packed = packed_words(reps, m)
         want = coset_histograms(reps, r, m, jobs=jobs)
         assert (coset_histograms(packed, r, m, jobs=jobs) == want).all()
         got = batch_coset_enumerators(packed, r, m, jobs=jobs)
