@@ -11,7 +11,7 @@ Run:  python demos/doubling_recursion.py
 
 import random
 
-from rmenum.boolfn import HomogeneousSpace, attach_top, format_anf, truth_table_from_anf
+from rmenum.boolfn import HomogeneousSpace, attach_top, format_anf
 from rmenum.classify import QuotientClassification, merge_by_enumerator, orbit_partition
 from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator
 from rmenum.oracle import brute_force_distribution
@@ -34,9 +34,7 @@ cls = QuotientClassification.compute(3, 5)
 rec = next(r for r in cls.records if format_anf(r.rep) == "123")
 part = orbit_partition(rec.rep, rec.gens, 1, 5)
 space = HomogeneousSpace(5, 2)
-tables = space.all_tables()
-e_bits = truth_table_from_anf(rec.rep).bits
-raw = batch_coset_enumerators([e_bits ^ tables[b[0]] for b in part.blocks], 1, 5)
+raw = batch_coset_enumerators([rec.rep ^ space.anf_of(b[0]) for b in part.blocks], 1, 5)
 merged, menums = merge_by_enumerator(part, raw)
 print(f"  {space.size} inner forms -> {part.block_count} orbit blocks"
       f" -> {merged.block_count} distinct enumerators")

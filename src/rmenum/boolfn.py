@@ -333,16 +333,3 @@ class HomogeneousSpace:
             masks.append(self.masks[low.bit_length() - 1])
             idx ^= low
         return Anf(self.m, frozenset(masks))
-
-    def table_of(self, idx: int) -> int:
-        """Truth table bits of the form at idx."""
-        bits = 0
-        while idx:
-            low = idx & -idx
-            bits ^= monomial_table(self.masks[low.bit_length() - 1], self.m)
-            idx ^= low
-        return bits
-
-    def all_tables(self) -> list[int]:
-        """Truth tables of every form in the space, indexed by packed index."""
-        return xor_span(monomial_table(mask, self.m) for mask in self.masks)

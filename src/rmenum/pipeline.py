@@ -42,7 +42,9 @@ a linear A. Summed over the classes of e in H^(r)(m-2), weighted by size,
 this is W[z; R(r,m)] without classifying H^(r)(m-1) at all.
 run_pipeline takes that Fourier route for self-classified "blocks" runs,
 and the class sum over H^(r)(m-1) for given classes or "direct"; see its
-docstring for what each route's counter counts.
+docstring for what each route's counter counts. Of its lower
+classification the Fourier route reads only the records, in packed-rep
+order, and the stabilizer_gens of the classes still pending.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ from .wenum import (
     _kronecker_unpack,
     _pack_coeffs,
     read_distribution,
-    scale,
     square,
     write_distribution,
 )
@@ -199,34 +200,22 @@ def coset_enum_blocks(
     return WeightEnumerator(n, _kronecker_unpack(acc, n, width))
 
 
-def _direct_enum(r: int, m: int, cap: int, p: Anf) -> tuple[WeightEnumerator, int]:
-    """Coset enumerator of p + R(r+1,m+1) by the plain product-sum, and its multiplications."""
-    e, f = decompose_top(p)
-    counter = MulCounter()
-    enum = coset_enum_split(e, f, r, m, counter=counter, cap=cap)
-    return enum, counter.count
+def _class_sum_term(r: int, m: int, cap: int, tables, rec: ClassRecord):
+    """The class-sum term size * W^2[z; rep + R(r+1,m+1)] of a class, and its multiplications.
 
-
-def _block_enum(space: HomogeneousSpace, tables: dict, p: Anf) -> tuple[WeightEnumerator, int]:
-    """Coset enumerator of p through the block table of its lower part, and its multiplications.
-
-    p must be rebased so that its lower part is exactly one of the keyed
-    forms; lookup is by packed index in space.
+    With tables None the coset enumerator is the plain product-sum over
+    H^(r+1)(m); otherwise the rep must be rebased so that its lower part
+    keys one of the block tables.
     """
-    e, f = decompose_top(p)
-    entry = tables.get(space.index_of(e))
-    if entry is None:
-        raise ValueError(f"representative {format_anf(p)} was not rebased onto a known form")
-    partition, block_enums = entry
+    e, f = decompose_top(rec.rep)
     counter = MulCounter()
-    enum = coset_enum_blocks(f, partition, block_enums, counter=counter)
-    return enum, counter.count
-
-
-def _squared_contribution(enum_fn, rec: ClassRecord):
-    """The class-sum term of a class, size * W^2[z; rep + R(r-1,m-1)], and its multiplications."""
-    enum, mults = enum_fn(rec.rep)
-    return scale(square(enum), rec.size).coeffs, mults
+    if tables is None:
+        enum = coset_enum_split(e, f, r, m, counter=counter, cap=cap)
+    elif e in tables:
+        enum = coset_enum_blocks(f, *tables[e], counter=counter)
+    else:
+        raise ValueError(f"representative {format_anf(rec.rep)} was not rebased onto a known form")
+    return square(enum).scale(rec.size).coeffs, counter.count
 
 
 def _checkpoint_path(directory: str, cid: int) -> str:
@@ -319,18 +308,16 @@ def _class_order(classes, d: int, m1: int) -> list[ClassRecord]:
     return ordered
 
 
-def _unfinished(classes, d: int, m1: int, checkpoint: str | None) -> list[ClassRecord]:
-    """The classes that have no checkpoint file yet; all of them without a directory.
+def _unfinished(ordered, checkpoint: str | None) -> list[int]:
+    """Checkpoint ids of the ordered classes that have no file yet; all of them without a directory.
 
     A file that exists but fails its checks is not unfinished:
     distribution_from_classes raises on it.
     """
-    if not checkpoint:
-        return list(classes)
     return [
-        rec
-        for cid, rec in enumerate(_class_order(classes, d, m1))
-        if not os.path.exists(_checkpoint_path(checkpoint, cid))
+        cid
+        for cid in range(len(ordered))
+        if not checkpoint or not os.path.exists(_checkpoint_path(checkpoint, cid))
     ]
 
 
@@ -545,8 +532,10 @@ def run_pipeline(
       "direct"): sum size * W^2[z; rep + R(r-1,m-1)] over the classes of
       H^(r)(m-1). "direct" self-classifies without stabilizers and runs
       each plain product-sum; "blocks" rebases representatives onto the
-      lower forms and reads block tables, built only for pending classes.
-      The counter counts polynomial multiplications of the product-sums.
+      lower forms, orders and validates them before any other work, and
+      reads block tables keyed by lower representative, built only for
+      pending classes. The counter counts polynomial multiplications of
+      the product-sums.
 
     max_gens caps the Schreier generators sampled per class of H^(r)(m-2),
     the lower classification that orbit partitions read. Each generator
@@ -554,11 +543,15 @@ def run_pipeline(
     give finer raw blocks, which merge_by_enumerator joins back, so
     distributions, checkpoints and counts are the same at every value; 0
     gives singleton partitions of V/W_e; a negative value is refused.
-    Both "blocks" routes classify H^(r)(m-2) without stabilizers and then
-    sample, in class order, only the lower classes that a pending class
-    reads, so a fresh run draws what QuotientClassification.compute would
-    and a run whose classes all have a checkpoint samples none and builds
-    no block table.
+    Both "blocks" routes classify H^(r)(m-2) without stabilizers, then
+    draw into new records, in ascending class id, the generators of only
+    the lower classes that a pending class reads: a fresh run draws what
+    QuotientClassification.compute would, a fully checkpointed run none.
+    Of that classification the Fourier route reads only the records,
+    (rep, size) in packed-rep order so that a position is a checkpoint id,
+    and those stabilizer_gens(cid, rng, max_gens) calls, which may return
+    no generators; any other source of lower classes must meet the same
+    contract.
 
     A checkpoint directory whose class files name another route is refused
     before any classification.
@@ -593,29 +586,30 @@ def run_pipeline(
             classes = QuotientClassification.compute(r, m1, rng, max_gens=0).records
         unit_total = 1 << (2 * rm_dimension(r - 1, m1))
     if strategy == "direct":
-        contribution = partial(_squared_contribution, partial(_direct_enum, r0, m0, cap))
+        contribution = partial(_class_sum_term, r0, m0, cap, None)
     else:
         # A Fourier class reads its own block table, a class-sum class the
-        # one of its rebased lower part. Stabilizers are drawn, in class
-        # order, and tables built only for the lower classes that a pending
-        # class reads; rebasing needs only transversals.
+        # one of its rebased lower part. Stabilizers are drawn, in ascending
+        # lower class id, only for the lower classes that a pending class
+        # reads; rebasing needs only transversals.
         lower = QuotientClassification.compute(r, m0, rng, max_gens=0)
         if fourier:
-            forms = [rec.rep for rec in _unfinished(lower.records, r, m0, checkpoint)]
+            classes = list(lower.records)
+            wanted = _unfinished(classes, checkpoint)
         else:
-            classes = rebase_representatives(classes, lower)
-            pending = _unfinished(classes, r, m1, checkpoint)
-            forms = [decompose_top(rec.rep)[0] for rec in pending]
+            classes = _class_order(rebase_representatives(classes, lower), r, m1)
+            cid_of = {rec.rep: cid for cid, rec in enumerate(lower.records)}
+            pending = _unfinished(classes, checkpoint)
+            wanted = {cid_of[decompose_top(classes[cid].rep)[0]] for cid in pending}
         tables = {}
-        for cid in sorted({int(lower.class_of[lower.space.index_of(e)]) for e in forms}):
+        for cid in sorted(wanted):
             rec = replace(lower.records[cid], gens=lower.stabilizer_gens(cid, rng, max_gens))
-            lower.records[cid] = rec
-            if not fourier:
-                tables[lower.space.index_of(rec.rep)] = _block_table(rec, r, m0, cap)
-        if fourier:
-            classes = lower.records
-        else:
-            contribution = partial(_squared_contribution, partial(_block_enum, lower.space, tables))
+            if fourier:
+                classes[cid] = rec
+            else:
+                tables[rec.rep] = _block_table(rec, r, m0, cap)
+        if not fourier:
+            contribution = partial(_class_sum_term, r0, m0, cap, tables)
     class_m = m0 if fourier else m1
     dist = distribution_from_classes(
         classes, r, class_m, contribution, 1 << m, unit_total, jobs, checkpoint, counter, route

@@ -12,7 +12,6 @@ from rmenum.boolfn import (
     HomogeneousSpace,
     attach_top,
     parse_anf,
-    truth_table_from_anf,
 )
 from rmenum.classify import (
     QuotientClassification,
@@ -68,12 +67,10 @@ def test_criterion_4_block_factorization_counts():
     rng = random.Random(2027)
     cls = QuotientClassification.compute(3, 5)
     space = HomogeneousSpace(5, 2)
-    tables = space.all_tables()
     ok = True
     for rec in cls.records:
         part = orbit_partition(rec.rep, rec.gens, 1, 5)
-        e_bits = truth_table_from_anf(rec.rep).bits
-        raw = batch_coset_enumerators([e_bits ^ tables[b[0]] for b in part.blocks], 1, 5)
+        raw = batch_coset_enumerators([rec.rep ^ space.anf_of(b[0]) for b in part.blocks], 1, 5)
         merged, menums = merge_by_enumerator(part, raw)
         for _ in range(20):
             f = space.anf_of(rng.randrange(space.size))
@@ -87,7 +84,7 @@ def test_criterion_4_block_factorization_counts():
 def test_criterion_5_blocks_share_enumerators_exhaustively():
     part = orbit_partition(parse_anf("0", 5), gl2_generators(5), 1, 5)
     space = HomogeneousSpace(5, 2)
-    enums = batch_coset_enumerators(list(space.all_tables()), 1, 5)
+    enums = batch_coset_enumerators([space.anf_of(g) for g in range(space.size)], 1, 5)
     ok = sum(len(b) for b in part.blocks) == space.size
     for block in part.blocks:
         first = enums[block[0]]

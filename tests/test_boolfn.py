@@ -145,14 +145,6 @@ def test_homogeneous_space_indexing():
         assert space.index_of(f) == idx
 
 
-def test_homogeneous_space_tables_match_anf():
-    space = HomogeneousSpace(4, 2)
-    tables = space.all_tables()
-    assert len(tables) == space.size
-    for idx in (0, 1, 17, 63):
-        assert tables[idx] == truth_table_from_anf(space.anf_of(idx)).bits
-
-
 def test_homogeneous_space_degenerate():
     assert HomogeneousSpace(2, 3).size == 1
     assert HomogeneousSpace(0, 1).size == 1

@@ -289,7 +289,7 @@ def test_merge_by_enumerator():
     e = parse_anf("0", 4)
     part = orbit_partition(e, gl2_generators(4), 1, 4)
     space = HomogeneousSpace(4, 2)
-    reps = [space.table_of(b[0]) for b in part.blocks]
+    reps = [space.anf_of(b[0]) for b in part.blocks]
     enums = batch_coset_enumerators(reps, 1, 4)
     merged, menums = merge_by_enumerator(part, enums)
     assert merged.block_count <= part.block_count

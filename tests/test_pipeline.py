@@ -100,12 +100,10 @@ def test_blocks_equal_split_with_fewer_multiplications():
     cls = QuotientClassification.compute(3, 5)
     rec = next(r for r in cls.records if r.rep == e)
     space = HomogeneousSpace(5, 2)
-    e_bits = truth_table_from_anf(e).bits
-    tables = space.all_tables()
     built = []
     for part in (orbit_partition(e, rec.gens, 1, 5), quotient_partition(e, rec.gens, 1, 5)):
         leaders = quotient_leader(part.basis, part.first).tolist()
-        raw = batch_coset_enumerators([e_bits ^ tables[g] for g in leaders], 1, 5)
+        raw = batch_coset_enumerators([e ^ space.anf_of(g) for g in leaders], 1, 5)
         built.append(merge_by_enumerator(part, raw))
     (full, full_enums), (merged, menums) = built
     assert len(merged.basis) == 3 and full_enums == menums
@@ -125,10 +123,10 @@ def test_blocks_equal_split_with_fewer_multiplications():
 def test_blocks_on_singleton_blocks_equal_split():
     # unmerged singleton blocks: one product per index of H^(2)(4)
     e = parse_anf("123", 4)
-    size = HomogeneousSpace(4, 2).size
+    space = HomogeneousSpace(4, 2)
+    size = space.size
     part = Partition(e, 2, 4, np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32))
-    e_bits = truth_table_from_anf(e).bits
-    enums = batch_coset_enumerators([e_bits ^ t for t in HomogeneousSpace(4, 2).all_tables()], 1, 4)
+    enums = batch_coset_enumerators([e ^ space.anf_of(g) for g in range(size)], 1, 4)
     rng = random.Random(37)
     for _ in range(4):
         f = HomogeneousSpace(4, 2).anf_of(rng.randrange(64))
@@ -396,7 +394,7 @@ def test_checkpoint_directory_of_another_route_raises(monkeypatch, tmp_path, cas
     monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
     monkeypatch.setattr(pipeline, "_block_table", forbidden)
     monkeypatch.setattr(pipeline, "_fourier_distribution", forbidden)
-    monkeypatch.setattr(pipeline, "_squared_contribution", forbidden)
+    monkeypatch.setattr(pipeline, "_class_sum_term", forbidden)
     with pytest.raises(ValueError, match="header 'route'"):
         run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
     assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
@@ -443,6 +441,24 @@ def test_pipeline_final_check_rejects_a_class_given_by_another_member():
     # blocks rebases 13 onto 12 before the classes are ordered
     with pytest.raises(ValueError, match="two classes have representative 12"):
         run_pipeline(2, 5, classes=classes)
+
+
+def test_given_classes_are_validated_before_any_stabilizer_or_block_table(monkeypatch):
+    import rmenum.pipeline as pipeline
+
+    records = classify_quotient(3, 5)
+    bumped = [replace(records[0], size=records[0].size + 1), *records[1:]]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done before the given classes were validated")
+
+    # rebased classes are ordered and checked before any lower class is sampled
+    monkeypatch.setattr(pipeline, "_block_table", forbidden)
+    monkeypatch.setattr(QuotientClassification, "stabilizer_gens", forbidden)
+    with pytest.raises(ValueError, match="orbit sizes sum to 1025"):
+        run_pipeline(3, 6, classes=bumped)
+    with pytest.raises(ValueError, match="two classes have representative 12"):
+        run_pipeline(2, 5, classes=h24_classes("12"))
 
 
 @pytest.mark.parametrize("r, m", [(2, 5), (3, 6), (2, 7), (4, 7)])
@@ -535,6 +551,43 @@ def test_fourier_route_classifies_only_the_lower_forms(monkeypatch, tmp_path):
         assert seen == [(2, 4)]
         # two squarings per distinct transform row
         assert counter.count > 0 and counter.count % 2 == 0
+
+
+SINGLETON_CODES = [(3, 6), (2, 7), (4, 7), (3, 7)]
+
+
+@pytest.mark.parametrize("r, m", SINGLETON_CODES, ids=[f"r{r}m{m}" for r, m in SINGLETON_CODES])
+def test_fourier_route_over_a_singleton_source(monkeypatch, tmp_path, r, m):
+    # The Fourier route reads only records, in packed-rep order, and
+    # stabilizer_gens of a lower classification. A source that lists every
+    # form of H^(r)(m-2) as its own class, with no generators, needs no
+    # classification at all and must give the same distribution.
+    want = run_pipeline(r, m)
+    drawn = []
+
+    class SingletonSource:
+        def __init__(self, d, m0):
+            space = HomogeneousSpace(m0, d)
+            self.records = [ClassRecord(rep=space.anf_of(i), size=1) for i in range(space.size)]
+
+        def stabilizer_gens(self, cid, rng, max_gens):
+            drawn.append(cid)
+            return ()
+
+    def singletons(d, m0, *args, **kwargs):
+        return SingletonSource(d, m0)
+
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(singletons))
+    ckpt = tmp_path / "ckpt"
+    assert run_pipeline(r, m, checkpoint=str(ckpt)) == want
+    forms = 1 << comb(m - 2, r)
+    assert drawn == list(range(forms))
+    # a resume draws for its pending classes alone, in ascending class id
+    for cid in (forms - 1, 1):
+        (ckpt / f"class_{cid:05d}.txt").unlink()
+    drawn.clear()
+    assert run_pipeline(r, m, checkpoint=str(ckpt)) == want
+    assert drawn == [1, forms - 1]
 
 
 # sha256 of write_distribution(W) and the direct product-sum counts, R(r,m) -> (digest, count)
