@@ -634,13 +634,13 @@ def write_classification(target, records, d: int, m: int, seed: int | None = Non
 def ingest_classification(source, expect_d: int | None = None, expect_m: int | None = None):
     """Parse and validate a classification file; returns (records, d, m).
 
-    Validation: header advertises d and m, sizes are positive and sum to
-    2**C(m,d), reps are homogeneous of degree d (or zero), stated gens are
-    invertible and stabilize their representative.
+    Validation: header gives d and m once each, class ids run 0, 1, ... in
+    file order, sizes are positive and sum to 2**C(m,d), reps are degree-d
+    homogeneous (or zero), stated gens are invertible and stabilize them.
     """
     with _opened(source) as fh:
         lines = fh.read().splitlines()
-    d = m = None
+    header: dict[str, int] = {}
     records = []
     current = None
 
@@ -658,19 +658,20 @@ def ingest_classification(source, expect_d: int | None = None, expect_m: int | N
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] in ("d", "m"):
-                if fields[0] == "d":
-                    d = int(fields[1])
-                else:
-                    m = int(fields[1])
+                if fields[0] in header:
+                    raise ValueError(f"repeated '# {fields[0]}' header")
+                header[fields[0]] = int(fields[1])
             continue
         fields = line.split()
         if fields[0] == "class":
             flush()
             if len(fields) != 6 or fields[2] != "rep" or fields[4] != "size":
                 raise ValueError(f"bad class line {line!r}")
-            if m is None or d is None:
+            if len(header) < 2:
                 raise ValueError("class record before '# d'/'# m' headers")
-            rep = parse_anf(fields[3], m)
+            if fields[1] != str(len(records)):
+                raise ValueError(f"class id {fields[1]!r} out of order, expected {len(records)}")
+            rep = parse_anf(fields[3], header["m"])
             size = int(fields[5])
             if size <= 0:
                 raise ValueError(f"class size must be positive, got {size}")
@@ -679,14 +680,15 @@ def ingest_classification(source, expect_d: int | None = None, expect_m: int | N
             if current is None:
                 raise ValueError("gen line outside a class record")
             mat = Gf2Matrix.from_text(" ".join(fields[1:]))
-            if mat.m != m:
+            if mat.m != header["m"]:
                 raise ValueError("generator dimension differs from m")
             current[2].append(AffineMap(mat, 0))
         else:
             raise ValueError(f"unrecognised line {line!r}")
     flush()
-    if d is None or m is None:
+    if len(header) < 2:
         raise ValueError("missing '# d' or '# m' header")
+    d, m = header["d"], header["m"]
     if expect_d is not None and d != expect_d:
         raise ValueError(f"file classifies degree {d}, expected {expect_d}")
     if expect_m is not None and m != expect_m:

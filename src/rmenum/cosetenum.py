@@ -22,7 +22,8 @@ is how the product-sum recursion consumes whole families of cosets at
 once; callers that build many cosets pass their packed words as one
 array. The brute-force oracle is the same sweep of the zero
 representative. With jobs workers, the segments are split into
-contiguous ranges, one per worker, and the histograms summed.
+contiguous ranges, one per worker, and the histograms summed. A sweep of
+more than the fixed DEFAULT_CAP = 2**30 codewords refuses to start.
 """
 
 from __future__ import annotations
@@ -218,48 +219,44 @@ def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.n
     return hists + hists[:, ::-1]
 
 
-def coset_enumerator(rep, r: int, m: int, cap: int = DEFAULT_CAP) -> WeightEnumerator:
+def coset_enumerator(rep, r: int, m: int) -> WeightEnumerator:
     """W[z; rep + R(r,m)], exact.
 
     rep may be a TruthTable, an Anf, or raw table bits. The sweep visits
-    2**dim(R(r,m)) codewords and refuses to start past the cap.
+    2**dim(R(r,m)) codewords and refuses to start past DEFAULT_CAP.
     """
-    return batch_coset_enumerators([rep], r, m, cap=cap)[0]
+    return batch_coset_enumerators([rep], r, m)[0]
 
 
-def batch_coset_enumerators(
-    reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1
-) -> list[WeightEnumerator]:
+def batch_coset_enumerators(reps, r: int, m: int) -> list[WeightEnumerator]:
     """One Gray sweep of R(r,m) shared by every representative.
 
     reps is a sequence of TruthTables, Anfs or raw table bits, or one 2-D
     <u8 array of packed words, a row of 64-bit lanes (little-endian, least
     significant lane first) per rep, shaped like packed_words' output; an
     array of the wrong shape or dtype, or with a bit set at or past 2**m,
-    raises ValueError before any sweep. The result list is aligned with reps and
-    identical for any jobs value; workers sweep disjoint ranges of Gray
-    segments for every rep.
+    raises ValueError before any sweep. The result list is aligned with reps.
     """
     n = 1 << m
-    return [WeightEnumerator(n, h) for h in coset_histograms(reps, r, m, cap, jobs).tolist()]
+    return [WeightEnumerator(n, h) for h in coset_histograms(reps, r, m).tolist()]
 
 
-def coset_histograms(reps, r: int, m: int, cap: int = DEFAULT_CAP, jobs: int = 1) -> np.ndarray:
+def coset_histograms(reps, r: int, m: int, jobs: int = 1) -> np.ndarray:
     """The sweep of batch_coset_enumerators as int64 rows, one per rep, of 2**m + 1 counts.
 
     reps takes the same forms as in batch_coset_enumerators. For callers
     that pack the rows straight into big ints rather than building a
-    WeightEnumerator per coset. With jobs > 1 the Gray segments
-    are cut into min(jobs, segments) contiguous ranges, one per worker, and
-    each worker sweeps its range for every rep; the workers' histograms are
-    summed, so each one holds a full len(reps) x (2**m + 1) array. Every
-    row must total 2**dim, or ValueError is raised, as it is for jobs < 1.
+    WeightEnumerator per coset. With jobs > 1 the Gray segments are cut
+    into min(jobs, segments) contiguous ranges, one per worker, each
+    holding a full len(reps) x (2**m + 1) array; the summed rows do not
+    depend on jobs. ValueError is raised before any sweep past DEFAULT_CAP
+    or for jobs < 1, and after it unless every row totals 2**dim.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     dim = rm_dimension(r, m)
-    if 1 << dim > cap:
-        raise ValueError(f"2**{dim} codewords exceed the cap of {cap}")
+    if 1 << dim > DEFAULT_CAP:
+        raise ValueError(f"2**{dim} codewords exceed the cap of {DEFAULT_CAP}")
     packed = _packed_reps(reps, m)
     if not len(packed):
         return np.zeros((0, (1 << m) + 1), dtype=np.int64)

@@ -44,7 +44,8 @@ run_pipeline takes that Fourier route for self-classified "blocks" runs,
 and the class sum over H^(r)(m-1) for given classes or "direct"; see its
 docstring for what each route's counter counts. Of its lower
 classification the Fourier route reads only the records, in packed-rep
-order, and the stabilizer_gens of the classes still pending.
+order, and the stabilizer_gens of the classes still pending. Its guards
+are fixed constants, never arguments: see run_pipeline.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from .classify import (
     ClassRecord,
     Partition,
     QuotientClassification,
-    _check_max_gens,
     ingest_classification,
     merge_by_enumerator,
     quotient_index,
@@ -83,7 +83,6 @@ from .classify import (
     quotient_partition,
 )
 from .cosetenum import (
-    DEFAULT_CAP,
     batch_coset_enumerators,
     coset_histograms,
     packed_tables,
@@ -125,7 +124,7 @@ class MulCounter:
 
 
 def coset_enum_split(
-    e: Anf, f: Anf, r: int, m: int, counter: MulCounter | None = None, cap: int = DEFAULT_CAP
+    e: Anf, f: Anf, r: int, m: int, counter: MulCounter | None = None
 ) -> WeightEnumerator:
     """W[z; (e + f x_{m+1}) + R(r+1,m+1)] as a product-sum over H^(r+1)(m).
 
@@ -141,7 +140,7 @@ def coset_enum_split(
         raise ValueError("f must be homogeneous of degree r+1")
     space = HomogeneousSpace(m, r + 1)
     e_word = packed_words([truth_table_from_anf(e).bits], m)[0]
-    hists = coset_histograms(xor_span_array(e_word, packed_tables(space.masks, m)), r, m, cap=cap)
+    hists = coset_histograms(xor_span_array(e_word, packed_tables(space.masks, m)), r, m)
     f_idx = space.index_of(f)
     # every coset totals 2**dim, so the product-sum totals size * 2**(2*dim)
     width = _digit_width(space.size << (2 * rm_dimension(r, m)))
@@ -200,7 +199,7 @@ def coset_enum_blocks(
     return WeightEnumerator(n, _kronecker_unpack(acc, n, width))
 
 
-def _class_sum_term(r: int, m: int, cap: int, tables, rec: ClassRecord):
+def _class_sum_term(r: int, m: int, tables, rec: ClassRecord):
     """The class-sum term size * W^2[z; rep + R(r+1,m+1)] of a class, and its multiplications.
 
     With tables None the coset enumerator is the plain product-sum over
@@ -210,7 +209,7 @@ def _class_sum_term(r: int, m: int, cap: int, tables, rec: ClassRecord):
     e, f = decompose_top(rec.rep)
     counter = MulCounter()
     if tables is None:
-        enum = coset_enum_split(e, f, r, m, counter=counter, cap=cap)
+        enum = coset_enum_split(e, f, r, m, counter=counter)
     elif e in tables:
         enum = coset_enum_blocks(f, *tables[e], counter=counter)
     else:
@@ -399,7 +398,7 @@ def rebase_representatives(classes, lookup: QuotientClassification) -> list[Clas
     return out
 
 
-def _block_table(rec: ClassRecord, r: int, m0: int, cap: int):
+def _block_table(rec: ClassRecord, r: int, m0: int):
     """The merged block table above a class of H^(r)(m0): (merged partition, per-block enumerators).
 
     The partition is the quotient_partition of V/W_e, V = H^(r-1)(m0),
@@ -418,7 +417,7 @@ def _block_table(rec: ClassRecord, r: int, m0: int, cap: int):
     lo, hi = xor_half_spans(rep_word, packed_tables(gspace.masks, m0))
     leaders = quotient_leader(part.basis, part.first)
     rep_words = lo[leaders & (len(lo) - 1)] ^ hi[leaders >> (len(lo).bit_length() - 1)]
-    raw = batch_coset_enumerators(rep_words, r0, m0, cap=cap)
+    raw = batch_coset_enumerators(rep_words, r0, m0)
     merged, menums = merge_by_enumerator(part, raw)
     return merged, tuple(menums)
 
@@ -436,12 +435,12 @@ def _walsh_hadamard(table: np.ndarray):
         half *= 2
 
 
-def _fourier_terms(r: int, m: int, cap: int):
+def _fourier_terms(r: int, m: int):
     """The per-class Fourier term of R(r,m), its run constants bound, and its unit total.
 
-    Refuses a transform indexed past the cap: block characters, like orbit
-    partitions, are indexed by V/W_e, at most N = C(m-2, r-1) bits. A
-    class's sum_u Ahat_u**4 totals 2**N * sum_f W^2 = 2**(4N + 4 dim
+    Refuses a transform indexed past MAX_INDEX_BITS: block characters, like
+    orbit partitions, are indexed by V/W_e, at most N = C(m-2, r-1) bits.
+    A class's sum_u Ahat_u**4 totals 2**N * sum_f W^2 = 2**(4N + 4 dim
     R(r-2,m-2)), so its term totals size * unit_total. The digit width
     covers that sum and the result, 2**dim R(r,m); digit_ones has a 1 at
     the foot of every digit.
@@ -454,10 +453,10 @@ def _fourier_terms(r: int, m: int, cap: int):
     unit_total = 1 << (3 * nbits + 4 * rm_dimension(r - 2, m - 2))
     width = _digit_width(max(unit_total << nbits, 1 << rm_dimension(r, m)))
     digit_ones = sum(1 << (width * w) for w in range(n + 1))
-    return partial(_fourier_distribution, r, m, cap, nbits, width, digit_ones), unit_total
+    return partial(_fourier_distribution, r, m, nbits, width, digit_ones), unit_total
 
 
-def _fourier_distribution(r, m, cap, nbits, width, digit_ones, rec: ClassRecord):
+def _fourier_distribution(r, m, nbits, width, digit_ones, rec: ClassRecord):
     """A lower class's term s * 2**-N * sum_u Ahat_u**4 of W[z; R(r,m)], and its squarings.
 
     The class (rep e, size s) of H^(r)(m-2) builds its own block table over
@@ -475,7 +474,7 @@ def _fourier_distribution(r, m, cap, nbits, width, digit_ones, rec: ClassRecord)
     be 0. Signed intermediate terms may carry between digits; the power
     sum has proper digits.
     """
-    merged, menums = _block_table(rec, r, m - 2, cap)
+    merged, menums = _block_table(rec, r, m - 2)
     size = merged.block_of.size
     # |chi_b(u)| <= 2**(N-k) <= 2**MAX_INDEX_BITS at every butterfly stage
     chi = np.zeros((size, merged.block_count), dtype=np.int32)
@@ -514,8 +513,6 @@ def run_pipeline(
     jobs: int = 1,
     checkpoint: str | None = None,
     counter: MulCounter | None = None,
-    cap: int = DEFAULT_CAP,
-    max_gens: int = PIPELINE_MAX_GENS,
 ) -> WeightEnumerator:
     """Full W[z; R(r,m)] via the doubling recursion, r >= 2.
 
@@ -537,21 +534,21 @@ def run_pipeline(
       pending classes. The counter counts polynomial multiplications of
       the product-sums.
 
-    max_gens caps the Schreier generators sampled per class of H^(r)(m-2),
-    the lower classification that orbit partitions read. Each generator
-    costs a pair of half action tables per partition. Fewer generators
-    give finer raw blocks, which merge_by_enumerator joins back, so
-    distributions, checkpoints and counts are the same at every value; 0
-    gives singleton partitions of V/W_e; a negative value is refused.
-    Both "blocks" routes classify H^(r)(m-2) without stabilizers, then
+    The fixed PIPELINE_MAX_GENS caps the Schreier generators drawn per class
+    of H^(r)(m-2), which orbit partitions read; each costs a pair of half
+    action tables per partition. Fewer give finer raw blocks, which
+    merge_by_enumerator joins back, so distributions, checkpoints and
+    counts do not depend on it; 0 would give singleton partitions of V/W_e.
+    A sweep past the fixed cosetenum.DEFAULT_CAP refuses to start. Both
+    "blocks" routes classify H^(r)(m-2) without stabilizers, then
     draw into new records, in ascending class id, the generators of only
     the lower classes that a pending class reads: a fresh run draws what
     QuotientClassification.compute would, a fully checkpointed run none.
     Of that classification the Fourier route reads only the records,
     (rep, size) in packed-rep order so that a position is a checkpoint id,
-    and those stabilizer_gens(cid, rng, max_gens) calls, which may return
-    no generators; any other source of lower classes must meet the same
-    contract.
+    and those stabilizer_gens(cid, rng, PIPELINE_MAX_GENS) calls, which may
+    return no generators; any other source of lower classes must meet the
+    same contract.
 
     A checkpoint directory whose class files name another route is refused
     before any classification.
@@ -568,14 +565,13 @@ def run_pipeline(
         raise ValueError(f"unknown strategy {strategy!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    _check_max_gens(max_gens)
     m1, m0, r0 = m - 1, m - 2, r - 2
     rng = random.Random(seed)
     fourier = strategy == "blocks" and classes is None
     route = "fourier" if fourier else None
     _check_route(checkpoint, route)
     if fourier:
-        contribution, unit_total = _fourier_terms(r, m, cap)
+        contribution, unit_total = _fourier_terms(r, m)
         if counter is not None:
             counter.label = FOURIER_LABEL
     else:
@@ -586,7 +582,7 @@ def run_pipeline(
             classes = QuotientClassification.compute(r, m1, rng, max_gens=0).records
         unit_total = 1 << (2 * rm_dimension(r - 1, m1))
     if strategy == "direct":
-        contribution = partial(_class_sum_term, r0, m0, cap, None)
+        contribution = partial(_class_sum_term, r0, m0, None)
     else:
         # A Fourier class reads its own block table, a class-sum class the
         # one of its rebased lower part. Stabilizers are drawn, in ascending
@@ -603,13 +599,14 @@ def run_pipeline(
             wanted = {cid_of[decompose_top(classes[cid].rep)[0]] for cid in pending}
         tables = {}
         for cid in sorted(wanted):
-            rec = replace(lower.records[cid], gens=lower.stabilizer_gens(cid, rng, max_gens))
+            gens = lower.stabilizer_gens(cid, rng, PIPELINE_MAX_GENS)
+            rec = replace(lower.records[cid], gens=gens)
             if fourier:
                 classes[cid] = rec
             else:
-                tables[rec.rep] = _block_table(rec, r, m0, cap)
+                tables[rec.rep] = _block_table(rec, r, m0)
         if not fourier:
-            contribution = partial(_class_sum_term, r0, m0, cap, tables)
+            contribution = partial(_class_sum_term, r0, m0, tables)
     class_m = m0 if fourier else m1
     dist = distribution_from_classes(
         classes, r, class_m, contribution, 1 << m, unit_total, jobs, checkpoint, counter, route

@@ -267,7 +267,7 @@ def read_distribution(source) -> WeightEnumerator:
     with _opened(source) as fh:
         n = None
         folded = False
-        pairs = []
+        counts: dict[int, int] = {}
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -275,6 +275,8 @@ def read_distribution(source) -> WeightEnumerator:
             if line.startswith("#"):
                 fields = line[1:].split()
                 if len(fields) == 2 and fields[0] == "n":
+                    if n is not None:
+                        raise ValueError("repeated '# n' header")
                     n = int(fields[1])
                 elif fields == ["folded"]:
                     folded = True
@@ -282,17 +284,18 @@ def read_distribution(source) -> WeightEnumerator:
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"bad distribution line {line!r}")
-            pairs.append((int(fields[0]), int(fields[1])))
+            w = int(fields[0])
+            if w in counts:
+                raise ValueError(f"duplicate weight {w}")
+            counts[w] = int(fields[1])
     if n is None:
-        if not pairs:
+        if not counts:
             raise ValueError("no data and no '# n' header")
-        n = max(w for w, _ in pairs)
+        n = max(counts)
     coeffs = [0] * (n + 1)
-    for w, c in pairs:
+    for w, c in counts.items():
         if not 0 <= w <= n:
             raise ValueError(f"weight {w} outside 0..{n}")
-        if coeffs[w]:
-            raise ValueError(f"duplicate weight {w}")
         coeffs[w] = c
     if folded:
         for w in range(n // 2 + 1):

@@ -388,6 +388,33 @@ def test_ingest_rejects_bad_files():
         ingest_classification(io.StringIO("class 0 rep 0 size 1\n"))
 
 
+def two_class_file():
+    # H^(2)(3) has two classes, the zero form (size 1) and x1x2 + x1x3 + x2x3
+    buf = io.StringIO()
+    write_classification(buf, classify_quotient(2, 3, max_gens=0), 2, 3)
+    return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("cid", ["banana", "0", "2"])
+def test_ingest_refuses_class_ids_out_of_file_order(cid):
+    lines = two_class_file()
+    assert [ln.split()[1] for ln in lines if ln.startswith("class ")] == ["0", "1"]
+    broken = [ln.replace("class 1 ", f"class {cid} ") for ln in lines]
+    with pytest.raises(ValueError, match=f"class id '{cid}' out of order, expected 1"):
+        ingest_classification(io.StringIO("\n".join(broken)))
+
+
+@pytest.mark.parametrize("key", ["d", "m"])
+def test_ingest_refuses_a_repeated_header(key):
+    lines = two_class_file()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key} "))
+    # a second header line, even with the same value, is refused, never kept
+    for value in ("2", "3"):
+        broken = lines[: at + 1] + [f"# {key} {value}"] + lines[at + 1 :]
+        with pytest.raises(ValueError, match=f"repeated '# {key}' header"):
+            ingest_classification(io.StringIO("\n".join(broken)))
+
+
 def test_classification_is_seed_deterministic():
     a = io.StringIO()
     b = io.StringIO()

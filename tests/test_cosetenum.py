@@ -213,8 +213,8 @@ def test_packed_words_give_the_rows_of_their_ints(jobs):
         packed = packed_words(reps, m)
         want = coset_histograms(reps, r, m, jobs=jobs)
         assert (coset_histograms(packed, r, m, jobs=jobs) == want).all()
-        got = batch_coset_enumerators(packed, r, m, jobs=jobs)
-        assert got == batch_coset_enumerators(reps, r, m, jobs=jobs)
+        got = batch_coset_enumerators(packed, r, m)
+        assert got == batch_coset_enumerators(reps, r, m)
         assert [list(enum.coeffs) for enum in got] == want.tolist()
     assert coset_histograms(np.zeros((0, 1), dtype="<u8"), 2, 5).shape == (0, 33)
 
@@ -263,6 +263,19 @@ def test_affine_invariance():
         assert coset_enumerator(apply(f, a), 1, m) == coset_enumerator(f, 1, m)
 
 
-def test_cap_violation():
-    with pytest.raises(ValueError, match="cap"):
-        coset_enumerator(0, 3, 8, cap=1 << 20)
+def test_cap_violation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran past the cap")
+
+    sweep = cosetenum._gray_histograms
+    monkeypatch.setattr(cosetenum, "_gray_histograms", forbidden)
+    # the fixed cap: 2**93 codewords of R(3,8) against 2**30
+    with pytest.raises(ValueError, match="2\\*\\*93 codewords exceed the cap of 1073741824"):
+        coset_enumerator(0, 3, 8)
+    # the cap is read at call time and is inclusive: 2**16 words of R(2,5) run
+    # under a cap of 2**16, 2**22 words of R(2,6) do not
+    monkeypatch.setattr(cosetenum, "DEFAULT_CAP", 1 << 16)
+    with pytest.raises(ValueError, match="2\\*\\*22 codewords exceed the cap of 65536"):
+        coset_enumerator(0, 2, 6)
+    monkeypatch.setattr(cosetenum, "_gray_histograms", sweep)
+    assert coset_enumerator(0, 2, 5).total() == 1 << 16

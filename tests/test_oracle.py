@@ -67,11 +67,22 @@ def test_result_is_checked(monkeypatch):
         brute_force_distribution(2, 6)
 
 
-def test_cap():
-    with pytest.raises(ValueError, match="exceeds the cap"):
+def test_cap(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran past the cap")
+
+    sweep = oracle.coset_histograms
+    monkeypatch.setattr(oracle, "coset_histograms", forbidden)
+    # the fixed cap: dim R(3,8) = 93 against 28
+    with pytest.raises(ValueError, match="dim R\\(3,8\\) = 93 exceeds the cap of 28"):
         brute_force_distribution(3, 8)
-    # explicit override admits the same call
-    assert brute_force_distribution(2, 4, cap_dim=11).total() == 1 << 11
+    # the cap is read at call time and is inclusive: at 11, dim R(2,4) = 11
+    # runs and dim R(2,5) = 16 is refused
+    monkeypatch.setattr(oracle, "DEFAULT_DIM_CAP", 11)
+    with pytest.raises(ValueError, match="dim R\\(2,5\\) = 16 exceeds the cap of 11"):
+        brute_force_distribution(2, 5)
+    monkeypatch.setattr(oracle, "coset_histograms", sweep)
+    assert brute_force_distribution(2, 4).total() == 1 << 11
 
 
 def test_min_weight_count_values():

@@ -27,7 +27,6 @@ from rmenum.classify import (
     write_classification,
 )
 from rmenum.cosetenum import (
-    DEFAULT_CAP,
     batch_coset_enumerators,
     coset_enumerator,
     rm_dimension,
@@ -162,16 +161,6 @@ def test_jobs_below_one_is_rejected_before_any_work(monkeypatch, jobs):
         distribution_from_classes(classes, 2, 4, forbidden, 32, 1, jobs=jobs)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_pipeline(3, 6, jobs=jobs)
-
-
-def test_negative_max_gens_is_rejected_before_any_work(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work was done before the max_gens check")
-
-    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
-    for strategy in ("direct", "blocks"):
-        with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
-            run_pipeline(3, 6, strategy=strategy, max_gens=-1)
 
 
 def test_pipeline_matches_brute_force_small():
@@ -622,8 +611,8 @@ def test_block_tables_do_not_depend_on_the_budget(r, m):
     # singleton blocks are the finest refinement of every stabilizer orbit,
     # and merging by enumerator still lands on the 64-generator table
     for rec in classify_quotient(r, m - 2, random.Random(0), max_gens=DEFAULT_MAX_GENS):
-        want = _block_table(rec, r, m - 2, DEFAULT_CAP)
-        got = _block_table(replace(rec, gens=()), r, m - 2, DEFAULT_CAP)
+        want = _block_table(rec, r, m - 2)
+        got = _block_table(replace(rec, gens=()), r, m - 2)
         assert np.array_equal(got[0].block_of, want[0].block_of)
         assert np.array_equal(got[0].first, want[0].first)
         assert got[1] == want[1]
@@ -662,11 +651,29 @@ def test_fresh_run_partitions_every_lower_class_as_compute_samples_it(monkeypatc
 
 
 @pytest.mark.parametrize("r, m", LADDER, ids=[f"r{r}m{m}" for r, m in LADDER])
-def test_pipeline_budget_does_not_change_outputs(r, m):
-    full, default = MulCounter(), MulCounter()
-    want = run_pipeline(r, m, counter=full, max_gens=DEFAULT_MAX_GENS)
-    assert run_pipeline(r, m, counter=default) == want
-    assert (default.count, default.label) == (full.count, full.label)
+def test_pipeline_budget_does_not_change_outputs(monkeypatch, r, m):
+    # the budget is a module constant read at call time: no generators
+    # (singleton blocks of V/W_e) and a classification file's 64 give the
+    # default run's distribution, counter count and label
+    import rmenum.pipeline as pipeline
+
+    budgets = []
+    draw = QuotientClassification.stabilizer_gens
+
+    def spy(self, cid, rng, max_gens):
+        budgets.append(max_gens)
+        return draw(self, cid, rng, max_gens)
+
+    monkeypatch.setattr(QuotientClassification, "stabilizer_gens", spy)
+    default = MulCounter()
+    want = run_pipeline(r, m, counter=default)
+    for budget in (0, DEFAULT_MAX_GENS):
+        monkeypatch.setattr(pipeline, "PIPELINE_MAX_GENS", budget)
+        budgets.clear()
+        counter = MulCounter()
+        assert run_pipeline(r, m, counter=counter) == want, budget
+        assert (counter.count, counter.label) == (default.count, default.label), budget
+        assert budgets and set(budgets) == {budget}
 
 
 # Two squarings per distinct row of the transform over V/W_e, summed over
@@ -694,7 +701,7 @@ def test_fourier_term_equals_the_sum_over_f(r, m):
     # size * 2**(4k-N) * sum_u' Ahat'_u'**4 is size * sum_f W^2[z; (e + f x) +
     # R(r-1,m-1)], the plain product-sums, both when N > 4k (the zero class,
     # a divisibility check) and when N <= 4k (a left shift)
-    contribution, unit_total = _fourier_terms(r, m, DEFAULT_CAP)
+    contribution, unit_total = _fourier_terms(r, m)
     space = HomogeneousSpace(m - 2, r - 1)
     regimes = set()
     for rec in classify_quotient(r, m - 2, random.Random(0), max_gens=PIPELINE_MAX_GENS):
@@ -731,6 +738,21 @@ def test_fourier_route_refuses_an_oversized_sweep():
     # R(9,10): N = 1, but each block sweep visits 2**dim R(7,8) = 2**255 words
     with pytest.raises(ValueError, match="2\\*\\*255 codewords exceed the cap"):
         run_pipeline(9, 10)
+
+
+def test_pipeline_reads_the_sweep_cap_at_call_time(monkeypatch):
+    # R(3,6) sweeps cosets of R(1,4), 2**5 words each, on both routes; under
+    # a cap of 16 codewords every route refuses before its first sweep
+    from rmenum import cosetenum
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran past the cap")
+
+    monkeypatch.setattr(cosetenum, "DEFAULT_CAP", 16)
+    monkeypatch.setattr(cosetenum, "_gray_histograms", forbidden)
+    for strategy in ("direct", "blocks"):
+        with pytest.raises(ValueError, match="2\\*\\*5 codewords exceed the cap of 16"):
+            run_pipeline(3, 6, strategy=strategy)
 
 
 def test_fourier_route_rejects_a_corrupted_block_table(monkeypatch):

@@ -156,6 +156,17 @@ def test_read_errors():
         read_distribution(io.StringIO("# n 8\n# folded\n3 1\n5 2\n"))
 
 
+def test_read_refuses_a_repeated_weight_whose_first_count_is_zero():
+    with pytest.raises(ValueError, match="duplicate weight 2"):
+        read_distribution(io.StringIO("# n 4\n0 1\n2 0\n2 6\n4 1\n"))
+
+
+def test_read_refuses_a_repeated_length_header():
+    for second in ("8", "4"):
+        with pytest.raises(ValueError, match="repeated '# n' header"):
+            read_distribution(io.StringIO(f"# n 4\n# n {second}\n0 1\n4 1\n"))
+
+
 def test_read_without_header_uses_max_weight():
     got = read_distribution(io.StringIO("0 1\n4 14\n8 1\n"))
     assert got == R13
