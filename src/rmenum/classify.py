@@ -47,16 +47,34 @@ array, and the class map is written one BFS level at a time in the
 narrowest unsigned type that holds the block count. Per index the
 closure keeps 1 byte of via plus the class map, 1 byte up to 256 blocks,
 and no member list: a block is known by its seed, which is its least
-index, and its size. No class is listed for its Schreier draws either:
-the draws are taken ahead from a copy of the rng and only their members
-read, in one scan of the class map. The parent of v is the unique
-preimage of v under gens[via[v] - 2], one lookup in the half tables of
-that generator's inverse. A table that was not a permutation could put
-an index into a block twice, and the closure raises unless the block
-sizes sum to the space size. The Schreier sampler
-skips an attempt y -> ys by generator s that retraces a BFS tree edge
-(via[ys] == 2 + s), or the reverse edge of an involution (via[y] == 2 +
-s), before any transversal walk: its Schreier element is the identity.
+index, and its size. A table that was not a permutation could put an
+index into a block twice, and the closure raises unless the block sizes
+sum to the space size.
+
+A level keeps the range that each generator reached. A generator that is
+its own inverse (_is_involution: shift 0 and M @ M = I, read from the
+group element, never from its table) skips its own range, since it sends
+each of those nodes back to its parent; only a level too large for one
+gather over all generators is taken generator by generator, which is
+where the skip pays. The transvection of GL(m,2) is one and first
+reaches about 45 % of all indices (935,047 of the 2**21 of H^(2)(7)), so
+its back-edges are close to a quarter of all the images gathered. A
+wrongly flagged table would split blocks yet keep their sizes summing to
+the space size, which is why no table is trusted as an involution on its
+own.
+
+No class is listed for its Schreier draws either: all of a class's
+attempts are drawn up front and only their members read, in one scan of
+the class map; a sampler that stops early rewinds the rng and redraws
+the attempts it used. The parent of v is the unique preimage of v under
+gens[via[v] - 2], one lookup in the half tables of that generator's
+inverse. Transversals are walked as memoised tuples of packed rows, and
+the Schreier element t_y @ s @ t_ys^-1 is formed and deduplicated on
+rows; a Gf2Matrix and an AffineMap are built only for the generators
+emitted. The sampler skips an attempt y -> ys by generator s that
+retraces a BFS tree edge (via[ys] == 2 + s), or the reverse edge of an
+involution (via[y] == 2 + s), before any transversal walk: its Schreier
+element is the identity.
 """
 
 from __future__ import annotations
@@ -79,6 +97,8 @@ from .gf2 import (
     AffineMap,
     Gf2Matrix,
     _echelon,
+    _inverse_rows,
+    _product_rows,
     as_affine,
     stabilizer_check,
     substitute,
@@ -188,13 +208,39 @@ def _next_unassigned(via: np.ndarray, start: int) -> int:
     return size
 
 
-def _close_orbits(tables, size: int):
+def _is_involution(a: AffineMap) -> bool:
+    """True when a, applied twice, is the identity map: shift 0 and M @ M = I.
+
+    The induced action on form indices is a group action, so the table of
+    such an element is an involution of its index space; _close_orbits
+    trusts a flag only from here, never from a table.
+    """
+    lin = xor_span(a.matrix.rows)
+    return a.shift == 0 and [lin[row] for row in a.matrix.rows] == [1 << k for k in range(a.m)]
+
+
+def _level_images(frontier, lo, hi, mask: int, shift: int, skip):
+    """Images of frontier under the generator (lo, hi), leaving out the range skip.
+
+    Yields one array per take of at most _GATHER_WINDOW nodes.
+    """
+    for start, stop in ((0, skip[0]), (skip[1], frontier.size)):
+        for part in range(start, stop, _GATHER_WINDOW):
+            nodes = frontier[part : min(part + _GATHER_WINDOW, stop)]
+            images = lo.take(nodes & mask)
+            images ^= hi.take(nodes >> shift)
+            yield images
+
+
+def _close_orbits(tables, size: int, involutive=()):
     """BFS closure over the whole index space; orbits appear in seed order.
 
     tables holds one (lo, hi) pair per generator, all of one shape: the
     image of v is lo[v % L] ^ hi[v // L] with L = len(lo), a power of two
     or at least size (then hi is [0]; any permutation p of the indices is
-    the pair (p, [0])). Returns (block_of, first, sizes, via): the block of
+    the pair (p, [0])). involutive flags, per table in order, the
+    generators that are their own inverse (see _is_involution); missing
+    flags read False. Returns (block_of, first, sizes, via): the block of
     each index, each block's least index and size, and the BFS forest as
     one mark per index (0 unreached, 1 seed, 2 + gi reached by tables[gi]
     from the level above). via is uint8 unless there are more than 254
@@ -206,14 +252,22 @@ def _close_orbits(tables, size: int):
     _next_unassigned hands out seeds in ascending order and every smaller
     index already lies in an earlier block.
 
-    All halves are stacked once. A level gathers the images of a window of
-    generators in two flat takes of at most _GATHER_WINDOW entries; a
-    larger level is taken in chunks of that many nodes, one generator after
-    another, so the takes stay bounded and via is the same. The fresh test
-    and the marks go generator by generator. Every table is a permutation,
-    so one generator's fresh images are distinct and only via is read and
-    written per image. A table that is not injective could add an index to
-    a block twice; the block sizes must therefore sum to the space size.
+    A level is one array, gathered generator-major, and the range that
+    each generator reached is kept. A level of at most _GATHER_WINDOW
+    images in all is gathered for every generator in one pair of takes
+    over the stacked halves. A larger one is gathered generator by
+    generator in takes of at most _GATHER_WINDOW nodes, and an involution
+    skips its own range there: the image of such a node is its parent,
+    already marked (in a small level those images are tested and fail).
+    The fresh test and the marks go generator by generator, and for one
+    generator the fresh set of a level does not depend on the node order,
+    so via, block_of and the sizes are those of the plain closure. Every
+    table is a permutation, so one generator's fresh images are distinct
+    and only via is read and written per image. A table that is not
+    injective could add an index to a block twice; the block sizes must
+    therefore sum to the space size. A wrongly flagged table would split
+    blocks without breaking that sum, which is why flags come from the
+    group elements.
     """
     lo_len, hi_len = len(tables[0][0]), len(tables[0][1])
     shift = (lo_len - 1).bit_length()
@@ -222,7 +276,38 @@ def _close_orbits(tables, size: int):
     his = np.concatenate([hi for _, hi in tables]).astype(np.intp)
     lo_off = np.arange(len(tables), dtype=np.intp)[:, None] * lo_len
     hi_off = np.arange(len(tables), dtype=np.intp)[:, None] * hi_len
+    halves = [
+        (los[gi * lo_len : (gi + 1) * lo_len], his[gi * hi_len : (gi + 1) * hi_len])
+        for gi in range(len(tables))
+    ]
+    flags = list(involutive) + [False] * (len(tables) - len(involutive))
     via = np.zeros(size, dtype=np.min_scalar_type(len(tables) + 1))
+
+    def grow(frontier, segments):
+        """Mark the fresh images of a level in via; returns them and each generator's range."""
+        if frontier.size * len(tables) <= _GATHER_WINDOW:
+            batch = los.take(lo_off + (frontier & mask))
+            batch ^= his.take(hi_off + (frontier >> shift))
+            per_gen = [(images,) for images in batch]
+        else:
+            skips = {gi: span for gi, span in segments.items() if flags[gi]}
+            per_gen = [
+                _level_images(frontier, lo, hi, mask, shift, skips.get(gi, (0, 0)))
+                for gi, (lo, hi) in enumerate(halves)
+            ]
+        grown, reached, at = [], {}, 0
+        for gi, chunks in enumerate(per_gen):
+            begin = at
+            for images in chunks:
+                vals = images[via[images] == 0]
+                if vals.size:
+                    via[vals] = 2 + gi
+                    grown.append(vals)
+                    at += vals.size
+            if at > begin:
+                reached[gi] = (begin, at)
+        return grown, reached
+
     block_of = np.empty(size, dtype=np.uint8)
     first, sizes = [], []
     seed = _next_unassigned(via, 0)
@@ -232,25 +317,16 @@ def _close_orbits(tables, size: int):
             block_of = block_of.astype(np.min_scalar_type(bid))
         via[seed] = 1
         frontier = np.array([seed], dtype=np.intp)
+        segments = {}  # generator -> (start, stop) of the nodes it reached in frontier
         count = 0
         while frontier.size:
             block_of[frontier] = bid
             count += frontier.size
-            chunk = min(frontier.size, _GATHER_WINDOW)
-            step = max(1, _GATHER_WINDOW // frontier.size)
-            grown = []
-            for start in range(0, len(tables), step):
-                for part in range(0, frontier.size, chunk):
-                    nodes = frontier[part : part + chunk]
-                    rows = los.take(lo_off[start : start + step] + (nodes & mask))
-                    rows ^= his.take(hi_off[start : start + step] + (nodes >> shift))
-                    for gi, images in enumerate(rows, start):
-                        vals = images[via[images] == 0]
-                        if not vals.size:
-                            continue
-                        via[vals] = 2 + gi
-                        grown.append(vals)
+            grown, segments = grow(frontier, segments)
+            # drop the finished level before joining the next, and the pieces after
+            frontier = None
             frontier = np.concatenate(grown) if grown else np.empty(0, dtype=np.intp)
+            del grown
         first.append(seed)
         sizes.append(count)
         seed = _next_unassigned(via, seed + 1)
@@ -334,7 +410,7 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
     basis = _translation_basis(e, space)
     pivots = {w.bit_length() - 1 for w in basis}
     free = [mask for j, mask in enumerate(space.masks) if j not in pivots]
-    consts, cols = [], []
+    consts, cols, involutive = [], [], []
     for a in map(as_affine, gens):
         image = _substitution(a, m)
         moved = image(e.monomials)
@@ -344,9 +420,10 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
         cols.append(
             [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
         )
+        involutive.append(_is_involution(a))
     size = 1 << len(free)
     if consts:
-        block_of, first, _, _ = _close_orbits(_halves(consts, cols), size)
+        block_of, first, _, _ = _close_orbits(_halves(consts, cols), size, involutive)
         block_of = block_of.astype(np.int32)
     else:
         block_of, first = np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32)
@@ -414,7 +491,9 @@ class QuotientClassification:
     _members_at), so no member array is built.
     """
 
-    def __init__(self, d, m, space, class_of, via, tables, inverses, gens, first, sizes):
+    def __init__(
+        self, d, m, space, class_of, via, tables, inverses, gens, involutive, first, sizes
+    ):
         self.d = d
         self.m = m
         self.space = space
@@ -436,10 +515,7 @@ class QuotientClassification:
         # A @ g are tuple(map(lin.__getitem__, A.rows)).
         self._lin = [xor_span(g.rows) for g in gens]
         self._identity_rows = Gf2Matrix.identity(m).rows
-        self._involutive = [
-            tuple(map(lin.__getitem__, g.rows)) == self._identity_rows
-            for g, lin in zip(gens, self._lin)
-        ]
+        self._involutive = involutive
         self._memo = {}
 
     @staticmethod
@@ -457,11 +533,13 @@ class QuotientClassification:
                 f"C({m},{d}) = {space.nbits} index bits exceed the cap of {MAX_INDEX_BITS}"
             )
         gens = gl2_generators(m)
-        tables = [_action_table(space, AffineMap(g, 0)) for g in gens]
+        maps = [AffineMap(g, 0) for g in gens]
+        tables = [_action_table(space, a) for a in maps]
         inverses = [_action_table(space, AffineMap(g.inverse(), 0)) for g in gens]
-        class_of, first, sizes, via = _close_orbits(tables, space.size)
+        involutive = [_is_involution(a) for a in maps]
+        class_of, first, sizes, via = _close_orbits(tables, space.size, involutive)
         cls = QuotientClassification(
-            d, m, space, class_of, via, tables, inverses, gens, first, sizes
+            d, m, space, class_of, via, tables, inverses, gens, involutive, first, sizes
         )
         if max_gens > 0:
             cls.records = [
@@ -516,30 +594,43 @@ class QuotientClassification:
         return lo[node & self._mask] ^ hi[node >> self._shift]
 
     def transversal(self, idx: int) -> Gf2Matrix:
-        """Matrix carrying the class representative of idx onto idx.
+        """Matrix carrying the class representative of idx onto idx (see _rows)."""
+        return Gf2Matrix(self.m, self._rows(int(idx)))
 
-        It is the product of the edge generators on the BFS path from the
-        class seed to idx, in seed-to-idx order; the path is read back from
-        the via marks, one preimage walk per node. Each step maps packed rows
-        through the generator's linear table, and the rows of every node on
-        the path are memoised. stabilizer_gens clears the memo after each
-        class; other calls keep their entries, at most one per index.
+    def _rows(self, idx: int) -> tuple[int, ...]:
+        """Packed rows of the transversal of idx, memoised for every node on its path.
+
+        The transversal is the product of the edge generators on the BFS
+        path from the class seed to idx, in seed-to-idx order; the path is
+        read back from the via marks, one preimage lookup per node (the
+        _parent_of step, inlined), up to the seed or the first memoised
+        node. Each step down maps packed rows through the generator's
+        linear table. stabilizer_gens clears the memo after each class;
+        other calls keep their entries, at most one per index.
         """
         memo, via = self._memo, self._via_view
+        inverses, mask, shift = self._inverses, self._mask, self._shift
         path = []
-        node = int(idx)
-        while node not in memo and via[node] > 1:
+        node = idx
+        rows = memo.get(node)
+        while rows is None:
+            mark = via[node]
+            if mark < 2:
+                rows = self._identity_rows
+                break
             path.append(node)
-            node = self._parent_of(node)
-        rows = memo.get(node, self._identity_rows)
+            lo, hi = inverses[mark - 2]
+            node = lo[node & mask] ^ hi[node >> shift]
+            rows = memo.get(node)
         lin = self._lin
         for node in reversed(path):
             rows = tuple(map(lin[via[node] - 2].__getitem__, rows))
             memo[node] = rows
-        return Gf2Matrix(self.m, rows)
+        return rows
 
     def _schreier_sample(self, rep, cid, rng, max_gens):
-        if self.records[cid].size == 1:
+        size = self.records[cid].size
+        if size == 1:
             out = []
             for mat in self.gens:
                 a = AffineMap(mat, 0)
@@ -547,53 +638,58 @@ class QuotientClassification:
                     raise AssertionError("whole group should stabilize a fixed form")
                 out.append(a)
             return out[:max_gens]
-        size = self.records[cid].size
         # Each attempt draws rng.randrange(size), then rng.randrange(len(gens)).
-        # A copy of rng replays the draws of all max_gens * 8 attempts first,
-        # so only their members are read.
-        probe = random.Random()
-        probe.setstate(rng.getstate())
-        ranks = []
-        for _ in range(max_gens * 8):
-            ranks.append(probe.randrange(size))
-            probe.randrange(len(self.gens))
-        member = dict(zip(ranks, self._members_at(cid, ranks))).__getitem__
+        # All max_gens * 8 attempts are drawn up front, so only their members
+        # are read; a loop that stops early rewinds rng and redraws the
+        # attempts it used, so rng ends where one draw per attempt leaves it.
+        ngens, budget = len(self.gens), max_gens * 8
+        # a copy holds the state in 2.5 KB, where getstate() is a tuple of 625 ints
+        saved = random.Random()
+        saved.setstate(rng.getstate())
+        ranks, picks = [], []
+        for _ in range(budget):
+            ranks.append(rng.randrange(size))
+            picks.append(rng.randrange(ngens))
+        members = self._members_at(cid, ranks)
+        tables, lin, involutive = self._tables, self._lin, self._involutive
+        via, mask, shift, m = self._via_view, self._mask, self._shift, self.m
         out = []
         seen = set()
-        attempts = 0
-        via = self._via_view
-        while len(out) < max_gens and attempts < max_gens * 8:
-            attempts += 1
-            y = member(rng.randrange(size))
-            si = rng.randrange(len(self.gens))
-            lo, hi = self._tables[si]
-            ys = lo[y & self._mask] ^ hi[y >> self._shift]
-            # sigma = t_y @ gens[si] @ t_ys^-1, multiplied as packed rows.
-            # It is the identity, which is never emitted, when y -> ys is a
-            # BFS tree edge (t_ys = t_y @ gens[si]) or the reverse of one by
-            # an involution (t_y = t_ys @ gens[si]); those attempts end
-            # before any transversal walk. Since gens[si] acts as a permutation
-            # and sends y to ys, via[ys] == 2 + si says the edge is y -> ys,
-            # and for an involution via[y] == 2 + si says it is ys -> y. Any
-            # other identity attempt ends when t_y @ gens[si] equals t_ys,
-            # before the inverse and its linear table are built.
-            if via[ys] == 2 + si:
+        used = 0
+        for y, si in zip(members, picks):
+            if len(out) == max_gens:
+                break
+            used += 1
+            lo, hi = tables[si]
+            ys = lo[y & mask] ^ hi[y >> shift]
+            # sigma = t_y @ gens[si] @ t_ys^-1, on packed rows; a matrix and a
+            # map are built only for an emitted one. It is the identity, which
+            # is never emitted, when y -> ys is a BFS tree edge (t_ys = t_y @
+            # gens[si]) or the reverse of one by an involution (t_y = t_ys @
+            # gens[si]); those attempts end before any transversal walk. Since
+            # gens[si] acts as a permutation and sends y to ys, via[ys] == 2 +
+            # si says the edge is y -> ys, and for an involution via[y] == 2 +
+            # si says it is ys -> y. Any other identity attempt ends when
+            # t_y @ gens[si] equals t_ys, before the inverse is formed.
+            if via[ys] == 2 + si or (involutive[si] and via[y] == 2 + si):
                 continue
-            if self._involutive[si] and via[y] == 2 + si:
+            moved = tuple(map(lin[si].__getitem__, self._rows(y)))
+            t_ys = self._rows(ys)
+            if moved == t_ys:
                 continue
-            moved = tuple(map(self._lin[si].__getitem__, self.transversal(y).rows))
-            t_ys = self.transversal(ys)
-            if moved == t_ys.rows:
+            sigma = _product_rows(moved, _inverse_rows(t_ys, m))
+            if sigma in seen:
                 continue
-            inv_lin = xor_span(t_ys.inverse().rows)
-            sigma = Gf2Matrix(self.m, tuple(map(inv_lin.__getitem__, moved)))
-            if sigma.rows in seen:
-                continue
-            seen.add(sigma.rows)
-            a = AffineMap(sigma, 0)
+            seen.add(sigma)
+            a = AffineMap(Gf2Matrix(m, sigma), 0)
             if not stabilizer_check(rep, a):
                 raise AssertionError("Schreier element failed the stabilizer check")
             out.append(a)
+        if used < budget:
+            rng.setstate(saved.getstate())
+            for _ in range(used):
+                rng.randrange(size)
+                rng.randrange(ngens)
         return out
 
 

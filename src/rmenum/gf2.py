@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .boolfn import (
     Anf,
     TruthTable,
     anf_from_truth_table,
     homogeneous_part,
+    mobius_transform,
     variable_table,
 )
 
@@ -57,6 +59,29 @@ def _echelon(vectors) -> tuple[int, ...]:
             basis = [w ^ v if w >> pivot & 1 else w for w in basis]
             basis.append(v)
     return tuple(sorted(basis, reverse=True))
+
+
+def _product_rows(a, b) -> tuple[int, ...]:
+    """Rows of A @ B: row k is the XOR of the rows of B at the set bits of row k of A."""
+    rows = []
+    for r in a:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= b[low.bit_length() - 1]
+            r ^= low
+        rows.append(acc)
+    return tuple(rows)
+
+
+def _inverse_rows(rows, m: int) -> tuple[int, ...]:
+    """Rows of the inverse of the m x m matrix with these rows; raises if it is singular."""
+    basis = _echelon([(row << m) | (1 << k) for k, row in enumerate(rows)])
+    # pivots descend, so the last one is the least
+    if basis and basis[-1] >> m == 0:
+        raise ValueError("matrix is singular")
+    low = (1 << m) - 1
+    return tuple([w & low for w in reversed(basis)])
 
 
 @dataclass(frozen=True)
@@ -79,16 +104,7 @@ class Gf2Matrix:
         """Matrix product; f o (A @ B) substitutes B into A's output, f(A(Bx))."""
         if self.m != other.m:
             raise ValueError("mixed dimensions")
-        rows = []
-        for row in self.rows:
-            acc = 0
-            r = row
-            while r:
-                low = r & -r
-                acc ^= other.rows[low.bit_length() - 1]
-                r ^= low
-            rows.append(acc)
-        return Gf2Matrix(self.m, tuple(rows))
+        return Gf2Matrix(self.m, _product_rows(self.rows, other.rows))
 
     def column(self, j: int) -> int:
         """Column j as a mask over output positions (0-based j)."""
@@ -108,13 +124,7 @@ class Gf2Matrix:
 
     def inverse(self) -> "Gf2Matrix":
         """The B with B @ A == identity; see the module docstring. Raises if A is singular."""
-        m = self.m
-        basis = _echelon([(row << m) | (1 << k) for k, row in enumerate(self.rows)])
-        # pivots descend, so the last one is the least
-        if basis and basis[-1] >> m == 0:
-            raise ValueError("matrix is singular")
-        low = (1 << m) - 1
-        return Gf2Matrix(m, tuple([w & low for w in reversed(basis)]))
+        return Gf2Matrix(self.m, _inverse_rows(self.rows, self.m))
 
     def to_text(self) -> str:
         """Rows as bit strings, leftmost character the x_1 coefficient."""
@@ -130,7 +140,8 @@ class Gf2Matrix:
         for part in parts:
             if len(part) != m or set(part) - {"0", "1"}:
                 raise ValueError(f"bad matrix row {part!r}")
-            rows.append(sum(1 << j for j, ch in enumerate(part) if ch == "1"))
+            # leftmost character is bit 0; int() alone would also take "+1" or "1_0"
+            rows.append(int(part[::-1], 2))
         return Gf2Matrix(m, tuple(rows))
 
 
@@ -222,14 +233,30 @@ def top_image(f: Anf, a) -> Anf:
     return homogeneous_part(transform_anf(f, a), f.degree())
 
 
+@lru_cache(maxsize=None)
+def _degree_mask(d: int, m: int) -> int:
+    """ANF coefficient mask of the degree-d monomials: bit s set when s has d bits."""
+    return sum(1 << s for s in range(1 << m) if s.bit_count() == d)
+
+
 def stabilizer_check(e: Anf, a) -> bool:
-    """True when the substitution fixes e modulo lower-degree terms."""
+    """True when the substitution fixes e modulo lower-degree terms.
+
+    Equal to top_image(e, a) == e for an invertible map, compared on ANF
+    coefficient indicators: the image's degree-deg(e) coefficients against
+    e's, so no Anf of the image is built. An e with a lower-degree monomial
+    has a coefficient outside that mask and is never fixed.
+    """
     a = as_affine(a)
     if not a.matrix.is_invertible():
         return False
     if e.is_zero():
         return True
-    return top_image(e, a) == e
+    m = e.m
+    if a.m != m:
+        raise ValueError("variable count mismatch")
+    image = mobius_transform(substitute(e.monomials, substituted_tables(a), m), m)
+    return image & _degree_mask(e.degree(), m) == sum(1 << mask for mask in e.monomials)
 
 
 def random_invertible(m: int, rng: random.Random) -> Gf2Matrix:

@@ -132,13 +132,19 @@ def coset_enum_split(
     e + g + R(r,m) at once, its packed words e XOR the XOR-doubling span
     of the monomial tables; the factor at g+f is then a lookup because
     adding f is XOR on packed indices. Each enumerator is packed into one
-    big int once, and exactly 2**C(m,r+1) packed products are summed.
+    big int once, and exactly 2**C(m,r+1) packed products are summed. A
+    space of more than MAX_INDEX_BITS index bits is refused before its span
+    is built.
     """
     if not e.is_zero() and not e.is_homogeneous(r + 2):
         raise ValueError("e must be homogeneous of degree r+2")
     if not f.is_zero() and not f.is_homogeneous(r + 1):
         raise ValueError("f must be homogeneous of degree r+1")
     space = HomogeneousSpace(m, r + 1)
+    if space.nbits > MAX_INDEX_BITS:
+        raise ValueError(
+            f"H^({r + 1})({m}) has 2**{space.nbits} forms, past the cap of 2**{MAX_INDEX_BITS}"
+        )
     e_word = packed_words([truth_table_from_anf(e).bits], m)[0]
     hists = coset_histograms(xor_span_array(e_word, packed_tables(space.masks, m)), r, m)
     f_idx = space.index_of(f)

@@ -21,6 +21,7 @@ from rmenum.classify import (
     QuotientClassification,
     _action_table,
     _close_orbits,
+    _is_involution,
     classify_quotient,
     gl2_generators,
     ingest_classification,
@@ -388,6 +389,24 @@ def test_ingest_rejects_bad_files():
         ingest_classification(io.StringIO("class 0 rep 0 size 1\n"))
 
 
+@pytest.mark.parametrize("cid", [0, 1])
+def test_ingest_refuses_a_singular_generator(cid):
+    # a singular matrix fixes no form: not the zero form (class 0), which
+    # every invertible map stabilizes, and not x1x2 (class 1), whose top
+    # image under x3 -> 0 is still x1x2
+    text = io.StringIO()
+    write_classification(text, classify_quotient(2, 4), 2, 4)
+    singular = "gen 1000 0100 0000 0001"
+    lines = []
+    for ln in text.getvalue().splitlines():
+        lines.append(ln)
+        if ln.startswith(f"class {cid} "):
+            assert ln.split()[3] == ["0", "12"][cid]
+            lines.append(singular)
+    with pytest.raises(ValueError, match="stated generator does not stabilize"):
+        ingest_classification(io.StringIO("\n".join(lines)))
+
+
 def two_class_file():
     # H^(2)(3) has two classes, the zero form (size 1) and x1x2 + x1x3 + x2x3
     buf = io.StringIO()
@@ -438,26 +457,45 @@ def test_classification_file_is_pinned(d, m, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+# (d, m, seed, max_gens): at max_gens 12, the budget run_pipeline draws, the
+# classes of H^(3)(4) and H^(4)(5), and at seed 1 one of H^(2)(5), use all 96
+# attempts; the others stop early and rewind the rng
 SMALL_PINS = {
-    (2, 5, 0): "7838e058ce503e69f3c83dc877d0ec46fba0d83e8da276aeea341fe68018bafa",
-    (2, 5, 1): "d73409accb4ad8f0ff52f6246a3b41a458fc890130a1952e25f1d8978936011c",
-    (3, 5, 0): "b477a02d8af53f8af7935a925b345ac4c0e2ea665ce3d6c69da198cc5ae01ecb",
-    (3, 5, 1): "b18b5750498703f734f8dd678694deeccf280f7ffb1e738ea7e7fda39401b4f9",
-    (2, 6, 0): "01ffbbbfe5f69da5640600c5f4b9cefff0bfb8bf5a1ad028994d8a28acb92d8c",
-    (2, 6, 1): "c065c0215c90ef4edfff0a29c5e05d6945b6a85a4d355a205ee820b8f9c548ff",
-    (4, 6, 0): "a3ec5d649085e0d25ab573f9d9daf58c92d83f847baa8e2284d891517c3478fc",
-    (4, 6, 1): "fdd5ce7cc02782b003500afd06160309a150b70af69ff9c161ea21afbd908652",
+    (2, 5, 0, 64): "7838e058ce503e69f3c83dc877d0ec46fba0d83e8da276aeea341fe68018bafa",
+    (2, 5, 1, 64): "d73409accb4ad8f0ff52f6246a3b41a458fc890130a1952e25f1d8978936011c",
+    (3, 5, 0, 64): "b477a02d8af53f8af7935a925b345ac4c0e2ea665ce3d6c69da198cc5ae01ecb",
+    (3, 5, 1, 64): "b18b5750498703f734f8dd678694deeccf280f7ffb1e738ea7e7fda39401b4f9",
+    (2, 6, 0, 64): "01ffbbbfe5f69da5640600c5f4b9cefff0bfb8bf5a1ad028994d8a28acb92d8c",
+    (2, 6, 1, 64): "c065c0215c90ef4edfff0a29c5e05d6945b6a85a4d355a205ee820b8f9c548ff",
+    (4, 6, 0, 64): "a3ec5d649085e0d25ab573f9d9daf58c92d83f847baa8e2284d891517c3478fc",
+    (4, 6, 1, 64): "fdd5ce7cc02782b003500afd06160309a150b70af69ff9c161ea21afbd908652",
+    (2, 5, 0, 12): "df3a649d1a0b4809e788dd7a805d6b995510ba5e5e3c752c75d3692dfe7c34aa",
+    (2, 5, 1, 12): "84a7bccda20207266c64ba6ef737c26c40606bc2983205da3144a51e349b585d",
+    (2, 6, 0, 12): "3564bffa0fd454b3dbb790c3387ae365cf6a33ff35be45e0c40eb57519a461c9",
+    (2, 6, 1, 12): "62309b80eba9370495b5db185613cb306732acc21a2708646210e4ac144e30aa",
+    (3, 4, 0, 12): "8fb2b7aa9afc344d61a68eb55cbaca9861346ad9f00a756a38cd0a2a5f1c31ac",
+    (3, 4, 1, 12): "ab3733d8bb099a8343efc6ed522074b71e8f52f94d1fc1cc0aad01ecd71899c6",
+    (3, 5, 0, 12): "85c097a260c9e1ab5022a49eafb23b798cb08238200cc9abd01387afa8a645d2",
+    (3, 5, 1, 12): "d7969b0ae9686001040b9459eb0cc15000eb767709a43a51b9d2ff1f60cf4bea",
+    (4, 5, 0, 12): "d8765afa514d6b1840aee19ef3a27e525e75ae0a121551e6d7006d7f5813edf8",
+    (4, 5, 1, 12): "96fcda3fafe4a1fcf71ca358f2a053b979b38ed1fa9881eb7d53f12123033916",
 }
 
 
+def small_pin_id(d, m, seed, max_gens):
+    budget = "" if max_gens == DEFAULT_MAX_GENS else f"g{max_gens}"
+    return f"d{d}m{m}s{seed}{budget}"
+
+
 @pytest.mark.parametrize(
-    "d, m, seed", sorted(SMALL_PINS), ids=[f"d{d}m{m}s{s}" for d, m, s in sorted(SMALL_PINS)]
+    "d, m, seed, max_gens", sorted(SMALL_PINS), ids=[small_pin_id(*k) for k in sorted(SMALL_PINS)]
 )
-def test_small_classification_files_are_pinned(d, m, seed):
+def test_small_classification_files_are_pinned(d, m, seed, max_gens):
     # every Schreier attempt draws from the RNG, so skipped attempts would show here
     buf = io.StringIO()
-    write_classification(buf, classify_quotient(d, m, random.Random(seed)), d, m, seed=seed)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SMALL_PINS[d, m, seed]
+    records = classify_quotient(d, m, random.Random(seed), max_gens=max_gens)
+    write_classification(buf, records, d, m, seed=seed)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SMALL_PINS[d, m, seed, max_gens]
 
 
 def reference_close_orbits(tables, size):
@@ -503,8 +541,17 @@ def assert_reference_blocks(first, sizes, blocks):
     assert [int(n) for n in sizes] == [len(b) for b in blocks]
 
 
-def assert_same_closure(tables, size):
-    block_of, first, sizes, via = _close_orbits(tables, size)
+def assert_same_closure(tables, size, involutive=()):
+    # with the involution flags given and without any, the closure is the
+    # reference closure, byte for byte the same either way; every flagged
+    # table is an involution on every index
+    block_of, first, sizes, via = _close_orbits(tables, size, involutive)
+    plain = _close_orbits(tables, size)
+    for a, b in zip((block_of, first, sizes, via), plain, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for table, flag in zip(map(expand, tables), involutive):
+        if flag:
+            assert np.array_equal(table[table], np.arange(size))
     want = reference_close_orbits([expand(t) for t in tables], size)
     assert np.array_equal(block_of, want[0])
     # the narrowest unsigned type that holds every block id
@@ -519,8 +566,11 @@ def assert_same_closure(tables, size):
 @pytest.mark.parametrize("d, m", [(2, 4), (2, 5), (3, 5), (2, 6), (4, 6), (3, 6)])
 def test_closure_matches_reference_on_gl_tables(d, m):
     space = HomogeneousSpace(m, d)
-    tables = [_action_table(space, AffineMap(g, 0)) for g in gl2_generators(m)]
-    assert_same_closure(tables, space.size)
+    maps = [AffineMap(g, 0) for g in gl2_generators(m)]
+    tables = [_action_table(space, a) for a in maps]
+    involutive = [_is_involution(a) for a in maps]
+    assert involutive == [True, False]  # the transvection and the cyclic shift
+    assert_same_closure(tables, space.size, involutive)
 
 
 # the lower forms of the ladder codes R(r, m) and of R(3,8): classes of H^(r)(m-2)
@@ -529,33 +579,61 @@ LADDER_LOWER = [(3, 4), (2, 5), (4, 5), (3, 5), (2, 6), (3, 6)]
 
 def partition_tables(r, m0, seed=0, max_gens=DEFAULT_MAX_GENS):
     # stabilizer generators plus unit translations over all of H^(r-1)(m0),
-    # the tables the orbit partition of each class of H^(r)(m0) closes
+    # the tables the orbit partition of each class of H^(r)(m0) closes, with
+    # their involution flags (a translation is never flagged)
     space = HomogeneousSpace(m0, r - 1)
     for rec in classify_quotient(r, m0, random.Random(seed), max_gens=max_gens):
         maps = list(rec.gens) + [AffineMap.translation(m0, 1 << i) for i in range(m0)]
-        yield [_action_table(space, a, rec.rep) for a in maps], space.size
+        tables = [_action_table(space, a, rec.rep) for a in maps]
+        yield tables, space.size, [_is_involution(a) for a in maps]
+
+
+def quotient_closures(monkeypatch, r, m0):
+    # the (tables, size, involutive) that quotient_partition closes over V/W_e
+    # for each class of H^(r)(m0) that has generators
+    import rmenum.classify as classify
+
+    calls = []
+    close = classify._close_orbits
+
+    def spy(tables, size, involutive=()):
+        calls.append((tables, size, involutive))
+        return close(tables, size, involutive)
+
+    monkeypatch.setattr(classify, "_close_orbits", spy)
+    for rec in classify_quotient(r, m0, random.Random(0)):
+        quotient_partition(rec.rep, rec.gens, r - 2, m0)
+    monkeypatch.undo()
+    return calls
 
 
 @pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
-def test_closure_matches_reference_on_orbit_partition_tables(r, m0):
-    for tables, size in partition_tables(r, m0):
-        assert_same_closure(tables, size)
+def test_closure_matches_reference_on_orbit_partition_tables(monkeypatch, r, m0):
+    # over V, and over V/W_e as quotient_partition closes it with its flags
+    for tables, size, involutive in partition_tables(r, m0):
+        assert_same_closure(tables, size, involutive)
+    flagged = 0
+    for tables, size, involutive in quotient_closures(monkeypatch, r, m0):
+        assert len(involutive) == len(tables)
+        flagged += sum(involutive)
+        assert_same_closure(tables, size, involutive)
+    assert flagged > 0
 
 
 @pytest.mark.parametrize("r, m0", LADDER_LOWER, ids=[f"d{r}m{m0}" for r, m0 in LADDER_LOWER])
 def test_closure_does_not_depend_on_the_gather_window(monkeypatch, r, m0):
     # a window of 2**8 entries takes every level past 256 nodes in chunks,
-    # one generator at a time, and gathers few generators per take below
-    # that; on the GL closure of H^(r)(m0) and on the orbit partitions above
-    # its classes it gives the reference closure and the default window's
+    # on both sides of the segment an involution skips; on the GL closure of
+    # H^(r)(m0) and on the orbit partitions above its classes it gives the
+    # reference closure and the default window's
     import rmenum.classify as classify
 
     space = HomogeneousSpace(m0, r)
     gl = [_action_table(space, AffineMap(g, 0)) for g in gl2_generators(m0)]
-    for tables, size in [(gl, space.size), *partition_tables(r, m0)]:
-        want = _close_orbits(tables, size)
+    for tables, size, involutive in [(gl, space.size, [True, False]), *partition_tables(r, m0)]:
+        want = _close_orbits(tables, size, involutive)
         monkeypatch.setattr(classify, "_GATHER_WINDOW", 1 << 8)
-        got = assert_same_closure(tables, size)
+        got = assert_same_closure(tables, size, involutive)
         monkeypatch.undo()
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -572,8 +650,8 @@ def test_expanded_quotient_equals_the_closure_with_translations(r, m0, seed):
     # all of V under the stabilizer generators and the unit translations gives
     records = classify_quotient(r, m0, random.Random(seed), max_gens=PIPELINE_MAX_GENS)
     tables = partition_tables(r, m0, seed, PIPELINE_MAX_GENS)
-    for rec, (full_tables, size) in zip(records, tables, strict=True):
-        block_of, first, _, _ = assert_same_closure(full_tables, size)
+    for rec, (full_tables, size, involutive) in zip(records, tables, strict=True):
+        block_of, first, _, _ = assert_same_closure(full_tables, size, involutive)
         part = orbit_partition(rec.rep, rec.gens, r - 2, m0)
         assert np.array_equal(part.block_of, block_of), format_anf(rec.rep)
         assert part.first.tolist() == first.tolist()
@@ -853,18 +931,27 @@ def reference_schreier_sample(cls, cid, rng, max_gens):
     return tuple(out)
 
 
-@pytest.mark.parametrize("d, m", [(3, 5), (2, 6), (3, 6)])
-def test_replayed_draws_give_the_generators_of_the_listed_members(d, m):
-    # every class of more than one member is sampled by replaying its draws
-    # from a copy of the rng and reading only the drawn members (H^(3)(6) has
+# at budget 12 and seed 3 the classes of H^(3)(4) and H^(4)(5) use all 96
+# attempts, so rng is not rewound; those of H^(2)(5) stop early and rewind it
+REPLAY_CASES = [(3, 5, 16), (2, 6, 16), (3, 6, 16), (3, 4, 12), (4, 5, 12), (2, 5, 12)]
+
+
+@pytest.mark.parametrize(
+    "d, m, max_gens",
+    REPLAY_CASES,
+    ids=[f"{d}-{m}" if g == 16 else f"{d}-{m}-budget{g}" for d, m, g in REPLAY_CASES],
+)
+def test_replayed_draws_give_the_generators_of_the_listed_members(d, m, max_gens):
+    # every class of more than one member is sampled by drawing all its
+    # attempts up front and reading only the drawn members (H^(3)(6) has
     # classes past 2**15 members); the generators and the rng state
     # afterwards must be those of a sampler that draws from the rng itself
     # over the listed members
     cls = QuotientClassification.compute(d, m, max_gens=0)
     rng, ref_rng = random.Random(3), random.Random(3)
     for cid in range(len(cls.records)):
-        want = reference_schreier_sample(cls, cid, ref_rng, 16)
-        assert cls.stabilizer_gens(cid, rng, 16) == want
+        want = reference_schreier_sample(cls, cid, ref_rng, max_gens)
+        assert cls.stabilizer_gens(cid, rng, max_gens) == want
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -899,7 +986,7 @@ def test_classification_keeps_two_bytes_per_index():
 def test_stabilizer_sampling_builds_no_member_array():
     # the largest class of H^(2)(7) has 1,763,776 members; a draw finds its
     # member by rank, so sampling 64 generators per class keeps the traced
-    # peak at the closure's (8.2 MB), where a sorted uint32 member array of
+    # peak at the closure's (7.6 MB), where a sorted uint32 member array of
     # the class took it to 12.8 MB
     import tracemalloc
 

@@ -152,6 +152,21 @@ def test_matrix_text_round_trip():
         Gf2Matrix.from_text("0a 10")
 
 
+@pytest.mark.parametrize("text", ["+1 01", "1_0 010 001", "12 01"])
+def test_matrix_text_refuses_what_int_would_parse(text):
+    # int(row, 2) alone takes a sign, an underscore or, in base 2, fails only on "2"
+    with pytest.raises(ValueError, match="bad matrix row"):
+        Gf2Matrix.from_text(text)
+
+
+def test_matrix_text_reads_the_leftmost_character_as_x1():
+    rng = random.Random(6)
+    for m in range(1, 9):
+        rows = tuple(rng.getrandbits(m) for _ in range(m))
+        text = " ".join("".join(str(row >> j & 1) for j in range(m)) for row in rows)
+        assert Gf2Matrix.from_text(text) == Gf2Matrix(m, rows)
+
+
 def test_apply_pointwise():
     # f(x) = x1, map x -> (x2, x1): image should be table of x2
     swap = Gf2Matrix(2, (0b10, 0b01))
@@ -245,3 +260,50 @@ def test_find_equivalence_budget_exhaustion():
     e1 = parse_anf("123", 5)
     e2 = parse_anf("123+145", 5)
     assert find_equivalence(e1, e2, 2, 2000, random.Random(0)) is None
+
+
+def random_singular(m, rng):
+    # a random matrix with one row the XOR of two others (or zero when m = 1)
+    rows = [rng.getrandbits(m) for _ in range(m)]
+    k = rng.randrange(m)
+    rows[k] = rows[(k + 1) % m] ^ rows[(k + 2) % m] if m > 2 else 0
+    return Gf2Matrix(m, tuple(rows))
+
+
+def random_form(rng, m, degree=None):
+    # a homogeneous form of the given degree, or any form when degree is None
+    if degree is None:
+        return anf_from_truth_table(rand_table(rng, m))
+    masks = [s for s in range(1 << m) if s.bit_count() == degree]
+    return Anf(m, frozenset(s for s in masks if rng.random() < 0.5))
+
+
+def test_stabilizer_check_matches_top_image():
+    # the coefficient-mask check against the definition it replaced, on zero,
+    # homogeneous and non-homogeneous forms, under invertible maps with and
+    # without a shift, singular maps, and maps that do stabilize: the
+    # identity, translations, and the linear maps in the stabilizer found by
+    # trying random ones
+    rng = random.Random(12)
+    for m in range(2, 8):
+        forms = [Anf(m, frozenset()), Anf(m, frozenset([0]))]
+        for d in range(1, m + 1):
+            e = random_form(rng, m, d)
+            forms += [e, e ^ Anf(m, frozenset([rng.getrandbits(m) % ((1 << d) - 1)]))]
+        forms += [random_form(rng, m) for _ in range(4)]
+        for e in forms:
+            maps = [AffineMap.identity(m), AffineMap.translation(m, rng.randrange(1 << m))]
+            maps += [rand_affine(rng, m) for _ in range(4)]
+            maps += [AffineMap(random_invertible(m, rng), 0) for _ in range(4)]
+            maps += [AffineMap(random_singular(m, rng), rng.getrandbits(m)) for _ in range(3)]
+            maps += [
+                a
+                for a in (AffineMap(random_invertible(m, rng), 0) for _ in range(60))
+                if not e.is_zero() and top_image(e, a) == e
+            ][:3]
+            for a in maps:
+                want = a.matrix.is_invertible() and (e.is_zero() or top_image(e, a) == e)
+                assert stabilizer_check(e, a) == want, (e, a)
+        # like top_image, it refuses a map over another variable count
+        with pytest.raises(ValueError, match="variable count"):
+            stabilizer_check(Anf(m, frozenset([1])), AffineMap.identity(m + 1))

@@ -734,6 +734,21 @@ def test_fourier_route_refuses_oversized_runs_before_classifying(monkeypatch):
             run_pipeline(r, m)
 
 
+def test_direct_route_refuses_an_oversized_product_sum_space(monkeypatch):
+    # R(4,9) over one given class of H^(4)(8): its split runs over H^(3)(7),
+    # 2**35 forms, whose packed span would take 512 GiB; the sweep cap of
+    # R(2,7) alone lets it through
+    import rmenum.pipeline as pipeline
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product-sum span was built")
+
+    monkeypatch.setattr(pipeline, "xor_span_array", forbidden)
+    classes = [ClassRecord(rep=parse_anf("0", 8), size=2**70)]
+    with pytest.raises(ValueError, match="2\\*\\*35 forms, past the cap of 2\\*\\*25"):
+        run_pipeline(4, 9, classes=classes, strategy="direct")
+
+
 def test_fourier_route_refuses_an_oversized_sweep():
     # R(9,10): N = 1, but each block sweep visits 2**dim R(7,8) = 2**255 words
     with pytest.raises(ValueError, match="2\\*\\*255 codewords exceed the cap"):
