@@ -47,9 +47,11 @@ array, and the class map is written one BFS level at a time in the
 narrowest unsigned type that holds the block count. Per index the
 closure keeps 1 byte of via plus the class map, 1 byte up to 256 blocks,
 and no member list: a block is known by its seed, which is its least
-index, and its size. A table that was not a permutation could put an
-index into a block twice, and the closure raises unless the block sizes
-sum to the space size.
+index, and its size. Bijectivity rests on the GL generators and on the
+invertibility check of every stabilizer generator in quotient_partition:
+the closure's check that the block sizes sum to the space size catches a
+table that is not injective only when two colliding images fall into one
+take.
 
 A level keeps the range that each generator reached. A generator that is
 its own inverse (_is_involution: shift 0 and M @ M = I, read from the
@@ -109,13 +111,14 @@ from .wenum import WeightEnumerator, _opened
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
 _SCAN_WINDOW = 1 << 12
-# Images gathered per take in _close_orbits, and class-map entries scanned
-# per chunk in QuotientClassification._members_at. Measured on R(4,8)'s
-# partitions (2**20 indices, 12 and 64 generators) and the closure of
-# H^(2)(7) (2**21): 2**15 through 2**20 run in the same time within noise,
-# 2**12 about 20 % slower, while the traced peak of the 64-generator
-# partitions grows from 6.3 MB at 2**15 to 13 MB at 2**18 and 32 MB at 2**20.
-_GATHER_WINDOW = 1 << 15
+# Images gathered per take in _close_orbits. The closures of H^(3)(6) and
+# H^(2)(7) together take 56 ms at 2**13, 58 ms at 2**12 and 2**15, and their
+# traced peaks are 2.9 and 6.8 MB at 2**13 against 3.5 and 7.4 MB at 2**15;
+# R(4,8)'s partitions run in the same time at both. Class-map entries
+# scanned per chunk in QuotientClassification._members_at: sampling 64
+# generators per class is 3 ms slower at 2**13 than at 2**15.
+_GATHER_WINDOW = 1 << 13
+_MEMBER_CHUNK = 1 << 15
 
 
 def gl2_generators(m: int) -> list[Gf2Matrix]:
@@ -263,11 +266,13 @@ def _close_orbits(tables, size: int, involutive=()):
     generator the fresh set of a level does not depend on the node order,
     so via, block_of and the sizes are those of the plain closure. Every
     table is a permutation, so one generator's fresh images are distinct
-    and only via is read and written per image. A table that is not
-    injective could add an index to a block twice; the block sizes must
-    therefore sum to the space size. A wrongly flagged table would split
-    blocks without breaking that sum, which is why flags come from the
-    group elements.
+    and only via is read and written per image. The block sizes must sum
+    to the space size, but a table that is not injective breaks that sum
+    only when two colliding images fall into one take; images that collide
+    across takes are each marked once. So bijectivity rests on the
+    invertibility check of every generator, never on this sum, just as
+    involution flags come from the group elements: a wrongly flagged table
+    would split blocks and keep the sum.
     """
     lo_len, hi_len = len(tables[0][0]), len(tables[0][1])
     shift = (lo_len - 1).bit_length()
@@ -568,7 +573,7 @@ class QuotientClassification:
         """The k-th least member of class cid for each k in ranks, in the order of ranks.
 
         The class map is scanned from the class seed, its least member, in
-        chunks of _GATHER_WINDOW entries, up to the chunk of the largest
+        chunks of _MEMBER_CHUNK entries, up to the chunk of the largest
         rank, so no member array of the class is built (the largest class
         of H^(2)(7) has 1,763,776 members, 7 MB as uint32).
         """
@@ -579,11 +584,11 @@ class QuotientClassification:
         size, start = self.records[cid].size, int(self._first[cid])
         found = done = 0
         while done < ranks.size and found < size:
-            hits = np.flatnonzero(self.class_of[start : start + _GATHER_WINDOW] == cid) + start
+            hits = np.flatnonzero(self.class_of[start : start + _MEMBER_CHUNK] == cid) + start
             stop = int(np.searchsorted(wanted, found + hits.size))
             members[order[done:stop]] = hits[wanted[done:stop] - found]
             done, found = stop, found + hits.size
-            start += _GATHER_WINDOW
+            start += _MEMBER_CHUNK
         if done < ranks.size:
             raise ValueError(f"class {cid} has {found} members, rank {wanted[-1]} asked")
         return members.tolist()
@@ -631,12 +636,9 @@ class QuotientClassification:
     def _schreier_sample(self, rep, cid, rng, max_gens):
         size = self.records[cid].size
         if size == 1:
-            out = []
-            for mat in self.gens:
-                a = AffineMap(mat, 0)
-                if not stabilizer_check(rep, a):
-                    raise AssertionError("whole group should stabilize a fixed form")
-                out.append(a)
+            out = [AffineMap(mat, 0) for mat in self.gens]
+            if not stabilizer_check(rep, *out):
+                raise AssertionError("whole group should stabilize a fixed form")
             return out[:max_gens]
         # Each attempt draws rng.randrange(size), then rng.randrange(len(gens)).
         # All max_gens * 8 attempts are drawn up front, so only their members
@@ -681,10 +683,9 @@ class QuotientClassification:
             if sigma in seen:
                 continue
             seen.add(sigma)
-            a = AffineMap(Gf2Matrix(m, sigma), 0)
-            if not stabilizer_check(rep, a):
-                raise AssertionError("Schreier element failed the stabilizer check")
-            out.append(a)
+            out.append(AffineMap(Gf2Matrix(m, sigma), 0))
+        if not stabilizer_check(rep, *out):
+            raise AssertionError("Schreier element failed the stabilizer check")
         if used < budget:
             rng.setstate(saved.getstate())
             for _ in range(used):
@@ -796,7 +797,6 @@ def ingest_classification(source, expect_d: int | None = None, expect_m: int | N
     for rec in records:
         if not rec.rep.is_zero() and not rec.rep.is_homogeneous(d):
             raise ValueError(f"representative {format_anf(rec.rep)} is not degree-{d} homogeneous")
-        for a in rec.gens:
-            if not stabilizer_check(rec.rep, a):
-                raise ValueError(f"stated generator does not stabilize {format_anf(rec.rep)}")
+        if not stabilizer_check(rec.rep, *rec.gens):
+            raise ValueError(f"stated generator does not stabilize {format_anf(rec.rep)}")
     return records, d, m

@@ -13,6 +13,13 @@ table of f o A is the XOR over the monomials U of f of the AND of the T_k
 for k in U, and one Mobius transform turns that into the ANF. That is
 about m**2 + sum |U| + m big-int operations per substitution.
 
+stabilizer_check(e, *maps) checks all the maps of one form in one numpy
+pass instead: a point table y[k, x] = M_k x + b_k, XOR-doubled over the
+columns in the narrowest unsigned type that holds 2**m - 1, gathers e's
+truth table; m Mobius stages along the last axis give each image's ANF,
+whose degree-deg(e) coefficients must be e's. M_k is invertible exactly
+when y[k, x] ^ y[k, 0] is nonzero for every x != 0.
+
 Substituting an invertible map never raises degree and changes only the
 parts below the top degree, which is what the classification machinery
 relies on: the induced action on degree-d homogeneous parts is a genuine
@@ -34,12 +41,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .boolfn import (
+    MAX_M,
     Anf,
     TruthTable,
     anf_from_truth_table,
     homogeneous_part,
-    mobius_transform,
     variable_table,
 )
 
@@ -128,21 +137,28 @@ class Gf2Matrix:
 
     def to_text(self) -> str:
         """Rows as bit strings, leftmost character the x_1 coefficient."""
-        return " ".join(
-            "".join("1" if (row >> j) & 1 else "0" for j in range(self.m)) for row in self.rows
-        )
+        return " ".join(map(_row_text(self.m)[0].__getitem__, self.rows))
 
     @staticmethod
     def from_text(text: str) -> "Gf2Matrix":
         parts = text.split()
-        m = len(parts)
-        rows = []
-        for part in parts:
-            if len(part) != m or set(part) - {"0", "1"}:
-                raise ValueError(f"bad matrix row {part!r}")
-            # leftmost character is bit 0; int() alone would also take "+1" or "1_0"
-            rows.append(int(part[::-1], 2))
-        return Gf2Matrix(m, tuple(rows))
+        values = _row_text(len(parts))[1]
+        try:
+            # only m-character strings of 0 and 1 are keys: not "+1" or "1_0"
+            return Gf2Matrix(len(parts), tuple(map(values.__getitem__, parts)))
+        except KeyError as exc:
+            raise ValueError(f"bad matrix row {exc.args[0]!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _row_text(m: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The text of every m-bit row, leftmost character bit 0, and the row of every text."""
+    if m > MAX_M:
+        raise ValueError(f"no text form for matrices over more than {MAX_M} variables")
+    texts = [""]
+    for _ in range(m):
+        texts = [t + c for c in "01" for t in texts]
+    return tuple(texts), {t: row for row, t in enumerate(texts)}
 
 
 @dataclass(frozen=True)
@@ -234,29 +250,54 @@ def top_image(f: Anf, a) -> Anf:
 
 
 @lru_cache(maxsize=None)
-def _degree_mask(d: int, m: int) -> int:
-    """ANF coefficient mask of the degree-d monomials: bit s set when s has d bits."""
-    return sum(1 << s for s in range(1 << m) if s.bit_count() == d)
+def _degree_masks(d: int, m: int) -> np.ndarray:
+    """The degree-d monomial masks over m variables, ascending."""
+    return np.array([s for s in range(1 << m) if s.bit_count() == d], dtype=np.intp)
 
 
-def stabilizer_check(e: Anf, a) -> bool:
-    """True when the substitution fixes e modulo lower-degree terms.
+def stabilizer_check(e: Anf, *maps) -> bool:
+    """True when every map is invertible and fixes e modulo lower-degree terms.
 
-    Equal to top_image(e, a) == e for an invertible map, compared on ANF
-    coefficient indicators: the image's degree-deg(e) coefficients against
-    e's, so no Anf of the image is built. An e with a lower-degree monomial
-    has a coefficient outside that mask and is never fixed.
+    Per map this is top_image(e, a) == e with a's matrix invertible; all
+    maps are checked at once (see the module docstring), and a call with
+    no maps is True. An e with a lower-degree monomial is never fixed.
     """
-    a = as_affine(a)
-    if not a.matrix.is_invertible():
+    maps = [as_affine(a) for a in maps]
+    m = e.m
+    if any(a.m != m for a in maps):
+        raise ValueError("variable count mismatch")
+    if not maps:
+        return True
+    n = 1 << m
+    dtype = np.min_scalar_type(n - 1)
+    # Shifts run on intp and the checks count nonzeros: a first uint8 shift,
+    # bool reduction or uint8 popcount in a process keeps 64 KB resident.
+    rows, bit = np.array([a.matrix.rows for a in maps], dtype=np.intp), np.arange(m)
+    # column j of map k: bit i is bit j of row i
+    cols = ((rows[:, :, None] >> bit & 1) << bit[:, None]).sum(axis=1).astype(dtype)
+    y = np.empty((len(maps), n), dtype=dtype)
+    y[:, 0] = [a.shift for a in maps]
+    for j in range(m):
+        np.bitwise_xor(y[:, : 1 << j], cols[:, j : j + 1], out=y[:, 1 << j : 2 << j])
+    if np.count_nonzero(y[:, 1:] == y[:, :1]):
         return False
     if e.is_zero():
         return True
-    m = e.m
-    if a.m != m:
-        raise ValueError("variable count mismatch")
-    image = mobius_transform(substitute(e.monomials, substituted_tables(a), m), m)
-    return image & _degree_mask(e.degree(), m) == sum(1 << mask for mask in e.monomials)
+    d = e.degree()
+    if not e.is_homogeneous(d):
+        return False
+    points = np.arange(n, dtype=dtype)
+    masks = np.array(list(e.monomials), dtype=dtype)
+    # e(x) is the parity of the monomials of e that x covers
+    table = np.bitwise_xor.reduce((points[:, None] & masks == masks).view(np.uint8), axis=1)
+    image = table.take(y)
+    for i in range(m):
+        pairs = image.reshape(len(maps), n >> (i + 1), 2, 1 << i)
+        pairs[:, :, 1] ^= pairs[:, :, 0]
+    want = np.zeros(n, dtype=np.uint8)
+    want[masks] = 1
+    top = _degree_masks(d, m)
+    return not np.count_nonzero(image[:, top] != want[top])
 
 
 def random_invertible(m: int, rng: random.Random) -> Gf2Matrix:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+from dataclasses import replace
 from functools import reduce
 from math import comb
 
@@ -68,6 +69,31 @@ def test_cubic_forms_on_6_vars():
     records = classify_quotient(3, 6)
     assert len(records) == 6
     assert sum(rec.size for rec in records) == 1 << 20
+
+
+def dickson_size(h, m):
+    # quadratic forms of rank 2h over m variables (MacWilliams & Sloane, ch. 15)
+    num = reduce(lambda acc, i: acc * ((1 << (m - i)) - 1), range(2 * h), 1)
+    den = reduce(lambda acc, i: acc * (4**i - 1), range(1, h + 1), 1)
+    return (1 << (h * (h - 1))) * num // den
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_quadratic_classes_are_the_dickson_ranks(m):
+    # the GL closure alone, with no stabilizer check: one class per rank 2h,
+    # the rep of class h of rank 2h, and Dickson's class sizes
+    records = classify_quotient(2, m, max_gens=0)
+    assert [rec.size for rec in records] == [dickson_size(h, m) for h in range(m // 2 + 1)]
+    for h, rec in enumerate(records):
+        # the alternating matrix of the form: row i marks the x_j in x_i x_j
+        rows = [0] * m
+        for mask in rec.rep.monomials:
+            i, j = [k for k in range(m) if mask >> k & 1]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        assert Gf2Matrix(m, tuple(rows)).rank() == 2 * h
+    if m == 7:
+        assert [rec.size for rec in records] == [1, 2667, 330708, 1763776]
 
 
 def test_top_degree_pair():
@@ -405,6 +431,52 @@ def test_ingest_refuses_a_singular_generator(cid):
             lines.append(singular)
     with pytest.raises(ValueError, match="stated generator does not stabilize"):
         ingest_classification(io.StringIO("\n".join(lines)))
+
+
+def test_ingest_refuses_the_last_generator_of_a_middle_class():
+    # H^(3)(6) at seed 1 states 64 generators for classes 2 to 5; all of them
+    # are checked in one call per class, so a bad 64th one of class 3 alone
+    # refuses the file
+    records = classify_quotient(3, 6, random.Random(1))
+    assert [len(rec.gens) for rec in records] == [2, 50, 64, 64, 64, 64]
+    rec = records[3]
+    rng = random.Random(5)
+    bad = next(
+        a
+        for a in (AffineMap(random_invertible(6, rng), 0) for _ in range(100))
+        if homogeneous_part(transform_anf(rec.rep, a), 3) != rec.rep
+    )
+    records[3] = replace(rec, gens=rec.gens[:63] + (bad,))
+    buf = io.StringIO()
+    write_classification(buf, records, 3, 6, seed=1)
+    with pytest.raises(ValueError, match="stated generator does not stabilize"):
+        ingest_classification(io.StringIO(buf.getvalue()))
+    records[3] = rec
+    buf = io.StringIO()
+    write_classification(buf, records, 3, 6, seed=1)
+    assert ingest_classification(io.StringIO(buf.getvalue()))[0] == records
+
+
+@pytest.mark.parametrize("cid", [0, 3])
+def test_schreier_sampling_raises_when_one_map_fails_the_check(monkeypatch, cid):
+    # class 0 of H^(3)(6) is the zero form, whose generators are the GL
+    # generators; class 3 emits Schreier elements. A check that fails one of
+    # the maps it is handed must stop the sampler on either branch.
+    import rmenum.classify as classify
+
+    cls = QuotientClassification.compute(3, 6, max_gens=0)
+    emitted = cls.stabilizer_gens(cid, random.Random(1), 16)
+    assert len(emitted) >= 2
+    bad = emitted[-1]
+    real = classify.stabilizer_check
+
+    def fails_one(e, *maps):
+        return real(e, *maps) and bad not in maps
+
+    monkeypatch.setattr(classify, "stabilizer_check", fails_one)
+    message = "whole group" if cid == 0 else "Schreier element failed"
+    with pytest.raises(AssertionError, match=message):
+        cls.stabilizer_gens(cid, random.Random(1), 16)
 
 
 def two_class_file():
@@ -886,7 +958,7 @@ def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
     import rmenum.classify as classify
 
     if window is not None:
-        monkeypatch.setattr(classify, "_GATHER_WINDOW", window)
+        monkeypatch.setattr(classify, "_MEMBER_CHUNK", window)
     cls = QuotientClassification.compute(d, m, max_gens=0)
     rng = random.Random(5)
     for cid, rec in enumerate(cls.records):
@@ -897,7 +969,7 @@ def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
         else:
             # both ranks at every chunk boundary, the first and last ranks
             # and 400 random ones
-            chunk = (want - want[0]) // classify._GATHER_WINDOW
+            chunk = (want - want[0]) // classify._MEMBER_CHUNK
             crossing = np.flatnonzero(np.diff(chunk)) + 1
             ranks = sorted({0, n - 1, *crossing.tolist(), *(crossing - 1).tolist()})
             ranks += [rng.randrange(n) for _ in range(400)]
@@ -986,7 +1058,7 @@ def test_classification_keeps_two_bytes_per_index():
 def test_stabilizer_sampling_builds_no_member_array():
     # the largest class of H^(2)(7) has 1,763,776 members; a draw finds its
     # member by rank, so sampling 64 generators per class keeps the traced
-    # peak at the closure's (7.6 MB), where a sorted uint32 member array of
+    # peak at the closure's (7.0 MB), where a sorted uint32 member array of
     # the class took it to 12.8 MB
     import tracemalloc
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from rmenum import gf2
 from rmenum.boolfn import (
+    MAX_M,
     Anf,
     TruthTable,
     anf_from_truth_table,
@@ -152,19 +154,47 @@ def test_matrix_text_round_trip():
         Gf2Matrix.from_text("0a 10")
 
 
-@pytest.mark.parametrize("text", ["+1 01", "1_0 010 001", "12 01"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+1 01",
+        "1_0 010 001",
+        "12 01",
+        "-1 01",
+        "0b1 010 001",
+        "\u0661\u0660 01",  # Arabic-Indic digits
+        "10 1",  # one row short
+        "10 100",  # one row long
+    ],
+)
 def test_matrix_text_refuses_what_int_would_parse(text):
-    # int(row, 2) alone takes a sign, an underscore or, in base 2, fails only on "2"
+    # int(row, 2) alone takes a sign, an underscore, a prefix or any Unicode
+    # digit and, in base 2, fails only on "2"; rows must also be m long
     with pytest.raises(ValueError, match="bad matrix row"):
         Gf2Matrix.from_text(text)
 
 
 def test_matrix_text_reads_the_leftmost_character_as_x1():
+    # both ways, for any matrix, singular or not
     rng = random.Random(6)
-    for m in range(1, 9):
-        rows = tuple(rng.getrandbits(m) for _ in range(m))
-        text = " ".join("".join(str(row >> j & 1) for j in range(m)) for row in rows)
-        assert Gf2Matrix.from_text(text) == Gf2Matrix(m, rows)
+    for m in range(1, 10):
+        for _ in range(20):
+            rows = tuple(rng.getrandbits(m) for _ in range(m))
+            text = " ".join("".join(str(row >> j & 1) for j in range(m)) for row in rows)
+            assert Gf2Matrix.from_text(text) == Gf2Matrix(m, rows)
+            assert Gf2Matrix(m, rows).to_text() == text
+
+
+def test_matrix_text_builds_no_table_past_the_m_read():
+    gf2._row_text.cache_clear()
+    assert Gf2Matrix.from_text("100 010 001") == Gf2Matrix.identity(3)
+    assert Gf2Matrix.identity(4).to_text() == "1000 0100 0010 0001"
+    assert gf2._row_text.cache_info().currsize == 2
+    # past the package's variable cap there is no text form and no table
+    wide = " ".join(["0" * (MAX_M + 1)] * (MAX_M + 1))
+    with pytest.raises(ValueError, match="no text form"):
+        Gf2Matrix.from_text(wide)
+    assert gf2._row_text.cache_info().currsize == 2
 
 
 def test_apply_pointwise():
@@ -279,13 +309,14 @@ def random_form(rng, m, degree=None):
 
 
 def test_stabilizer_check_matches_top_image():
-    # the coefficient-mask check against the definition it replaced, on zero,
+    # the coefficient check against the definition it replaced, on zero,
     # homogeneous and non-homogeneous forms, under invertible maps with and
     # without a shift, singular maps, and maps that do stabilize: the
     # identity, translations, and the linear maps in the stabilizer found by
-    # trying random ones
+    # trying random ones. Each map is checked alone and the whole list in
+    # one call, which passes exactly when every map does.
     rng = random.Random(12)
-    for m in range(2, 8):
+    for m in range(1, 9):
         forms = [Anf(m, frozenset()), Anf(m, frozenset([0]))]
         for d in range(1, m + 1):
             e = random_form(rng, m, d)
@@ -301,9 +332,21 @@ def test_stabilizer_check_matches_top_image():
                 for a in (AffineMap(random_invertible(m, rng), 0) for _ in range(60))
                 if not e.is_zero() and top_image(e, a) == e
             ][:3]
+            wants = []
             for a in maps:
                 want = a.matrix.is_invertible() and (e.is_zero() or top_image(e, a) == e)
                 assert stabilizer_check(e, a) == want, (e, a)
-        # like top_image, it refuses a map over another variable count
+                wants.append(want)
+            assert stabilizer_check(e, *maps) == all(wants)
+            passing = [a for a, want in zip(maps, wants) if want]
+            assert stabilizer_check(e, *passing)
+            for a, want in zip(maps, wants):
+                if not want:  # one failing map, last among maps that pass
+                    assert not stabilizer_check(e, *passing, a)
+            assert stabilizer_check(e)  # no maps: nothing fails
+        # like top_image, it refuses a map over another variable count, alone
+        # or among maps that pass, and for the zero form too
         with pytest.raises(ValueError, match="variable count"):
             stabilizer_check(Anf(m, frozenset([1])), AffineMap.identity(m + 1))
+        with pytest.raises(ValueError, match="variable count"):
+            stabilizer_check(Anf(m, frozenset()), AffineMap.identity(m), Gf2Matrix.identity(m + 1))
