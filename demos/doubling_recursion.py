@@ -12,7 +12,7 @@ Run:  python demos/doubling_recursion.py
 import random
 
 from rmenum.boolfn import HomogeneousSpace, attach_top, format_anf
-from rmenum.classify import QuotientClassification, merge_by_enumerator, orbit_partition
+from rmenum.classify import classify_quotient, merge_by_enumerator, orbit_partition
 from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator
 from rmenum.oracle import brute_force_distribution
 from rmenum.pipeline import MulCounter, coset_enum_blocks, coset_enum_split, run_pipeline
@@ -30,11 +30,10 @@ print(f"  e = {format_anf(e)}, f = {format_anf(f)}")
 print(f"  split == direct enumeration: {got == want} ({counter.count} multiplications)")
 
 print("\nblock grouping above e = x1x2x3 on 5 variables:")
-cls = QuotientClassification.compute(3, 5)
-rec = next(r for r in cls.records if format_anf(r.rep) == "123")
+rec = next(r for r in classify_quotient(3, 5) if format_anf(r.rep) == "123")
 part = orbit_partition(rec.rep, rec.gens, 1, 5)
 space = HomogeneousSpace(5, 2)
-raw = batch_coset_enumerators([rec.rep ^ space.anf_of(b[0]) for b in part.blocks], 1, 5)
+raw = batch_coset_enumerators([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
 merged, menums = merge_by_enumerator(part, raw)
 print(f"  {space.size} inner forms -> {part.block_count} orbit blocks"
       f" -> {merged.block_count} distinct enumerators")

@@ -2,9 +2,10 @@
 
 Two group actions live here, both on packed form indices:
 
-  * classify_quotient partitions H^(d)(m) under GL(m,2) acting by
-    g -> [g o A]_d (top-degree part of the substitution), with orbit
-    representatives, sizes, and Schreier-derived stabilizer generators;
+  * QuotientClassification.compute partitions H^(d)(m) under GL(m,2)
+    acting by g -> [g o A]_d (top-degree part of the substitution), with
+    orbit representatives and sizes; classify_quotient adds
+    Schreier-derived stabilizer generators for every class;
   * quotient_partition partitions V/W_e, V = H^(r+1)(m), under a set of
     stabilizer elements of e, where A sends the coset (e+g) + R(r,m) to
     (e+g') + R(r,m) with g' = [e o A]_{r+1} xor [g o A]_{r+1}.
@@ -28,14 +29,15 @@ Gf2Matrix.rank and inverse read too. Because x**2 = x over GF(2),
 action keeps its constant.
 
 Both actions are affine over GF(2) in the packed coefficient vector, so a
-generator splits exactly into two half tables over its N index bits: lo,
-the constant plus the span of the low N // 2 columns, and hi, the span of
-the rest, each filled by XOR-doubling over the images of the basis
-monomials. The image of g is lo[g % L] ^ hi[g // L] with L = len(lo), so a
-generator costs 2**(N//2) + 2**(N - N//2) entries, never 2**N, and closure
-is array chasing. The image of a basis monomial is the product of the
-map's substituted variable tables (gf2.substituted_tables), read as an ANF
-after one Mobius transform; no step walks the 2**m points of a truth table.
+generator splits exactly into two half tables over its N index bits, and
+one function, _half_tables, builds them for both actions: lo, the
+constant plus the span of the low N // 2 columns, and hi, the span of the
+rest, each filled by XOR-doubling over the images of the basis monomials.
+The image of g is lo[g % L] ^ hi[g // L] with L = len(lo), so a generator
+costs 2**(N//2) + 2**(N - N//2) entries, never 2**N, and closure is array
+chasing. The image of a basis monomial is the product of the map's
+substituted variable tables (gf2.substituted_tables), read as an ANF after
+one Mobius transform; no step walks the 2**m points of a truth table.
 
 Every table is a permutation of its index space: GL generators and
 stabilizer generators, which must be invertible, act bijectively. So the
@@ -133,18 +135,6 @@ def gl2_generators(m: int) -> list[Gf2Matrix]:
     return [Gf2Matrix(m, tuple(transvection)), Gf2Matrix(m, shift)]
 
 
-def _halves(consts, cols) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Half tables (lo, hi) of g -> consts[i] xor the cols[i] at the set bits of g, per map i.
-
-    With k = N // 2 for N columns per map, lo spans the constant and
-    columns 0..k-1 and hi the other columns, so the image of g is
-    lo[g % L] ^ hi[g // L] with L = 2**k. The maps are spanned side by side
-    (boolfn.xor_half_spans over uint32 indices), one XOR per column for all.
-    """
-    lo, hi = xor_half_spans(np.array(consts, dtype=np.uint32), np.array(cols, dtype=np.uint32).T)
-    return list(zip(lo.T.copy(), hi.T.copy()))
-
-
 def _substitution(a: AffineMap, m: int):
     """image(masks): the ANF indicator of the sum of the monomials masks after substituting a.
 
@@ -155,20 +145,43 @@ def _substitution(a: AffineMap, m: int):
     return lambda masks: mobius_transform(substitute(masks, subs, m), m)
 
 
-def _action_table(
-    space: HomogeneousSpace, a: AffineMap, e: Anf | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Half tables (lo, hi) of g -> [e o A]_d xor [g o A]_d over packed indices.
+def _half_tables(
+    space: HomogeneousSpace, maps, e: Anf | None = None, basis=()
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Half tables (lo, hi) of g -> [e o A]_d xor [g o A]_d over V/W, one pair per map A.
 
-    The map is affine in the packed vector: column j holds the image of the
-    j-th basis monomial and the constant comes from e (zero when e is None);
-    see _halves. No table of the whole space is built.
+    V = space and W is the span of basis, a reduced echelon basis (empty
+    for V itself), so index s stands for the coset of quotient_leader(basis,
+    s). The action is affine in the packed vector: column j holds the
+    reduced image of the j-th non-pivot monomial and the constant comes from
+    e (zero when e is None). With k = N // 2 for N columns, lo spans the
+    constant and columns 0..k-1 and hi the other columns, so the image of g
+    is lo[g % L] ^ hi[g // L] with L = 2**k; the maps are spanned side by
+    side (boolfn.xor_half_spans over uint32 indices), one XOR per column for
+    all. With e given, every map must be invertible and fix e modulo lower
+    degrees: one substitution of e gives both that check and the constant,
+    which is not zero even for a linear map.
     """
-    if space.nbits > MAX_INDEX_BITS:
-        raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
-    image = _substitution(a, space.m)
-    const = space.index_of_indicator(image(e.monomials)) if e is not None else 0
-    return _halves([const], [[space.index_of_indicator(image((mask,))) for mask in space.masks]])[0]
+    pivots = {w.bit_length() - 1 for w in basis}
+    free = [mask for j, mask in enumerate(space.masks) if j not in pivots]
+    if e is not None:
+        top = HomogeneousSpace(space.m, space.d + 1)
+        e_index = top.index_of(e)
+    consts, cols = [], []
+    for a in maps:
+        image = _substitution(a, space.m)
+        const = 0
+        if e is not None:
+            moved = image(e.monomials)
+            if not a.matrix.is_invertible() or top.index_of_indicator(moved) != e_index:
+                raise ValueError(f"generator {a} does not stabilize e")
+            const = quotient_index(basis, space.index_of_indicator(moved))
+        consts.append(const)
+        cols.append(
+            [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
+        )
+    lo, hi = xor_half_spans(np.array(consts, dtype=np.uint32), np.array(cols, dtype=np.uint32).T)
+    return list(zip(lo.T.copy(), hi.T.copy()))
 
 
 def quotient_index(basis, g):
@@ -371,13 +384,6 @@ class Partition:
     def block_count(self) -> int:
         return len(self.first)
 
-    @property
-    def blocks(self) -> tuple:
-        """Sorted member tuples of every block in block order, built on each call."""
-        order = np.argsort(self.block_of, kind="stable")
-        ends = np.cumsum(np.bincount(self.block_of, minlength=self.block_count))
-        return tuple(tuple(b.tolist()) for b in np.split(order, ends[:-1]))
-
 
 def _translation_basis(e: Anf, space: HomogeneousSpace) -> tuple[int, ...]:
     """Reduced echelon basis of W_e, spanned by the unit-translation constants [e o T_i]_d.
@@ -398,37 +404,24 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
     """Partition of V/W_e, V = H^(r+1)(m), under the group the gens generate.
 
     e must be homogeneous of degree r+2 (or zero), and every generator must
-    be invertible and fix e modulo lower degrees. One substitution of e
-    gives both that check and the generator's constant [e o A]_{r+1}, which
-    is not zero even for a linear map. Each generator acts on the N - k
-    index bits of V/W_e by one pair of half tables: column j is the reduced
-    image of the j-th non-pivot monomial. Unit translations act as the
-    identity on V/W_e, so their orbits come for free (see the module
-    docstring); with no gens every index is its own block.
+    be invertible and fix e modulo lower degrees; _half_tables checks that
+    while it builds each generator's pair of half tables over the N - k
+    index bits of V/W_e. Unit translations act as the identity on V/W_e,
+    so their orbits come for free (see the module docstring); with no gens
+    every index is its own block.
     """
     if e.m != m:
         raise ValueError("e has the wrong variable count")
-    space, top = HomogeneousSpace(m, r + 1), HomogeneousSpace(m, r + 2)
+    space = HomogeneousSpace(m, r + 1)
     if space.nbits > MAX_INDEX_BITS:
         raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
-    e_index = top.index_of(e)
+    HomogeneousSpace(m, r + 2).index_of(e)  # refuses an e of another degree
     basis = _translation_basis(e, space)
-    pivots = {w.bit_length() - 1 for w in basis}
-    free = [mask for j, mask in enumerate(space.masks) if j not in pivots]
-    consts, cols, involutive = [], [], []
-    for a in map(as_affine, gens):
-        image = _substitution(a, m)
-        moved = image(e.monomials)
-        if not a.matrix.is_invertible() or top.index_of_indicator(moved) != e_index:
-            raise ValueError(f"generator {a} does not stabilize e")
-        consts.append(quotient_index(basis, space.index_of_indicator(moved)))
-        cols.append(
-            [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
-        )
-        involutive.append(_is_involution(a))
-    size = 1 << len(free)
-    if consts:
-        block_of, first, _, _ = _close_orbits(_halves(consts, cols), size, involutive)
+    size = 1 << (space.nbits - len(basis))
+    maps = [as_affine(g) for g in gens]
+    if maps:
+        tables = _half_tables(space, maps, e, basis)
+        block_of, first, _, _ = _close_orbits(tables, size, [_is_involution(a) for a in maps])
         block_of = block_of.astype(np.int32)
     else:
         block_of, first = np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32)
@@ -489,10 +482,11 @@ class QuotientClassification:
     order, and class_of[idx] is the class of index idx, in the narrowest
     unsigned type that holds the class count (uint8 for every space under
     the cap today). Per index the object keeps 1 byte of via plus class_of,
-    and no member list. Stabilizer generators are drawn per class by
-    stabilizer_gens, which compute calls for every class in class order; a
-    caller that needs only some stabilizers computes with max_gens=0 and
-    draws those. A draw reads only the drawn members of its class (see
+    and no member list. compute is the closure alone, and its records carry
+    no generators. Stabilizer generators are drawn per class by
+    stabilizer_gens: classify_quotient calls it for every class in class
+    order, and a caller that needs only some stabilizers calls it for
+    those. A draw reads only the drawn members of its class (see
     _members_at), so no member array is built.
     """
 
@@ -524,14 +518,8 @@ class QuotientClassification:
         self._memo = {}
 
     @staticmethod
-    def compute(
-        d: int,
-        m: int,
-        rng: random.Random | None = None,
-        max_gens: int = DEFAULT_MAX_GENS,
-    ) -> "QuotientClassification":
-        _check_max_gens(max_gens)
-        rng = rng if rng is not None else random.Random(0)
+    def compute(d: int, m: int) -> "QuotientClassification":
+        """The GL(m,2) orbit closure of H^(d)(m); its records carry no generators."""
         space = HomogeneousSpace(m, d)
         if space.nbits > MAX_INDEX_BITS:
             raise ValueError(
@@ -539,19 +527,13 @@ class QuotientClassification:
             )
         gens = gl2_generators(m)
         maps = [AffineMap(g, 0) for g in gens]
-        tables = [_action_table(space, a) for a in maps]
-        inverses = [_action_table(space, AffineMap(g.inverse(), 0)) for g in gens]
+        halves = _half_tables(space, maps + [AffineMap(g.inverse(), 0) for g in gens])
+        tables, inverses = halves[: len(gens)], halves[len(gens) :]
         involutive = [_is_involution(a) for a in maps]
         class_of, first, sizes, via = _close_orbits(tables, space.size, involutive)
-        cls = QuotientClassification(
+        return QuotientClassification(
             d, m, space, class_of, via, tables, inverses, gens, involutive, first, sizes
         )
-        if max_gens > 0:
-            cls.records = [
-                replace(rec, gens=cls.stabilizer_gens(cid, rng, max_gens))
-                for cid, rec in enumerate(cls.records)
-            ]
-        return cls
 
     def stabilizer_gens(self, cid: int, rng: random.Random, max_gens: int) -> tuple:
         """Up to max_gens Schreier generators of the stabilizer of class cid's representative.
@@ -593,11 +575,6 @@ class QuotientClassification:
             raise ValueError(f"class {cid} has {found} members, rank {wanted[-1]} asked")
         return members.tolist()
 
-    def _parent_of(self, node: int) -> int:
-        """Preimage of a non-seed node under the generator that reached it."""
-        lo, hi = self._inverses[self._via_view[node] - 2]
-        return lo[node & self._mask] ^ hi[node >> self._shift]
-
     def transversal(self, idx: int) -> Gf2Matrix:
         """Matrix carrying the class representative of idx onto idx (see _rows)."""
         return Gf2Matrix(self.m, self._rows(int(idx)))
@@ -607,11 +584,12 @@ class QuotientClassification:
 
         The transversal is the product of the edge generators on the BFS
         path from the class seed to idx, in seed-to-idx order; the path is
-        read back from the via marks, one preimage lookup per node (the
-        _parent_of step, inlined), up to the seed or the first memoised
-        node. Each step down maps packed rows through the generator's
-        linear table. stabilizer_gens clears the memo after each class;
-        other calls keep their entries, at most one per index.
+        read back from the via marks, one lookup per node in the half
+        tables of the inverse of the generator that reached it, up to the
+        seed or the first memoised node. Each step down maps packed rows
+        through the generator's linear table. stabilizer_gens clears the
+        memo after each class; other calls keep their entries, at most one
+        per index.
         """
         memo, via = self._memo, self._via_view
         inverses, mask, shift = self._inverses, self._mask, self._shift
@@ -702,8 +680,19 @@ def _check_max_gens(max_gens: int) -> None:
 def classify_quotient(
     d: int, m: int, rng: random.Random | None = None, max_gens: int = DEFAULT_MAX_GENS
 ) -> list[ClassRecord]:
-    """Orbit representatives, sizes, and stabilizer gens for H^(d)(m) / GL(m,2)."""
-    return QuotientClassification.compute(d, m, rng=rng, max_gens=max_gens).records
+    """Orbit representatives, sizes, and stabilizer gens for H^(d)(m) / GL(m,2).
+
+    Draws up to max_gens Schreier generators for every class, in class
+    order, from rng (Random(0) when None); a negative max_gens is refused
+    before the closure runs.
+    """
+    _check_max_gens(max_gens)
+    rng = rng if rng is not None else random.Random(0)
+    cls = QuotientClassification.compute(d, m)
+    return [
+        replace(rec, gens=cls.stabilizer_gens(cid, rng, max_gens))
+        for cid, rec in enumerate(cls.records)
+    ]
 
 
 def write_classification(target, records, d: int, m: int, seed: int | None = None):

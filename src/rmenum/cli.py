@@ -16,11 +16,7 @@ import sys
 
 from . import __version__
 from .boolfn import format_anf, parse_anf
-from .classify import (
-    DEFAULT_MAX_GENS,
-    classify_quotient,
-    write_classification,
-)
+from .classify import classify_quotient, write_classification
 from .cosetenum import coset_enumerator, rm_dimension
 from .fixtures import (
     check_dual_transitions,
@@ -64,8 +60,7 @@ def _cmd_classify(args) -> int:
     if args.d < 1:
         # degree-0 forms are constants, which a classification file cannot name
         raise ValueError(f"--d must be at least 1, got {args.d}")
-    rng = random.Random(args.seed)
-    records = classify_quotient(args.d, args.m, rng, max_gens=args.max_gens)
+    records = classify_quotient(args.d, args.m, random.Random(args.seed))
     write_classification(args.out, records, args.d, args.m, seed=args.seed)
     sizes = sorted(rec.size for rec in records)
     print(f"wrote {args.out}")
@@ -157,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--max-gens",
-        type=int,
-        default=DEFAULT_MAX_GENS,
-        help="stabilizer generators written to the file per class (default: %(default)s)",
-    )
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("pipeline", help="full R(r,m) distribution via the doubling recursion")

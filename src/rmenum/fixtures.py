@@ -90,11 +90,16 @@ def complement_dual(a: Anf) -> Anf:
 
 def parse_dual_transitions(text: str) -> list[DualTransition]:
     out = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
+        if len(fields) != 10:
+            raise ValueError(
+                f"line {number} {line!r} has {len(fields)} of the 10 fields: "
+                "count, source, target and 7 matrix rows"
+            )
         count, src, tgt = int(fields[0]), fields[1], fields[2]
         mat = Gf2Matrix.from_text(" ".join(fields[3:]))
         out.append(

@@ -134,8 +134,10 @@ def coset_enum_split(
     adding f is XOR on packed indices. Each enumerator is packed into one
     big int once, and exactly 2**C(m,r+1) packed products are summed. A
     space of more than MAX_INDEX_BITS index bits is refused before its span
-    is built.
+    is built, and so is an e over another variable count than m.
     """
+    if e.m != m:
+        raise ValueError("e has the wrong variable count")
     if not e.is_zero() and not e.is_homogeneous(r + 2):
         raise ValueError("e must be homogeneous of degree r+2")
     if not f.is_zero() and not f.is_homogeneous(r + 1):
@@ -546,11 +548,12 @@ def run_pipeline(
     merge_by_enumerator joins back, so distributions, checkpoints and
     counts do not depend on it; 0 would give singleton partitions of V/W_e.
     A sweep past the fixed cosetenum.DEFAULT_CAP refuses to start. Both
-    "blocks" routes classify H^(r)(m-2) without stabilizers, then
-    draw into new records, in ascending class id, the generators of only
-    the lower classes that a pending class reads: a fresh run draws what
-    QuotientClassification.compute would, a fully checkpointed run none.
-    Of that classification the Fourier route reads only the records,
+    "blocks" routes classify H^(r)(m-2) with QuotientClassification.compute,
+    which draws no stabilizers, then draw into new records, in ascending
+    class id, the generators of only the lower classes that a pending class
+    reads: a fresh run draws what classify_quotient(r, m-2, rng,
+    PIPELINE_MAX_GENS) would, a fully checkpointed run none. Of that
+    classification the Fourier route reads only the records,
     (rep, size) in packed-rep order so that a position is a checkpoint id,
     and those stabilizer_gens(cid, rng, PIPELINE_MAX_GENS) calls, which may
     return no generators; any other source of lower classes must meet the
@@ -585,7 +588,7 @@ def run_pipeline(
             classes, _, _ = ingest_classification(classes, expect_d=r, expect_m=m1)
         elif classes is None:
             # "direct" reads only reps and sizes, so it samples no stabilizers.
-            classes = QuotientClassification.compute(r, m1, rng, max_gens=0).records
+            classes = QuotientClassification.compute(r, m1).records
         unit_total = 1 << (2 * rm_dimension(r - 1, m1))
     if strategy == "direct":
         contribution = partial(_class_sum_term, r0, m0, None)
@@ -594,7 +597,7 @@ def run_pipeline(
         # one of its rebased lower part. Stabilizers are drawn, in ascending
         # lower class id, only for the lower classes that a pending class
         # reads; rebasing needs only transversals.
-        lower = QuotientClassification.compute(r, m0, rng, max_gens=0)
+        lower = QuotientClassification.compute(r, m0)
         if fourier:
             classes = list(lower.records)
             wanted = _unfinished(classes, checkpoint)

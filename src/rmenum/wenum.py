@@ -242,28 +242,23 @@ def _opened(file, mode: str = "r"):
             yield fh
 
 
-def write_distribution(target, a: WeightEnumerator, comments=(), folded: bool = False):
+def write_distribution(target, a: WeightEnumerator, comments=()):
     """Write "weight count" lines in decimal, nonzero entries only.
 
     The header carries "# n <length>" so the exact coefficient vector
     round-trips even when trailing weights have count zero; extra comment
-    lines supplied by the caller follow it. With folded=True only weights
-    <= n/2 are written and "# folded" marks the file; the reader restores
-    the symmetric half.
+    lines supplied by the caller follow it.
     """
     with _opened(target, "w") as fh:
         fh.write(f"# n {a.n}\n")
-        if folded:
-            fh.write("# folded\n")
         for line in comments:
             fh.write(f"# {line}\n")
         for w, c in a.nonzero_items():
-            if folded and 2 * w > a.n:
-                continue
             fh.write(f"{w} {c}\n")
 
 
 def read_distribution(source) -> WeightEnumerator:
+    """Read a write_distribution file; a "# folded" one lists only the weights up to n/2."""
     with _opened(source) as fh:
         n = None
         folded = False
@@ -308,9 +303,9 @@ def read_distribution(source) -> WeightEnumerator:
     return WeightEnumerator(n, coeffs)
 
 
-def distribution_text(a: WeightEnumerator, comments=(), folded: bool = False) -> str:
+def distribution_text(a: WeightEnumerator, comments=()) -> str:
     buf = io.StringIO()
-    write_distribution(buf, a, comments=comments, folded=folded)
+    write_distribution(buf, a, comments=comments)
     return buf.getvalue()
 
 

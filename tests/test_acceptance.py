@@ -14,7 +14,6 @@ from rmenum.boolfn import (
     parse_anf,
 )
 from rmenum.classify import (
-    QuotientClassification,
     classify_quotient,
     gl2_generators,
     merge_by_enumerator,
@@ -65,12 +64,11 @@ def test_criterion_3_split_identity_random_pairs():
 
 def test_criterion_4_block_factorization_counts():
     rng = random.Random(2027)
-    cls = QuotientClassification.compute(3, 5)
     space = HomogeneousSpace(5, 2)
     ok = True
-    for rec in cls.records:
+    for rec in classify_quotient(3, 5):
         part = orbit_partition(rec.rep, rec.gens, 1, 5)
-        raw = batch_coset_enumerators([rec.rep ^ space.anf_of(b[0]) for b in part.blocks], 1, 5)
+        raw = batch_coset_enumerators([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
         merged, menums = merge_by_enumerator(part, raw)
         for _ in range(20):
             f = space.anf_of(rng.randrange(space.size))
@@ -85,10 +83,10 @@ def test_criterion_5_blocks_share_enumerators_exhaustively():
     part = orbit_partition(parse_anf("0", 5), gl2_generators(5), 1, 5)
     space = HomogeneousSpace(5, 2)
     enums = batch_coset_enumerators([space.anf_of(g) for g in range(space.size)], 1, 5)
-    ok = sum(len(b) for b in part.blocks) == space.size
-    for block in part.blocks:
-        first = enums[block[0]]
-        ok = ok and all(enums[g] == first for g in block)
+    # every index lies in a block, and its enumerator is that of the block's least index
+    ok = part.block_of.size == space.size
+    for g in range(space.size):
+        ok = ok and enums[g] == enums[int(part.first[part.block_of[g]])]
     report(5, ok, "every orbit block over e=0 shares one enumerator, all 1024 indices")
 
 

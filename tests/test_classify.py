@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import random
 from dataclasses import replace
@@ -20,8 +21,8 @@ from rmenum.boolfn import (
 from rmenum.classify import (
     DEFAULT_MAX_GENS,
     QuotientClassification,
-    _action_table,
     _close_orbits,
+    _half_tables,
     _is_involution,
     classify_quotient,
     gl2_generators,
@@ -82,7 +83,7 @@ def dickson_size(h, m):
 def test_quadratic_classes_are_the_dickson_ranks(m):
     # the GL closure alone, with no stabilizer check: one class per rank 2h,
     # the rep of class h of rank 2h, and Dickson's class sizes
-    records = classify_quotient(2, m, max_gens=0)
+    records = QuotientClassification.compute(2, m).records
     assert [rec.size for rec in records] == [dickson_size(h, m) for h in range(m // 2 + 1)]
     for h, rec in enumerate(records):
         # the alternating matrix of the form: row i marks the x_j in x_i x_j
@@ -145,7 +146,14 @@ def forest_from_via(via, tables):
 
 
 def gl_tables(cls):
-    return [_action_table(cls.space, AffineMap(g, 0)) for g in cls.gens]
+    return _half_tables(cls.space, [AffineMap(g, 0) for g in cls.gens])
+
+
+def blocks(part):
+    # sorted member tuples of every block, in block order
+    order = np.argsort(part.block_of, kind="stable")
+    ends = np.cumsum(np.bincount(part.block_of, minlength=part.block_count))
+    return tuple(tuple(b.tolist()) for b in np.split(order, ends[:-1]))
 
 
 def reference_transversal(cls, idx, parent, pgen):
@@ -197,12 +205,17 @@ def reference_action_table(space, a, e=None):
 ACTION_SPACES = [(m, d) for m in range(1, 11) for d in range(1, m + 1) if comb(m, d) <= 21]
 
 
-def assert_half_tables(space, a, e=None):
-    # two tables of 2**(N//2) and 2**(N - N//2) entries that expand to the reference
-    lo, hi = _action_table(space, a, e)
-    assert len(lo) == 2 ** (space.nbits // 2)
-    assert len(lo) * len(hi) == space.size
-    assert np.array_equal(expand((lo, hi)), reference_action_table(space, a, e))
+def assert_half_tables(space, a, e=None, basis=()):
+    # over V/W, W spanned by basis: two tables of 2**(n//2) and 2**(n - n//2)
+    # entries, n = N - len(basis), that expand to the reference's image of
+    # each coset leader, reduced
+    lo, hi = _half_tables(space, [a], e, basis)[0]
+    n = space.nbits - len(basis)
+    assert len(lo) == 2 ** (n // 2)
+    assert len(lo) * len(hi) == 2**n
+    leaders = quotient_leader(basis, np.arange(2**n, dtype=np.int64))
+    want = quotient_index(basis, reference_action_table(space, a, e)[leaders].astype(np.int64))
+    assert np.array_equal(expand((lo, hi)), want)
 
 
 def test_action_table_matches_truth_table_reference():
@@ -215,11 +228,29 @@ def test_action_table_matches_truth_table_reference():
         for a in maps:
             assert_half_tables(space, a)
         if d < m:
-            # the orbit_partition case: unit translations above a degree-(d+1) form
+            # unit translations above a degree-(d+1) form, over V and over
+            # V/W_e, where they act as the identity
             upper = HomogeneousSpace(m, d + 1)
             e = upper.anf_of(rng.randrange(1, upper.size))
+            basis = quotient_partition(e, (), d - 1, m).basis
             for i in range(m):
-                assert_half_tables(space, AffineMap.translation(m, 1 << i), e)
+                translation = AffineMap.translation(m, 1 << i)
+                assert_half_tables(space, translation, e)
+                assert_half_tables(space, translation, e, basis)
+                lo, hi = _half_tables(space, [translation], e, basis)[0]
+                assert np.array_equal(expand((lo, hi)), np.arange(len(lo) * len(hi)))
+
+
+@pytest.mark.parametrize("r, m0", [(3, 4), (2, 5), (4, 5), (3, 5), (2, 6), (3, 6)])
+def test_stabilizer_half_tables_match_truth_table_reference(r, m0):
+    # the tables quotient_partition closes, over V/W_e, and the same
+    # generators over V, for every class of H^(r)(m0) at run_pipeline's budget
+    space = HomogeneousSpace(m0, r - 1)
+    for rec in classify_quotient(r, m0, random.Random(0), max_gens=PIPELINE_MAX_GENS):
+        basis = quotient_partition(rec.rep, (), r - 2, m0).basis
+        for a in rec.gens:
+            assert_half_tables(space, a, rec.rep)
+            assert_half_tables(space, a, rec.rep, basis)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -231,8 +262,9 @@ def test_inverse_half_tables_invert_the_gl_generators(m):
         space = HomogeneousSpace(m, d)
         identity = np.arange(space.size, dtype=np.uint32)
         for g in gl2_generators(m):
-            forward = expand(_action_table(space, AffineMap(g, 0)))
-            inverse = expand(_action_table(space, AffineMap(g.inverse(), 0)))
+            forward, inverse = map(
+                expand, _half_tables(space, [AffineMap(g, 0), AffineMap(g.inverse(), 0)])
+            )
             assert np.array_equal(inverse[forward], identity), (m, d)
             assert np.array_equal(forward[inverse], identity), (m, d)
 
@@ -279,25 +311,24 @@ def test_orbit_partition_quadratics_by_rank():
     # above e = 0 the affine group splits H^(2)(5) into rank classes 0, 2, 4
     part = orbit_partition(parse_anf("0", 5), gl2_generators(5), 1, 5)
     assert part.block_count == 3
-    assert sum(len(b) for b in part.blocks) == 1024
+    assert sum(len(b) for b in blocks(part)) == 1024
     # translations fix top parts over e = 0, so blocks are plain GL classes
-    assert sorted(len(b) for b in part.blocks) == sorted(
+    assert sorted(len(b) for b in blocks(part)) == sorted(
         rec.size for rec in classify_quotient(2, 5)
     )
 
 
 def test_orbit_partition_blocks_are_orbits():
     e = parse_anf("123", 5)
-    cls = QuotientClassification.compute(3, 5)
-    rec = next(r for r in cls.records if r.rep == e)
+    rec = next(r for r in classify_quotient(3, 5) if r.rep == e)
     part = orbit_partition(e, rec.gens, 1, 5)
     space = HomogeneousSpace(5, 2)
     # action by any stabilizer generator maps each block into itself
     for a in rec.gens[:4]:
-        for block in part.blocks[:6]:
+        for block in blocks(part)[:6]:
             for g in block[:3]:
                 assert part.block_of[coset_action(e, g, a, 1)] == part.block_of[g]
-    assert sum(len(b) for b in part.blocks) == space.size
+    assert sum(len(b) for b in blocks(part)) == space.size
 
 
 def test_quotient_partition_without_generators_is_singletons():
@@ -307,23 +338,23 @@ def test_quotient_partition_without_generators_is_singletons():
     part = quotient_partition(e, [], 0, 3)
     assert part.basis == (0b010, 0b001)
     assert part.block_count == 2
-    assert all(len(b) == 1 for b in part.blocks)
+    assert all(len(b) == 1 for b in blocks(part))
     full = orbit_partition(e, [], 0, 3)
-    assert [set(b) for b in full.blocks] == [{0, 1, 2, 3}, {4, 5, 6, 7}]
+    assert [set(b) for b in blocks(full)] == [{0, 1, 2, 3}, {4, 5, 6, 7}]
 
 
 def test_merge_by_enumerator():
     e = parse_anf("0", 4)
     part = orbit_partition(e, gl2_generators(4), 1, 4)
     space = HomogeneousSpace(4, 2)
-    reps = [space.anf_of(b[0]) for b in part.blocks]
+    reps = [space.anf_of(b[0]) for b in blocks(part)]
     enums = batch_coset_enumerators(reps, 1, 4)
     merged, menums = merge_by_enumerator(part, enums)
     assert merged.block_count <= part.block_count
     assert len(menums) == merged.block_count
-    assert sum(len(b) for b in merged.blocks) == space.size
+    assert sum(len(b) for b in blocks(merged)) == space.size
     # every index still maps to the enumerator its block carries
-    for bid, block in enumerate(merged.blocks):
+    for bid, block in enumerate(blocks(merged)):
         for g in block[:4]:
             assert merged.block_of[g] == bid
 
@@ -334,9 +365,9 @@ def tuple_merge_reference(partition, enums):
     groups = {}
     for bid, enum in enumerate(enums):
         groups.setdefault(enum.coeffs, []).append(bid)
-    merged = []
+    members_of, merged = blocks(partition), []
     for bids in groups.values():
-        members = sorted(x for bid in bids for x in partition.blocks[bid])
+        members = sorted(x for bid in bids for x in members_of[bid])
         merged.append((tuple(members), enums[bids[0]]))
     merged.sort(key=lambda item: item[0][0])
     block_of = np.full(partition.block_of.shape, -1, dtype=np.int32)
@@ -352,14 +383,13 @@ def test_merge_by_enumerator_matches_tuple_reference(monkeypatch, r, m):
     seen = []
 
     def checked(partition, enums):
-        blocks = partition.blocks
-        assert [b[0] for b in blocks] == partition.first.tolist()
+        assert [b[0] for b in blocks(partition)] == partition.first.tolist()
         assert sorted(partition.first.tolist()) == partition.first.tolist()
         merged, menums = merge_by_enumerator(partition, enums)
         block_of, members, ref_enums = tuple_merge_reference(partition, enums)
         assert merged.block_of.dtype == block_of.dtype
         assert np.array_equal(merged.block_of, block_of)
-        assert merged.blocks == members
+        assert blocks(merged) == members
         assert merged.first.tolist() == [b[0] for b in members]
         assert menums == ref_enums
         seen.append(partition.e)
@@ -464,7 +494,7 @@ def test_schreier_sampling_raises_when_one_map_fails_the_check(monkeypatch, cid)
     # the maps it is handed must stop the sampler on either branch.
     import rmenum.classify as classify
 
-    cls = QuotientClassification.compute(3, 6, max_gens=0)
+    cls = QuotientClassification.compute(3, 6)
     emitted = cls.stabilizer_gens(cid, random.Random(1), 16)
     assert len(emitted) >= 2
     bad = emitted[-1]
@@ -639,7 +669,7 @@ def assert_same_closure(tables, size, involutive=()):
 def test_closure_matches_reference_on_gl_tables(d, m):
     space = HomogeneousSpace(m, d)
     maps = [AffineMap(g, 0) for g in gl2_generators(m)]
-    tables = [_action_table(space, a) for a in maps]
+    tables = _half_tables(space, maps)
     involutive = [_is_involution(a) for a in maps]
     assert involutive == [True, False]  # the transvection and the cyclic shift
     assert_same_closure(tables, space.size, involutive)
@@ -656,7 +686,7 @@ def partition_tables(r, m0, seed=0, max_gens=DEFAULT_MAX_GENS):
     space = HomogeneousSpace(m0, r - 1)
     for rec in classify_quotient(r, m0, random.Random(seed), max_gens=max_gens):
         maps = list(rec.gens) + [AffineMap.translation(m0, 1 << i) for i in range(m0)]
-        tables = [_action_table(space, a, rec.rep) for a in maps]
+        tables = _half_tables(space, maps, rec.rep)
         yield tables, space.size, [_is_involution(a) for a in maps]
 
 
@@ -701,7 +731,7 @@ def test_closure_does_not_depend_on_the_gather_window(monkeypatch, r, m0):
     import rmenum.classify as classify
 
     space = HomogeneousSpace(m0, r)
-    gl = [_action_table(space, AffineMap(g, 0)) for g in gl2_generators(m0)]
+    gl = _half_tables(space, [AffineMap(g, 0) for g in gl2_generators(m0)])
     for tables, size, involutive in [(gl, space.size, [True, False]), *partition_tables(r, m0)]:
         want = _close_orbits(tables, size, involutive)
         monkeypatch.setattr(classify, "_GATHER_WINDOW", 1 << 8)
@@ -755,10 +785,8 @@ def test_stabilizer_linear_parts_map_w_e_into_itself(r, m0):
     space = HomogeneousSpace(m0, r - 1)
     ks = []
     for rec in classify_quotient(r, m0, random.Random(0), max_gens=PIPELINE_MAX_GENS):
-        consts = [
-            int(_action_table(space, AffineMap.translation(m0, 1 << i), rec.rep)[0][0])
-            for i in range(m0)
-        ]
+        translations = [AffineMap.translation(m0, 1 << i) for i in range(m0)]
+        consts = [int(lo[0]) for lo, _ in _half_tables(space, translations, rec.rep)]
         basis = quotient_partition(rec.rep, (), r - 2, m0).basis
         k = span_rank(consts)
         assert len(basis) == k == span_rank([*consts, *basis])
@@ -869,13 +897,13 @@ def test_closure_matches_reference_on_random_permutations():
 
 def test_closure_forest_is_one_byte_per_index():
     # and so is the class map, for the 6 classes of H^(3)(6)
-    cls = QuotientClassification.compute(3, 6, random.Random(0))
+    cls = QuotientClassification.compute(3, 6)
     assert cls._via.dtype == np.uint8 and cls._via.shape == (cls.space.size,)
     assert cls.class_of.dtype == np.uint8 and cls.class_of.shape == (cls.space.size,)
     space = HomogeneousSpace(6, 2)
     rec = classify_quotient(3, 6, random.Random(0))[2]
     maps = list(rec.gens) + [AffineMap.translation(6, 1 << i) for i in range(6)]
-    via = _close_orbits([_action_table(space, a, rec.rep) for a in maps], space.size)[3]
+    via = _close_orbits(_half_tables(space, maps, rec.rep), space.size)[3]
     assert via.dtype == np.uint8 and via.shape == (space.size,)
 
 
@@ -910,7 +938,7 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
     # it is a tree edge (via[ys] == 2 + si), or the reverse edge of an
     # involution (via[y] == 2 + si); both rest on
     # t_v = t_parent(v) @ gens[via[v] - 2]
-    cls = QuotientClassification.compute(d, m, random.Random(0))
+    cls = QuotientClassification.compute(d, m)
     tables = gl_tables(cls)
     parent, pgen = forest_from_via(cls._via, tables)
     tables = [expand(t) for t in tables]
@@ -938,14 +966,22 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
 
 @pytest.mark.parametrize("d, m", FOREST_SPACES)
 def test_preimage_walk_returns_the_reference_parent(d, m):
-    cls = QuotientClassification.compute(d, m, random.Random(0))
+    # from an empty memo, the walk of _rows memoises exactly the path from the
+    # class seed down to v, one preimage lookup per node, and the reference
+    # forest's parents give that path
+    cls = QuotientClassification.compute(d, m)
     tables = [expand(t) for t in gl_tables(cls)]
     _, _, parent, _ = reference_close_orbits(tables, cls.space.size)
     seeds = {cls.space.index_of(rec.rep) for rec in cls.records}
     assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
     for v in range(cls.space.size):
-        if v not in seeds:
-            assert cls._parent_of(v) == parent[v]
+        path, node = [], v
+        while parent[node] >= 0:
+            path.append(node)
+            node = int(parent[node])
+        cls._memo.clear()
+        cls.transversal(v)
+        assert list(cls._memo) == path[::-1]
 
 
 @pytest.mark.parametrize("d, m", [(2, 4), (3, 5), (2, 6), (3, 6)])
@@ -959,7 +995,7 @@ def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
 
     if window is not None:
         monkeypatch.setattr(classify, "_MEMBER_CHUNK", window)
-    cls = QuotientClassification.compute(d, m, max_gens=0)
+    cls = QuotientClassification.compute(d, m)
     rng = random.Random(5)
     for cid, rec in enumerate(cls.records):
         want = np.flatnonzero(cls.class_of == cid)
@@ -1019,7 +1055,7 @@ def test_replayed_draws_give_the_generators_of_the_listed_members(d, m, max_gens
     # classes past 2**15 members); the generators and the rng state
     # afterwards must be those of a sampler that draws from the rng itself
     # over the listed members
-    cls = QuotientClassification.compute(d, m, max_gens=0)
+    cls = QuotientClassification.compute(d, m)
     rng, ref_rng = random.Random(3), random.Random(3)
     for cid in range(len(cls.records)):
         want = reference_schreier_sample(cls, cid, ref_rng, max_gens)
@@ -1046,7 +1082,7 @@ def test_classification_keeps_two_bytes_per_index():
 
     tracemalloc.start()
     try:
-        cls = QuotientClassification.compute(3, 6, max_gens=0)
+        cls = QuotientClassification.compute(3, 6)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1064,30 +1100,60 @@ def test_stabilizer_sampling_builds_no_member_array():
 
     tracemalloc.start()
     try:
-        cls = QuotientClassification.compute(2, 7, random.Random(1), max_gens=64)
+        records = classify_quotient(2, 7, random.Random(1), max_gens=64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(rec.size for rec in cls.records) == 1763776
-    assert [len(rec.gens) for rec in cls.records] == [2, 64, 64, 64]
+    assert max(rec.size for rec in records) == 1763776
+    assert [len(rec.gens) for rec in records] == [2, 64, 64, 64]
     assert peak < 9.5e6
 
 
 def test_negative_max_gens_is_refused(monkeypatch):
     import rmenum.classify as classify
 
-    cls = QuotientClassification.compute(3, 6, max_gens=0)
+    cls = QuotientClassification.compute(3, 6)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a closure or a draw ran before the max_gens check")
 
     monkeypatch.setattr(classify, "_close_orbits", forbidden)
     monkeypatch.setattr(QuotientClassification, "_schreier_sample", forbidden)
-    with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
-        QuotientClassification.compute(3, 6, max_gens=-1)
-    with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
-        classify_quotient(2, 4, max_gens=-1)
     # the singleton zero class once gave one generator at -1, the others none
     for cid in range(len(cls.records)):
         with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
             cls.stabilizer_gens(cid, random.Random(0), -1)
+
+
+def test_compute_is_the_closure_alone(monkeypatch):
+    # compute takes no rng and no budget, draws nothing, and its records are
+    # classify_quotient's without generators
+    assert list(inspect.signature(QuotientClassification.compute).parameters) == ["d", "m"]
+    want = classify_quotient(3, 6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compute drew stabilizer generators")
+
+    monkeypatch.setattr(QuotientClassification, "_schreier_sample", forbidden)
+    monkeypatch.setattr(QuotientClassification, "stabilizer_gens", forbidden)
+    cls = QuotientClassification.compute(3, 6)
+    assert all(rec.gens == () for rec in cls.records)
+    assert cls.records == [replace(rec, gens=()) for rec in want]
+
+
+@pytest.mark.parametrize("d, m", [(2, 5), (3, 6)])
+def test_classify_quotient_draws_from_seed_0_by_default(d, m):
+    assert classify_quotient(d, m, rng=None) == classify_quotient(d, m, random.Random(0))
+
+
+def test_classify_quotient_refuses_a_negative_budget_before_the_closure(monkeypatch):
+    import rmenum.classify as classify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closure ran before the max_gens check")
+
+    monkeypatch.setattr(classify, "_close_orbits", forbidden)
+    monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
+    for d, m in ((2, 4), (3, 6)):
+        with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
+            classify_quotient(d, m, random.Random(0), max_gens=-1)

@@ -86,16 +86,6 @@ def test_classify_refuses_degree_zero(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_classify_refuses_negative_max_gens(tmp_path, capsys):
-    out = tmp_path / "neg.txt"
-    code, _, err = run(
-        capsys, "classify", "--d", "3", "--m", "6", "--max-gens", "-1", "--out", str(out)
-    )
-    assert code == 2
-    assert "max_gens must be at least 0, got -1" in err
-    assert not out.exists()
-
-
 def test_pipeline_matches_brute_data(tmp_path, capsys):
     pipe = tmp_path / "pipe.txt"
     code, stdout, _ = run(
@@ -188,6 +178,18 @@ def test_dualcheck(capsys):
     lines = stdout.strip().splitlines()
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("row, fields", [("5", 1), ("5 1234 1235", 3)], ids=["count", "no-matrix"])
+def test_dualcheck_refuses_a_short_row(tmp_path, capsys, row, fields):
+    # a row needs a count, a source, a target and 7 matrix rows; a short one
+    # is an error that names its line, not a traceback
+    table = tmp_path / "table.txt"
+    table.write_text(f"# a table with one short row\n\n{row}\n")
+    code, stdout, err = run(capsys, "dualcheck", "--table", str(table))
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: line 3 {row!r} has {fields} of the 10 fields: ")
+    assert err.count("\n") == 1
 
 
 def test_pipeline_jobs_byte_identical(tmp_path, capsys):

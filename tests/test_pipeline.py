@@ -93,11 +93,30 @@ def test_split_rejects_inhomogeneous():
         coset_enum_split(parse_anf("12", 4), parse_anf("12", 4), 1, 4)
 
 
+def test_split_rejects_e_over_another_variable_count(monkeypatch):
+    # e over m - 1 or m + 1 variables is refused before any span is built;
+    # the same forms over m variables run
+    import rmenum.pipeline as pipeline
+
+    f = parse_anf("12+45", 5)
+    want = coset_enum_split(parse_anf("123", 5), f, 1, 5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a span was built before the variable count check")
+
+    monkeypatch.setattr(pipeline, "packed_words", forbidden)
+    monkeypatch.setattr(pipeline, "xor_span_array", forbidden)
+    for m_e in (4, 6):
+        with pytest.raises(ValueError, match="e has the wrong variable count"):
+            coset_enum_split(parse_anf("123", m_e), f, 1, 5)
+    monkeypatch.undo()
+    assert coset_enum_split(parse_anf("123", 5), f, 1, 5) == want
+
+
 def test_blocks_equal_split_with_fewer_multiplications():
     # on the orbit partition of V and on the same blocks over V/W_e
     e = parse_anf("123", 5)
-    cls = QuotientClassification.compute(3, 5)
-    rec = next(r for r in cls.records if r.rep == e)
+    rec = next(r for r in classify_quotient(3, 5) if r.rep == e)
     space = HomogeneousSpace(5, 2)
     built = []
     for part in (orbit_partition(e, rec.gens, 1, 5), quotient_partition(e, rec.gens, 1, 5)):
@@ -628,7 +647,8 @@ FRESH_CASES = [(r, m, given) for r, m in LADDER for given in (False, True)]
 )
 def test_fresh_run_partitions_every_lower_class_as_compute_samples_it(monkeypatch, r, m, given):
     # a fresh run reads every lower class, so its per-class draws, made in
-    # class order, give the generators that compute draws for all of them
+    # class order, give the generators that classify_quotient draws for all of
+    # them
     import rmenum.pipeline as pipeline
 
     seed = 1
@@ -642,9 +662,8 @@ def test_fresh_run_partitions_every_lower_class_as_compute_samples_it(monkeypatc
     monkeypatch.setattr(pipeline, "quotient_partition", spy)
     classes = classify_quotient(r, m - 1, random.Random(4), max_gens=0) if given else None
     run_pipeline(r, m, classes=classes, seed=seed)
-    lower = QuotientClassification.compute(r, m - 2, random.Random(seed), PIPELINE_MAX_GENS)
     want = []
-    for rec in lower.records:
+    for rec in classify_quotient(r, m - 2, random.Random(seed), PIPELINE_MAX_GENS):
         part = quotient_partition(rec.rep, rec.gens, r - 2, m - 2)
         want.append((rec.rep, len(rec.gens), part.block_count, part.block_of.tobytes()))
     assert built == want
