@@ -22,12 +22,13 @@ from .classify import (
     ClassRecord,
     QuotientClassification,
     classify_quotient,
+    equivalence,
     ingest_classification,
     orbit_partition,
     write_classification,
 )
 from .cosetenum import batch_coset_enumerators, coset_enumerator, rm_dimension
-from .gf2 import AffineMap, Gf2Matrix, find_equivalence
+from .gf2 import AffineMap, Gf2Matrix
 from .oracle import (
     brute_force_distribution,
     divisibility_exponent,
@@ -64,7 +65,7 @@ __all__ = [
     "coset_enumerator",
     "decompose_top",
     "divisibility_exponent",
-    "find_equivalence",
+    "equivalence",
     "format_anf",
     "ingest_classification",
     "macwilliams",

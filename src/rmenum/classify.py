@@ -5,7 +5,9 @@ Two group actions live here, both on packed form indices:
   * QuotientClassification.compute partitions H^(d)(m) under GL(m,2)
     acting by g -> [g o A]_d (top-degree part of the substitution), with
     orbit representatives and sizes; classify_quotient adds
-    Schreier-derived stabilizer generators for every class;
+    Schreier-derived stabilizer generators for every class, and
+    equivalence decides whether two forms are equivalent from the class
+    map, with two transversals for the map;
   * quotient_partition partitions V/W_e, V = H^(r+1)(m), under a set of
     stabilizer elements of e, where A sends the coset (e+g) + R(r,m) to
     (e+g') + R(r,m) with g' = [e o A]_{r+1} xor [g o A]_{r+1}.
@@ -92,6 +94,7 @@ from .boolfn import (
     Anf,
     HomogeneousSpace,
     format_anf,
+    homogeneous_part,
     mobius_transform,
     parse_anf,
     xor_half_spans,
@@ -107,6 +110,7 @@ from .gf2 import (
     stabilizer_check,
     substitute,
     substituted_tables,
+    top_image,
 )
 from .wenum import WeightEnumerator, _opened
 
@@ -693,6 +697,31 @@ def classify_quotient(
         replace(rec, gens=cls.stabilizer_gens(cid, rng, max_gens))
         for cid, rec in enumerate(cls.records)
     ]
+
+
+def equivalence(e1: Anf, e2: Anf) -> Gf2Matrix | None:
+    """An invertible A with (e1 o A) + e2 of degree below d, or None when none exists.
+
+    d is the larger degree of e1 and e2. Substitution never raises degree,
+    so only the degree-d parts t1 and t2 matter, and QuotientClassification
+    .compute(d, m) decides: None means t1 and t2 lie in different classes,
+    a proof of inequivalence. Otherwise A = T1^-1 @ T2, with Ti the
+    transversal carrying the class representative onto ti, and A is checked
+    before it is returned. compute refuses C(m, d) > MAX_INDEX_BITS before
+    any closure.
+    """
+    if e1.m != e2.m:
+        raise ValueError("variable count mismatch")
+    d = max(e1.degree(), e2.degree())
+    t1, t2 = homogeneous_part(e1, d), homogeneous_part(e2, d)
+    cls = QuotientClassification.compute(d, e1.m)
+    i1, i2 = cls.space.index_of(t1), cls.space.index_of(t2)
+    if cls.class_of[i1] != cls.class_of[i2]:
+        return None
+    mat = cls.transversal(i1).inverse() @ cls.transversal(i2)
+    if top_image(t1, AffineMap(mat, 0)) != t2:
+        raise AssertionError("transversals failed to carry e1 onto e2")
+    return mat
 
 
 def write_classification(target, records, d: int, m: int, seed: int | None = None):

@@ -306,41 +306,3 @@ def random_invertible(m: int, rng: random.Random) -> Gf2Matrix:
         mat = Gf2Matrix(m, tuple(rng.getrandbits(m) for _ in range(m)))
         if mat.is_invertible():
             return mat
-
-
-def find_equivalence(
-    e1: Anf,
-    e2: Anf,
-    r_low: int,
-    budget: int,
-    rng: random.Random,
-    progress_every: int = 0,
-) -> Gf2Matrix | None:
-    """Search for invertible A with every part of (e1 o A) + e2 of degree <= r_low.
-
-    The identity is tried first, then random invertible matrices up to the
-    budget. Translations never move the top-degree part, so the search runs
-    over linear maps only. Returns None when the budget runs out, which is
-    not a proof of inequivalence.
-    """
-    if e1.m != e2.m:
-        raise ValueError("variable count mismatch")
-    m = e1.m
-
-    def matches(mat: Gf2Matrix) -> bool:
-        diff = transform_anf(e1, AffineMap(mat, 0)) ^ e2
-        return diff.degree() <= r_low or diff.is_zero()
-
-    ident = Gf2Matrix.identity(m)
-    if matches(ident):
-        return ident
-    for attempt in range(1, budget):
-        mat = random_invertible(m, rng)
-        if matches(mat):
-            return mat
-        if progress_every and attempt % progress_every == 0:
-            print(f"equivalence search: {attempt}/{budget} attempts", flush=True)
-    return None
-
-
-DEFAULT_EQUIV_BUDGET = 10**7

@@ -4,6 +4,7 @@ import io
 import random
 from dataclasses import replace
 from functools import reduce
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -25,6 +26,7 @@ from rmenum.classify import (
     _half_tables,
     _is_involution,
     classify_quotient,
+    equivalence,
     gl2_generators,
     ingest_classification,
     merge_by_enumerator,
@@ -1157,3 +1159,103 @@ def test_classify_quotient_refuses_a_negative_budget_before_the_closure(monkeypa
     for d, m in ((2, 4), (3, 6)):
         with pytest.raises(ValueError, match="max_gens must be at least 0, got -1"):
             classify_quotient(d, m, random.Random(0), max_gens=-1)
+
+
+def test_equivalence_of_a_form_with_itself_is_the_identity():
+    e = parse_anf("123", 4)
+    assert equivalence(e, e) == Gf2Matrix.identity(4)
+
+
+def test_equivalence_monomial_pair():
+    e1 = parse_anf("123", 5)
+    e2 = parse_anf("145", 5)
+    mat = equivalence(e1, e2)
+    assert mat is not None
+    diff = transform_anf(e1, AffineMap(mat, 0)) ^ e2
+    assert diff.is_zero() or diff.degree() <= 2
+
+
+def test_equivalence_across_classes_is_none():
+    # distinct classes: None is a proof, not a search that ran out
+    e1 = parse_anf("123", 5)
+    e2 = parse_anf("123+145", 5)
+    assert equivalence(e1, e2) is None
+    assert equivalence(e2, e1) is None
+
+
+def _quadratic_image(form: int, rows) -> int:
+    """Degree-2 part of a quadratic form under x_k <- <rows[k], x>, as a monomial indicator.
+
+    Bit s of form (and of the result) is the coefficient of the monomial with
+    mask s. x_i x_j goes to L_i L_j, whose x_a x_b coefficient (a != b) is
+    L_i[a] L_j[b] + L_i[b] L_j[a]; the squares x_a x_a = x_a have degree 1.
+    """
+    out = 0
+    for s in range(16):
+        if form >> s & 1:
+            i, j = (k for k in range(4) if s >> k & 1)
+            li, lj = rows[i], rows[j]
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    if (li >> a & lj >> b ^ li >> b & lj >> a) & 1:
+                        out ^= 1 << (1 << a | 1 << b)
+    return out
+
+
+def test_equivalence_agrees_with_brute_force_orbits_of_gl_4_2():
+    # the orbits of 0, x1x2 and x1x2 + x3x4 under all 20,160 matrices of
+    # GL(4,2), formed without the substitution code the classification uses
+    group = [
+        rows
+        for rows in product(range(16), repeat=4)
+        if Gf2Matrix(4, rows).is_invertible()
+    ]
+    assert len(group) == 20160
+    pairs = [1 << a | 1 << b for a in range(4) for b in range(a + 1, 4)]
+    reps = {"0": 0, "12": 1 << 0b0011, "12+34": 1 << 0b0011 | 1 << 0b1100}
+    orbits = {text: {_quadratic_image(form, rows) for rows in group} for text, form in reps.items()}
+    assert sorted(map(len, orbits.values())) == [1, 28, 35]
+    for bits in range(1 << len(pairs)):
+        g = Anf(4, frozenset(s for k, s in enumerate(pairs) if bits >> k & 1))
+        indicator = sum(1 << s for s in g.monomials)
+        for text, orbit in orbits.items():
+            mat = equivalence(parse_anf(text, 4), g)
+            assert (mat is not None) == (indicator in orbit)
+            if mat is not None:
+                assert _quadratic_image(reps[text], mat.rows) == indicator
+
+
+def test_equivalence_finds_random_images_with_lower_terms():
+    # e against the top part of e o A plus random terms of degree <= 2
+    rng = random.Random(7)
+    space = HomogeneousSpace(6, 3)
+    low = [s for s in range(1 << 6) if s.bit_count() < 3]
+    for _ in range(6):
+        e = space.anf_of(rng.getrandbits(space.nbits))
+        noise = Anf(6, frozenset(s for s in low if rng.getrandbits(1)))
+        target = homogeneous_part(transform_anf(e, random_invertible(6, rng)), 3) ^ noise
+        mat = equivalence(e, target)
+        assert mat is not None and mat.is_invertible()
+        diff = transform_anf(e, AffineMap(mat, 0)) ^ target
+        assert diff.is_zero() or diff.degree() < 3
+
+
+def test_equivalence_of_a_cubic_and_a_quadratic_is_none():
+    assert equivalence(parse_anf("123", 5), parse_anf("12+34", 5)) is None
+    assert equivalence(parse_anf("12+34", 5), parse_anf("123+45", 5)) is None
+
+
+def test_equivalence_refuses_a_space_past_the_cap_before_the_closure(monkeypatch):
+    import rmenum.classify as classify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closure ran before the cap check")
+
+    monkeypatch.setattr(classify, "_close_orbits", forbidden)
+    with pytest.raises(ValueError, match="C\\(7,3\\) = 35 index bits exceed the cap of 25"):
+        equivalence(parse_anf("123", 7), parse_anf("145", 7))
+
+
+def test_equivalence_refuses_mixed_variable_counts():
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        equivalence(parse_anf("123", 5), parse_anf("123", 6))

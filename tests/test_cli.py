@@ -154,22 +154,45 @@ def test_verify_pass_and_fail(tmp_path, capsys):
 
 
 def test_equiv_prints_matrix_and_verifies(capsys):
-    code, stdout, _ = run(
-        capsys, "equiv", "--e1", "123", "--e2", "145", "--m", "5", "--budget", "200000"
-    )
+    code, stdout, _ = run(capsys, "equiv", "--e1", "123", "--e2", "145", "--m", "5")
     assert code == 0
     lines = stdout.strip().splitlines()
     assert len(lines) == 6  # five bit rows plus the verdict
     assert all(set(row) <= {"0", "1"} for row in lines[:5])
-    assert lines[-1].startswith("PASS")
+    assert lines[-1] == "PASS (e1 o A) + e2 has degree below 3"
 
 
-def test_equiv_budget_failure(capsys):
-    code, _, stderr = run(
-        capsys, "equiv", "--e1", "123", "--e2", "123+145", "--m", "5", "--budget", "500"
-    )
+def test_equiv_not_equivalent(capsys):
+    code, stdout, stderr = run(capsys, "equiv", "--e1", "123", "--e2", "123+145", "--m", "5")
+    assert code == 1 and stderr == ""
+    assert stdout == "not equivalent: the degree-3 parts lie in different GL(5,2) classes\n"
+
+
+def test_equiv_answers_a_linear_form_against_zero_at_once(capsys):
+    # x1 and 0 lie in different classes of H^(1)(3): a lookup, not 10**7 tries
+    code, stdout, _ = run(capsys, "equiv", "--e1", "1", "--e2", "0", "--m", "3")
     assert code == 1
-    assert "no substitution" in stderr
+    assert stdout.startswith("not equivalent")
+
+
+def test_equiv_refuses_a_space_past_the_cap(monkeypatch, capsys):
+    import rmenum.classify as classify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closure ran before the cap check")
+
+    monkeypatch.setattr(classify, "_close_orbits", forbidden)
+    code, stdout, stderr = run(capsys, "equiv", "--e1", "123", "--e2", "145", "--m", "7")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: C(7,3) = 35 index bits exceed the cap of 25\n"
+
+
+@pytest.mark.parametrize("option", ["--budget", "--seed", "--progress"])
+def test_equiv_has_no_search_options(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "--e1", "123", "--e2", "145", "--m", "5", option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 def test_dualcheck(capsys):

@@ -15,7 +15,6 @@ from rmenum.gf2 import (
     AffineMap,
     Gf2Matrix,
     apply,
-    find_equivalence,
     random_invertible,
     stabilizer_check,
     substituted_tables,
@@ -268,28 +267,6 @@ def test_random_invertible_is_seed_deterministic():
     b = random_invertible(5, random.Random(42))
     assert a == b
     assert a.is_invertible()
-
-
-def test_find_equivalence_monomial_pair():
-    e1 = parse_anf("123", 5)
-    e2 = parse_anf("145", 5)
-    mat = find_equivalence(e1, e2, 2, 200000, random.Random(0))
-    assert mat is not None
-    diff = transform_anf(e1, AffineMap(mat, 0)) ^ e2
-    assert diff.is_zero() or diff.degree() <= 2
-
-
-def test_find_equivalence_identity_short_circuit():
-    e = parse_anf("123", 4)
-    mat = find_equivalence(e, e, 2, 10, random.Random(0))
-    assert mat == Gf2Matrix.identity(4)
-
-
-def test_find_equivalence_budget_exhaustion():
-    # distinct classes: a search that cannot succeed returns None
-    e1 = parse_anf("123", 5)
-    e2 = parse_anf("123+145", 5)
-    assert find_equivalence(e1, e2, 2, 2000, random.Random(0)) is None
 
 
 def random_singular(m, rng):
