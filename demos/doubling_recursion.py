@@ -13,9 +13,10 @@ import random
 
 from rmenum.boolfn import HomogeneousSpace, attach_top, format_anf
 from rmenum.classify import classify_quotient, merge_by_enumerator, orbit_partition
-from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator
+from rmenum.cosetenum import coset_enumerator, coset_histograms
 from rmenum.oracle import brute_force_distribution
 from rmenum.pipeline import MulCounter, coset_enum_blocks, coset_enum_split, run_pipeline
+from rmenum.wenum import WeightEnumerator
 
 rng = random.Random(5)
 
@@ -33,8 +34,10 @@ print("\nblock grouping above e = x1x2x3 on 5 variables:")
 rec = next(r for r in classify_quotient(3, 5) if format_anf(r.rep) == "123")
 part = orbit_partition(rec.rep, rec.gens, 1, 5)
 space = HomogeneousSpace(5, 2)
-raw = batch_coset_enumerators([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
-merged, menums = merge_by_enumerator(part, raw)
+# one int64 count row per orbit block, merged by their bytes
+rows = coset_histograms([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
+merged, mrows = merge_by_enumerator(part, [rows])
+menums = [WeightEnumerator(32, h) for h in mrows.tolist()]
 print(f"  {space.size} inner forms -> {part.block_count} orbit blocks"
       f" -> {merged.block_count} distinct enumerators")
 f = space.anf_of(rng.randrange(space.size))

@@ -112,7 +112,7 @@ from .gf2 import (
     substituted_tables,
     top_image,
 )
-from .wenum import WeightEnumerator, _opened
+from .wenum import _opened
 
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
@@ -451,26 +451,27 @@ def orbit_partition(e: Anf, gens, r: int, m: int) -> Partition:
     )
 
 
-def merge_by_enumerator(partition: Partition, enums) -> tuple[Partition, list[WeightEnumerator]]:
-    """Union blocks whose coset enumerators are coefficient-identical.
+def merge_by_enumerator(partition: Partition, chunks) -> tuple[Partition, np.ndarray]:
+    """Union blocks whose count rows (coset weight histograms) are equal.
 
-    enums is aligned with the blocks of partition. Each distinct coeffs
-    vector gets a group id in order of first occurrence, and the merged
-    block_of is the group id of each index's block. Because blocks are
-    numbered by their least index, so are the merged ones. Returns the
-    merged partition and one enumerator per merged block; its block count
-    is the number of distinct polynomials the product-sum step really needs.
+    chunks yields int64 row arrays aligned with the blocks of partition, cut
+    anywhere. One dict across chunks keys rows by their bytes and numbers
+    groups by first occurrence; as blocks are numbered by least index, so
+    are the merged ones. Returns the merged partition and its int64 rows, the
+    distinct polynomials the product-sum step really needs.
     """
-    if len(enums) != partition.block_count:
-        raise ValueError("one enumerator per block required")
-    gid: dict = {}
-    group = np.empty(len(enums), dtype=np.int32)
-    for bid, enum in enumerate(enums):
-        group[bid] = gid.setdefault(enum.coeffs, len(gid))
+    gid, ids = {}, [np.empty(0, dtype=np.int32)]
+    for chunk in chunks:
+        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+        keys = chunk.view(np.dtype((np.void, chunk.shape[1] * 8))).ravel().tolist()
+        ids.append(np.array([gid.setdefault(key, len(gid)) for key in keys], dtype=np.int32))
+    group = np.concatenate(ids)
+    if group.size != partition.block_count:
+        raise ValueError("one row per block required")
     # the first block of each group, in group order
     lead = np.unique(group, return_index=True)[1]
     merged = replace(partition, block_of=group[partition.block_of], first=partition.first[lead])
-    return merged, [enums[b] for b in lead.tolist()]
+    return merged, np.frombuffer(b"".join(gid), dtype=np.int64).reshape(len(gid), -1).copy()
 
 
 class QuotientClassification:
@@ -700,7 +701,7 @@ def classify_quotient(
 
 
 def equivalence(e1: Anf, e2: Anf) -> Gf2Matrix | None:
-    """An invertible A with (e1 o A) + e2 of degree below d, or None when none exists.
+    """An invertible A with (e1 o A) + e2 of degree below d (zero at d = 0), or None if none.
 
     d is the larger degree of e1 and e2. Substitution never raises degree,
     so only the degree-d parts t1 and t2 matter, and QuotientClassification

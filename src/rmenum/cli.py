@@ -102,7 +102,7 @@ def _cmd_equiv(args) -> int:
         return 1
     for row in mat.to_text().split():
         print(row)
-    print(f"PASS (e1 o A) + e2 has degree below {d}")
+    print("PASS (e1 o A) + e2 " + (f"has degree below {d}" if d else "is zero"))
     return 0
 
 

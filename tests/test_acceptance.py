@@ -20,12 +20,12 @@ from rmenum.classify import (
     orbit_partition,
 )
 from rmenum.cli import main
-from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator
+from rmenum.cosetenum import batch_coset_enumerators, coset_enumerator, coset_histograms
 from rmenum.fixtures import load_partition_sizes, load_reference_distribution
 from rmenum.gf2 import stabilizer_check
 from rmenum.oracle import brute_force_distribution, min_weight_count, validate_reference
 from rmenum.pipeline import MulCounter, coset_enum_blocks, coset_enum_split
-from rmenum.wenum import read_distribution
+from rmenum.wenum import WeightEnumerator, read_distribution
 
 
 def report(n: int, ok: bool, detail: str):
@@ -68,8 +68,9 @@ def test_criterion_4_block_factorization_counts():
     ok = True
     for rec in classify_quotient(3, 5):
         part = orbit_partition(rec.rep, rec.gens, 1, 5)
-        raw = batch_coset_enumerators([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
-        merged, menums = merge_by_enumerator(part, raw)
+        rows = coset_histograms([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
+        merged, mrows = merge_by_enumerator(part, [rows])
+        menums = [WeightEnumerator(32, h) for h in mrows.tolist()]
         for _ in range(20):
             f = space.anf_of(rng.randrange(space.size))
             counter = MulCounter()

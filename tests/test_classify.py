@@ -36,7 +36,7 @@ from rmenum.classify import (
     quotient_partition,
     write_classification,
 )
-from rmenum.cosetenum import batch_coset_enumerators
+from rmenum.cosetenum import coset_histograms
 from rmenum.gf2 import (
     AffineMap,
     Gf2Matrix,
@@ -350,32 +350,42 @@ def test_merge_by_enumerator():
     part = orbit_partition(e, gl2_generators(4), 1, 4)
     space = HomogeneousSpace(4, 2)
     reps = [space.anf_of(b[0]) for b in blocks(part)]
-    enums = batch_coset_enumerators(reps, 1, 4)
-    merged, menums = merge_by_enumerator(part, enums)
+    rows = coset_histograms(reps, 1, 4)
+    merged, mrows = merge_by_enumerator(part, [rows])
     assert merged.block_count <= part.block_count
-    assert len(menums) == merged.block_count
+    assert mrows.dtype == np.int64 and mrows.shape == (merged.block_count, 17)
     assert sum(len(b) for b in blocks(merged)) == space.size
-    # every index still maps to the enumerator its block carries
+    # every index still maps to the row its block carries
     for bid, block in enumerate(blocks(merged)):
         for g in block[:4]:
             assert merged.block_of[g] == bid
+            assert np.array_equal(mrows[bid], rows[part.block_of[g]])
+    # where the chunks are cut changes nothing
+    for cut in ([rows[:1], rows[1:3], rows[3:]], [rows[:0], rows, rows[:0]], list(rows[:, None])):
+        got, got_rows = merge_by_enumerator(part, cut)
+        assert np.array_equal(got.block_of, merged.block_of)
+        assert np.array_equal(got.first, merged.first)
+        assert np.array_equal(got_rows, mrows)
+    for bad in ([rows[:-1]], [rows, rows[:1]], []):
+        with pytest.raises(ValueError, match="one row per block"):
+            merge_by_enumerator(part, bad)
 
 
-def tuple_merge_reference(partition, enums):
-    # the merge as member tuples of Python ints: groups of equal coeffs,
+def tuple_merge_reference(partition, rows):
+    # the merge as member tuples of Python ints: groups of equal rows,
     # numbered by their least member
     groups = {}
-    for bid, enum in enumerate(enums):
-        groups.setdefault(enum.coeffs, []).append(bid)
+    for bid, row in enumerate(rows.tolist()):
+        groups.setdefault(tuple(row), []).append(bid)
     members_of, merged = blocks(partition), []
-    for bids in groups.values():
+    for row, bids in groups.items():
         members = sorted(x for bid in bids for x in members_of[bid])
-        merged.append((tuple(members), enums[bids[0]]))
+        merged.append((tuple(members), row))
     merged.sort(key=lambda item: item[0][0])
     block_of = np.full(partition.block_of.shape, -1, dtype=np.int32)
     for mid, (members, _) in enumerate(merged):
         block_of[list(members)] = mid
-    return block_of, tuple(members for members, _ in merged), [enum for _, enum in merged]
+    return block_of, tuple(members for members, _ in merged), [row for _, row in merged]
 
 
 @pytest.mark.parametrize("r, m", [(3, 6), (2, 7), (4, 7), (3, 7), (2, 8), (3, 8)])
@@ -384,18 +394,20 @@ def test_merge_by_enumerator_matches_tuple_reference(monkeypatch, r, m):
 
     seen = []
 
-    def checked(partition, enums):
+    def checked(partition, chunks):
         assert [b[0] for b in blocks(partition)] == partition.first.tolist()
         assert sorted(partition.first.tolist()) == partition.first.tolist()
-        merged, menums = merge_by_enumerator(partition, enums)
-        block_of, members, ref_enums = tuple_merge_reference(partition, enums)
+        chunks = list(chunks)
+        merged, mrows = merge_by_enumerator(partition, chunks)
+        block_of, members, ref_rows = tuple_merge_reference(partition, np.concatenate(chunks))
         assert merged.block_of.dtype == block_of.dtype
         assert np.array_equal(merged.block_of, block_of)
         assert blocks(merged) == members
         assert merged.first.tolist() == [b[0] for b in members]
-        assert menums == ref_enums
+        assert mrows.dtype == np.int64
+        assert [tuple(row) for row in mrows.tolist()] == ref_rows
         seen.append(partition.e)
-        return merged, menums
+        return merged, mrows
 
     monkeypatch.setattr(pipeline, "merge_by_enumerator", checked)
     run_pipeline(r, m)

@@ -175,6 +175,13 @@ def test_equiv_answers_a_linear_form_against_zero_at_once(capsys):
     assert stdout.startswith("not equivalent")
 
 
+def test_equiv_of_two_zero_forms_says_the_sum_is_zero(capsys):
+    # both forms have degree 0, where "degree below 0" would name no degree
+    code, stdout, _ = run(capsys, "equiv", "--e1", "0", "--e2", "0", "--m", "3")
+    assert code == 0
+    assert stdout.splitlines()[-1] == "PASS (e1 o A) + e2 is zero"
+
+
 def test_equiv_refuses_a_space_past_the_cap(monkeypatch, capsys):
     import rmenum.classify as classify
 

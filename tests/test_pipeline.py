@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -27,8 +28,8 @@ from rmenum.classify import (
     write_classification,
 )
 from rmenum.cosetenum import (
-    batch_coset_enumerators,
     coset_enumerator,
+    coset_histograms,
     rm_dimension,
 )
 from rmenum.oracle import brute_force_distribution, min_weight_count, validate_reference
@@ -121,8 +122,9 @@ def test_blocks_equal_split_with_fewer_multiplications():
     built = []
     for part in (orbit_partition(e, rec.gens, 1, 5), quotient_partition(e, rec.gens, 1, 5)):
         leaders = quotient_leader(part.basis, part.first).tolist()
-        raw = batch_coset_enumerators([e ^ space.anf_of(g) for g in leaders], 1, 5)
-        built.append(merge_by_enumerator(part, raw))
+        rows = coset_histograms([e ^ space.anf_of(g) for g in leaders], 1, 5)
+        merged, mrows = merge_by_enumerator(part, [rows])
+        built.append((merged, [WeightEnumerator(32, h) for h in mrows.tolist()]))
     (full, full_enums), (merged, menums) = built
     assert len(merged.basis) == 3 and full_enums == menums
 
@@ -144,7 +146,8 @@ def test_blocks_on_singleton_blocks_equal_split():
     space = HomogeneousSpace(4, 2)
     size = space.size
     part = Partition(e, 2, 4, np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32))
-    enums = batch_coset_enumerators([e ^ space.anf_of(g) for g in range(size)], 1, 4)
+    rows = coset_histograms([e ^ space.anf_of(g) for g in range(size)], 1, 4)
+    enums = [WeightEnumerator(16, h) for h in rows.tolist()]
     rng = random.Random(37)
     for _ in range(4):
         f = HomogeneousSpace(4, 2).anf_of(rng.randrange(64))
@@ -276,7 +279,7 @@ def test_fully_checkpointed_resume_builds_no_block_table(monkeypatch, tmp_path, 
         raise AssertionError("a fully checkpointed resume sampled stabilizers")
 
     monkeypatch.setattr(pipeline, "quotient_partition", forbidden)
-    monkeypatch.setattr(pipeline, "batch_coset_enumerators", forbidden)
+    monkeypatch.setattr(pipeline, "coset_histograms", forbidden)
     # rebasing reads only the lower transversals, and no class is pending
     monkeypatch.setattr(QuotientClassification, "_schreier_sample", no_sampling)
     counter = MulCounter()
@@ -302,9 +305,9 @@ def test_partial_resume_builds_only_the_pending_lower_form(monkeypatch, tmp_path
     built, sampled = [], []
     sample = QuotientClassification._schreier_sample
 
-    def spy(partition, enums):
+    def spy(partition, chunks):
         built.append(partition.e)
-        return merge_by_enumerator(partition, enums)
+        return merge_by_enumerator(partition, chunks)
 
     def sample_spy(self, rep, *args):
         sampled.append(rep)
@@ -634,7 +637,32 @@ def test_block_tables_do_not_depend_on_the_budget(r, m):
         got = _block_table(replace(rec, gens=()), r, m - 2)
         assert np.array_equal(got[0].block_of, want[0].block_of)
         assert np.array_equal(got[0].first, want[0].first)
-        assert got[1] == want[1]
+        assert got[1].dtype == want[1].dtype == np.int64
+        assert np.array_equal(got[1], want[1])
+
+
+def test_singleton_block_table_is_swept_in_chunks():
+    # x1x2x3 in 7 variables with no generators: the 2**18 singleton blocks of
+    # V/W_e, V = H^(2)(7), merge into 7. Rows are swept and merged a chunk at
+    # a time, so the traced peak is about 10.6 MB; it was 563 MB when every
+    # raw block held a WeightEnumerator.
+    rec = ClassRecord(parse_anf("123", 7), 1)
+    tracemalloc.start()
+    try:
+        merged, rows = _block_table(rec, 3, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"traced peak {peak / 2**20:.1f} MB"
+    assert merged.block_of.size == 1 << 18 and len(merged.basis) == 3
+    assert merged.block_count == len(rows) == 7
+    assert len({row.tobytes() for row in rows}) == 7
+    # every coset carries the row of its merged block
+    space = HomogeneousSpace(7, 2)
+    rng = np.random.default_rng(3)
+    s = np.concatenate([merged.first, rng.integers(0, 1 << 18, 32)])
+    words = [rec.rep ^ space.anf_of(int(g)) for g in quotient_leader(merged.basis, s)]
+    assert np.array_equal(coset_histograms(words, 1, 7), rows[merged.block_of[s]])
 
 
 FRESH_CASES = [(r, m, given) for r, m in LADDER for given in (False, True)]
@@ -792,12 +820,10 @@ def test_pipeline_reads_the_sweep_cap_at_call_time(monkeypatch):
 def test_fourier_route_rejects_a_corrupted_block_table(monkeypatch):
     import rmenum.pipeline as pipeline
 
-    def bumped(partition, enums):
-        merged, menums = merge_by_enumerator(partition, enums)
-        last = menums[-1]
-        coeffs = list(last.coeffs)
-        coeffs[-1] += 1
-        return merged, [*menums[:-1], WeightEnumerator(last.n, coeffs)]
+    def bumped(partition, chunks):
+        merged, rows = merge_by_enumerator(partition, chunks)
+        rows[-1, -1] += 1
+        return merged, rows
 
     monkeypatch.setattr(pipeline, "merge_by_enumerator", bumped)
     with pytest.raises(ValueError):
