@@ -35,11 +35,15 @@ generator splits exactly into two half tables over its N index bits, and
 one function, _half_tables, builds them for both actions: lo, the
 constant plus the span of the low N // 2 columns, and hi, the span of the
 rest, each filled by XOR-doubling over the images of the basis monomials.
-The image of g is lo[g % L] ^ hi[g // L] with L = len(lo), so a generator
-costs 2**(N//2) + 2**(N - N//2) entries, never 2**N, and closure is array
-chasing. The image of a basis monomial is the product of the map's
-substituted variable tables (gf2.substituted_tables), read as an ANF after
-one Mobius transform; no step walks the 2**m points of a truth table.
+It stacks the tables of all of a closure's generators, one intp row per
+generator, so the image of g under generator i is lo[i, g % L] ^ hi[i, g
+// L] with L = lo.shape[1] (a permutation p of the indices fits with L =
+len(p) and a zero column as hi): a generator costs 2**(N//2) + 2**(N -
+N//2) entries, never 2**N, closure is array chasing, and every reader
+takes the stack's rows in place. The image of a basis monomial is the
+product of the map's substituted variable tables (gf2.substituted_tables),
+read as an ANF after one Mobius transform; no step walks the 2**m points
+of a truth table.
 
 Every table is a permutation of its index space: GL generators and
 stabilizer generators, which must be invertible, act bijectively. So the
@@ -112,7 +116,7 @@ from .gf2 import (
     substituted_tables,
     top_image,
 )
-from .wenum import _opened
+from .wenum import _decimal, _opened
 
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
@@ -149,10 +153,8 @@ def _substitution(a: AffineMap, m: int):
     return lambda masks: mobius_transform(substitute(masks, subs, m), m)
 
 
-def _half_tables(
-    space: HomogeneousSpace, maps, e: Anf | None = None, basis=()
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Half tables (lo, hi) of g -> [e o A]_d xor [g o A]_d over V/W, one pair per map A.
+def _half_tables(space: HomogeneousSpace, maps, e: Anf | None = None, basis=()):
+    """Stacked half tables (lo, hi) of g -> [e o A]_d xor [g o A]_d over V/W, row i for maps[i].
 
     V = space and W is the span of basis, a reduced echelon basis (empty
     for V itself), so index s stands for the coset of quotient_leader(basis,
@@ -160,32 +162,25 @@ def _half_tables(
     reduced image of the j-th non-pivot monomial and the constant comes from
     e (zero when e is None). With k = N // 2 for N columns, lo spans the
     constant and columns 0..k-1 and hi the other columns, so the image of g
-    is lo[g % L] ^ hi[g // L] with L = 2**k; the maps are spanned side by
-    side (boolfn.xor_half_spans over uint32 indices), one XOR per column for
-    all. With e given, every map must be invertible and fix e modulo lower
-    degrees: one substitution of e gives both that check and the constant,
-    which is not zero even for a linear map.
+    under maps[i] is lo[i, g % L] ^ hi[i, g // L] with L = 2**k. All maps
+    are spanned side by side (boolfn.xor_half_spans), one XOR per column for
+    all, and come back as two intp arrays of one row per map, the index type
+    _close_orbits gathers with. No map is checked here: the caller vouches
+    that each is invertible and, with e given, fixes e modulo lower degrees
+    (quotient_partition runs gf2.stabilizer_check first).
     """
     pivots = {w.bit_length() - 1 for w in basis}
     free = [mask for j, mask in enumerate(space.masks) if j not in pivots]
-    if e is not None:
-        top = HomogeneousSpace(space.m, space.d + 1)
-        e_index = top.index_of(e)
     consts, cols = [], []
     for a in maps:
         image = _substitution(a, space.m)
-        const = 0
-        if e is not None:
-            moved = image(e.monomials)
-            if not a.matrix.is_invertible() or top.index_of_indicator(moved) != e_index:
-                raise ValueError(f"generator {a} does not stabilize e")
-            const = quotient_index(basis, space.index_of_indicator(moved))
-        consts.append(const)
+        const = 0 if e is None else space.index_of_indicator(image(e.monomials))
+        consts.append(quotient_index(basis, const))
         cols.append(
             [quotient_index(basis, space.index_of_indicator(image((mask,)))) for mask in free]
         )
-    lo, hi = xor_half_spans(np.array(consts, dtype=np.uint32), np.array(cols, dtype=np.uint32).T)
-    return list(zip(lo.T.copy(), hi.T.copy()))
+    lo, hi = xor_half_spans(np.array(consts, dtype=np.intp), np.array(cols, dtype=np.intp).T)
+    return np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
 
 
 def quotient_index(basis, g):
@@ -255,27 +250,28 @@ def _level_images(frontier, lo, hi, mask: int, shift: int, skip):
 def _close_orbits(tables, size: int, involutive=()):
     """BFS closure over the whole index space; orbits appear in seed order.
 
-    tables holds one (lo, hi) pair per generator, all of one shape: the
-    image of v is lo[v % L] ^ hi[v // L] with L = len(lo), a power of two
-    or at least size (then hi is [0]; any permutation p of the indices is
-    the pair (p, [0])). involutive flags, per table in order, the
-    generators that are their own inverse (see _is_involution); missing
-    flags read False. Returns (block_of, first, sizes, via): the block of
-    each index, each block's least index and size, and the BFS forest as
-    one mark per index (0 unreached, 1 seed, 2 + gi reached by tables[gi]
-    from the level above). via is uint8 unless there are more than 254
-    tables; block_of is the narrowest unsigned type that holds the block
-    count, uint8 until a 257th block widens it. So the closure keeps 2
-    bytes per index for up to 254 tables and 256 blocks, and no member
-    list: block_of is written one BFS level at a time, a block's size is
-    the sum of its level sizes, and its least index is its seed, since
-    _next_unassigned hands out seeds in ascending order and every smaller
-    index already lies in an earlier block.
+    tables is one stacked pair (lo, hi) of intp arrays, one row per
+    generator, as _half_tables returns it: the image of v under generator
+    gi is lo[gi, v % L] ^ hi[gi, v // L] with L = lo.shape[1], a power of
+    two or at least size (then hi is zeros: permutations p_i of the indices
+    are the pair (stack of the p_i, one zero column)). involutive flags, per
+    generator in order, those that are their own inverse (see
+    _is_involution); missing flags read False. Returns (block_of, first,
+    sizes, via): the block of each index, each block's least index and
+    size, and the BFS forest as one mark per index (0 unreached, 1 seed, 2
+    + gi reached by generator gi from the level above). via is uint8
+    unless there are more than 254 generators; block_of is the narrowest
+    unsigned type that holds the block count, uint8 until a 257th block
+    widens it. So the closure keeps 2 bytes per index for up to 254
+    generators and 256 blocks, and no member list: block_of is written one
+    BFS level at a time, a block's size is the sum of its level sizes, and
+    its least index is its seed, since _next_unassigned hands out seeds in
+    ascending order and every smaller index already lies in an earlier block.
 
     A level is one array, gathered generator-major, and the range that
     each generator reached is kept. A level of at most _GATHER_WINDOW
     images in all is gathered for every generator in one pair of takes
-    over the stacked halves. A larger one is gathered generator by
+    along the rows of the stack. A larger one is gathered generator by
     generator in takes of at most _GATHER_WINDOW nodes, and an involution
     skips its own range there: the image of such a node is its parent,
     already marked (in a small level those images are tested and fail).
@@ -291,31 +287,24 @@ def _close_orbits(tables, size: int, involutive=()):
     involution flags come from the group elements: a wrongly flagged table
     would split blocks and keep the sum.
     """
-    lo_len, hi_len = len(tables[0][0]), len(tables[0][1])
-    shift = (lo_len - 1).bit_length()
+    lo, hi = tables
+    ngens = len(lo)
+    shift = (lo.shape[1] - 1).bit_length()
     mask = (1 << shift) - 1
-    los = np.concatenate([lo for lo, _ in tables]).astype(np.intp)
-    his = np.concatenate([hi for _, hi in tables]).astype(np.intp)
-    lo_off = np.arange(len(tables), dtype=np.intp)[:, None] * lo_len
-    hi_off = np.arange(len(tables), dtype=np.intp)[:, None] * hi_len
-    halves = [
-        (los[gi * lo_len : (gi + 1) * lo_len], his[gi * hi_len : (gi + 1) * hi_len])
-        for gi in range(len(tables))
-    ]
-    flags = list(involutive) + [False] * (len(tables) - len(involutive))
-    via = np.zeros(size, dtype=np.min_scalar_type(len(tables) + 1))
+    flags = list(involutive) + [False] * (ngens - len(involutive))
+    via = np.zeros(size, dtype=np.min_scalar_type(ngens + 1))
 
     def grow(frontier, segments):
         """Mark the fresh images of a level in via; returns them and each generator's range."""
-        if frontier.size * len(tables) <= _GATHER_WINDOW:
-            batch = los.take(lo_off + (frontier & mask))
-            batch ^= his.take(hi_off + (frontier >> shift))
+        if frontier.size * ngens <= _GATHER_WINDOW:
+            batch = lo.take(frontier & mask, axis=1)
+            batch ^= hi.take(frontier >> shift, axis=1)
             per_gen = [(images,) for images in batch]
         else:
             skips = {gi: span for gi, span in segments.items() if flags[gi]}
             per_gen = [
-                _level_images(frontier, lo, hi, mask, shift, skips.get(gi, (0, 0)))
-                for gi, (lo, hi) in enumerate(halves)
+                _level_images(frontier, lo[gi], hi[gi], mask, shift, skips.get(gi, (0, 0)))
+                for gi in range(ngens)
             ]
         grown, reached, at = [], {}, 0
         for gi, chunks in enumerate(per_gen):
@@ -408,11 +397,11 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
     """Partition of V/W_e, V = H^(r+1)(m), under the group the gens generate.
 
     e must be homogeneous of degree r+2 (or zero), and every generator must
-    be invertible and fix e modulo lower degrees; _half_tables checks that
-    while it builds each generator's pair of half tables over the N - k
-    index bits of V/W_e. Unit translations act as the identity on V/W_e,
-    so their orbits come for free (see the module docstring); with no gens
-    every index is its own block.
+    be invertible and fix e modulo lower degrees: gf2.stabilizer_check
+    tests them all in one pass before _half_tables stacks their pairs of
+    half tables over the N - k index bits of V/W_e. Unit translations act
+    as the identity on V/W_e, so their orbits come for free (see the module
+    docstring); with no gens every index is its own block.
     """
     if e.m != m:
         raise ValueError("e has the wrong variable count")
@@ -424,6 +413,8 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
     size = 1 << (space.nbits - len(basis))
     maps = [as_affine(g) for g in gens]
     if maps:
+        if not stabilizer_check(e, *maps):
+            raise ValueError(f"a generator does not stabilize {format_anf(e)}")
         tables = _half_tables(space, maps, e, basis)
         block_of, first, _, _ = _close_orbits(tables, size, [_is_involution(a) for a in maps])
         block_of = block_of.astype(np.int32)
@@ -495,9 +486,7 @@ class QuotientClassification:
     _members_at), so no member array is built.
     """
 
-    def __init__(
-        self, d, m, space, class_of, via, tables, inverses, gens, involutive, first, sizes
-    ):
+    def __init__(self, d, m, space, class_of, via, halves, gens, involutive, first, sizes):
         self.d = d
         self.m = m
         self.space = space
@@ -508,13 +497,14 @@ class QuotientClassification:
         self._via = via
         self._first = first
         self.gens = gens
-        # A zero-copy view and half-table lists that index to plain ints for
-        # the transversal walk and the Schreier draws.
+        # A zero-copy view, and list forms of the stacked half tables (the
+        # generators' rows, then their inverses') that index to plain ints
+        # for the transversal walk and the Schreier draws.
         self._via_view = memoryview(via)
         self._shift = space.nbits // 2
         self._mask = (1 << self._shift) - 1
-        self._tables = [(lo.tolist(), hi.tolist()) for lo, hi in tables]
-        self._inverses = [(lo.tolist(), hi.tolist()) for lo, hi in inverses]
+        rows = list(zip(*(half.tolist() for half in halves)))
+        self._tables, self._inverses = rows[: len(gens)], rows[len(gens) :]
         # lin[x] is the XOR of g.rows at the set bits of x, so the rows of
         # A @ g are tuple(map(lin.__getitem__, A.rows)).
         self._lin = [xor_span(g.rows) for g in gens]
@@ -532,12 +522,13 @@ class QuotientClassification:
             )
         gens = gl2_generators(m)
         maps = [AffineMap(g, 0) for g in gens]
-        halves = _half_tables(space, maps + [AffineMap(g.inverse(), 0) for g in gens])
-        tables, inverses = halves[: len(gens)], halves[len(gens) :]
+        lo, hi = _half_tables(space, maps + [AffineMap(g.inverse(), 0) for g in gens])
         involutive = [_is_involution(a) for a in maps]
-        class_of, first, sizes, via = _close_orbits(tables, space.size, involutive)
+        class_of, first, sizes, via = _close_orbits(
+            (lo[: len(gens)], hi[: len(gens)]), space.size, involutive
+        )
         return QuotientClassification(
-            d, m, space, class_of, via, tables, inverses, gens, involutive, first, sizes
+            d, m, space, class_of, via, (lo, hi), gens, involutive, first, sizes
         )
 
     def stabilizer_gens(self, cid: int, rng: random.Random, max_gens: int) -> tuple:
@@ -776,7 +767,7 @@ def ingest_classification(source, expect_d: int | None = None, expect_m: int | N
             if len(fields) == 2 and fields[0] in ("d", "m"):
                 if fields[0] in header:
                     raise ValueError(f"repeated '# {fields[0]}' header")
-                header[fields[0]] = int(fields[1])
+                header[fields[0]] = _decimal(fields[1])
             continue
         fields = line.split()
         if fields[0] == "class":
@@ -788,7 +779,7 @@ def ingest_classification(source, expect_d: int | None = None, expect_m: int | N
             if fields[1] != str(len(records)):
                 raise ValueError(f"class id {fields[1]!r} out of order, expected {len(records)}")
             rep = parse_anf(fields[3], header["m"])
-            size = int(fields[5])
+            size = _decimal(fields[5])
             if size <= 0:
                 raise ValueError(f"class size must be positive, got {size}")
             current = (rep, size, [])

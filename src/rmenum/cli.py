@@ -3,9 +3,11 @@
 Subcommands cover the whole workflow: brute-force distributions, single
 coset enumerators, quotient classification, the doubling pipeline, file
 verification, exact form equivalence, and the shipped dual-transition
-check. Every command is deterministic given its --seed (equiv draws
-nothing and takes none); output files are bit-identical across reruns and
-across --jobs values, and seeds are recorded in file headers.
+check. Output files are bit-identical across reruns and across --jobs
+values. classify --seed picks the stabilizer generators it writes;
+pipeline --seed only picks which Schreier generators are drawn, and no
+output depends on it, but the "# seed" header line records it. equiv
+draws nothing and takes no --seed.
 """
 
 from __future__ import annotations

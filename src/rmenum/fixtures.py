@@ -16,7 +16,7 @@ from importlib import resources
 
 from .boolfn import Anf, parse_anf
 from .gf2 import Gf2Matrix
-from .wenum import WeightEnumerator, read_distribution
+from .wenum import WeightEnumerator, _decimal, read_distribution
 
 REFERENCE_DISTRIBUTION = "rm512_distribution.txt"
 PARTITION_SIZES = "partition_sizes_m7.txt"
@@ -64,7 +64,7 @@ def load_partition_sizes() -> list[PartitionSizes]:
         if not line or line.startswith("#"):
             continue
         anf, raw, merged = line.split()
-        out.append(PartitionSizes(parse_anf(anf, 7), int(raw), int(merged)))
+        out.append(PartitionSizes(parse_anf(anf, 7), _decimal(raw), _decimal(merged)))
     return out
 
 
@@ -100,7 +100,7 @@ def parse_dual_transitions(text: str) -> list[DualTransition]:
                 f"line {number} {line!r} has {len(fields)} of the 10 fields: "
                 "count, source, target and 7 matrix rows"
             )
-        count, src, tgt = int(fields[0]), fields[1], fields[2]
+        count, src, tgt = _decimal(fields[0]), fields[1], fields[2]
         mat = Gf2Matrix.from_text(" ".join(fields[3:]))
         out.append(
             DualTransition(count, parse_anf(src, 7), parse_anf(tgt, 7), mat)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import io
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -229,20 +230,19 @@ def _checkpoint_path(directory: str, cid: int) -> str:
     return os.path.join(directory, f"class_{cid:05d}.txt")
 
 
-def _check_header(path: str, wanted: dict):
-    """Raise unless the "# key value" comment lines of a checkpoint give every wanted value.
+def _check_fields(path: str, lines, wanted: dict):
+    """Raise unless the "# key value" comment lines among lines give every wanted value.
 
     A wanted value of None means the file has no line for that key.
     """
     header = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line.startswith("#"):
-                continue
-            fields = line[1:].split(None, 1)
-            if len(fields) == 2:
-                header[fields[0]] = fields[1]
+    for line in lines:
+        line = line.strip()
+        if not line.startswith("#"):
+            continue
+        fields = line[1:].split(None, 1)
+        if len(fields) == 2:
+            header[fields[0]] = fields[1]
     for key, want in wanted.items():
         got = header.get(key)
         if got != want:
@@ -259,7 +259,8 @@ def _check_route(directory: str | None, route):
     """
     if directory:
         for path in sorted(glob.glob(os.path.join(directory, "class_*.txt"))):
-            _check_header(path, {"route": route})
+            with open(path) as fh:
+                _check_fields(path, fh, {"route": route})
 
 
 def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_total: int, route):
@@ -267,14 +268,17 @@ def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_to
 
     Headers must name this route (a route of None means no route line) and
     this class, and the total must be rec.size times unit_total; a file
-    that fails either check raises instead of changing the result.
+    that fails either check raises instead of changing the result. The
+    file is opened once, for its header and its body.
     """
     path = _checkpoint_path(directory, cid)
     if not os.path.exists(path):
         return None
+    with open(path) as fh:
+        text = fh.read()
     wanted = {"route": route, "class": str(cid), "rep": format_anf(rec.rep), "size": str(rec.size)}
-    _check_header(path, wanted)
-    dist = read_distribution(path)
+    _check_fields(path, text.splitlines(), wanted)
+    dist = read_distribution(io.StringIO(text))
     if dist.n != n:
         raise ValueError(f"checkpoint {path} has length {dist.n}, expected {n}")
     if dist.total() != rec.size * unit_total:
@@ -315,54 +319,32 @@ def _class_order(classes, d: int, m1: int) -> list[ClassRecord]:
     return ordered
 
 
-def _unfinished(ordered, checkpoint: str | None) -> list[int]:
-    """Checkpoint ids of the ordered classes that have no file yet; all of them without a directory.
-
-    A file that exists but fails its checks is not unfinished:
-    distribution_from_classes raises on it.
-    """
-    return [
-        cid
-        for cid in range(len(ordered))
-        if not checkpoint or not os.path.exists(_checkpoint_path(checkpoint, cid))
-    ]
-
-
 def distribution_from_classes(
     classes,
-    d: int,
-    m1: int,
     contribution,
     n: int,
-    unit_total: int,
+    finished: dict,
     jobs: int = 1,
     checkpoint: str | None = None,
     counter: MulCounter | None = None,
     route: str | None = None,
 ) -> WeightEnumerator:
-    """Sum of the length-n terms contribution(rec) over the classes of H^(d)(m1).
+    """Sum of the length-n terms of the ordered classes: finished[cid], else contribution(rec).
 
-    contribution(rec) returns a class's coefficients, which total rec.size
-    * unit_total, and the multiplications it took. classes must exhaust
-    H^(d)(m1): orbit sizes are validated to sum to 2**C(m1,d) before any
-    work is done. Class order is canonical (packed representative index),
-    each term is exact, and the result is identical for every jobs value.
-    With a checkpoint directory, finished terms are persisted, headed by
-    route unless it is None, and resumed after header and total checks;
-    the counter only sees multiplications actually performed. jobs < 1
+    classes is in checkpoint-id order (see _class_order) and finished maps
+    the ids of the classes already summed to their terms; contribution(rec)
+    returns the coefficients of any other class and the multiplications it
+    took, which the counter sees. Each term is exact, so the result is
+    identical for every jobs value. With a checkpoint directory every
+    computed term is persisted, headed by route unless it is None. jobs < 1
     raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    ordered = _class_order(classes, d, m1)
-    contributions: dict[int, WeightEnumerator] = {}
+    contributions = dict(finished)
     if checkpoint:
         os.makedirs(checkpoint, exist_ok=True)
-        for cid, rec in enumerate(ordered):
-            got = _read_checkpoint(checkpoint, cid, rec, n, unit_total, route)
-            if got is not None:
-                contributions[cid] = got
-    pending = [cid for cid in range(len(ordered)) if cid not in contributions]
+    pending = [cid for cid in range(len(classes)) if cid not in contributions]
     parallel = jobs > 1 and len(pending) > 1
     pool_cm = (
         ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
@@ -371,13 +353,13 @@ def distribution_from_classes(
     )
     with pool_cm as pool:
         mapper = pool.map if parallel else map
-        results = mapper(contribution, [ordered[cid] for cid in pending])
+        results = mapper(contribution, [classes[cid] for cid in pending])
         for cid, (coeffs, mults) in zip(pending, results):
             contributions[cid] = WeightEnumerator(n, coeffs)
             if counter is not None:
                 counter.tick(mults)
             if checkpoint:
-                _write_checkpoint(checkpoint, cid, ordered[cid], contributions[cid], route)
+                _write_checkpoint(checkpoint, cid, classes[cid], contributions[cid], route)
     terms = [term.coeffs for term in contributions.values()]
     return WeightEnumerator(n, [sum(col) for col in zip(*terms)])
 
@@ -521,23 +503,24 @@ def run_pipeline(
 ) -> WeightEnumerator:
     """Full W[z; R(r,m)] via the doubling recursion, r >= 2.
 
-    Two routes give identical output, both summed by
+    Two routes give identical output, both ordered and validated by
+    _class_order (sizes sum, no repeated representative) and summed by
     distribution_from_classes with per-class checkpoints and jobs workers:
 
     * Fourier (strategy "blocks", classes None): classify only H^(r)(m-2)
       and sum size * 2**(4k-N) * sum_u' Ahat'_u'**4 over its classes (see
       the module docstring), each class building its own block table over
       V/W_e. The counter counts big-int squarings, two per distinct
-      Ahat'_u', and its label says so (FOURIER_LABEL). A transform indexed by N = C(m-2, r-1)
-      > MAX_INDEX_BITS bits is refused before any classification.
+      Ahat'_u', and its label says so (FOURIER_LABEL). A transform indexed
+      by N = C(m-2, r-1) > MAX_INDEX_BITS bits is refused before any
+      classification.
     * Class sum (classes given as a list of ClassRecord or a file path, or
       "direct"): sum size * W^2[z; rep + R(r-1,m-1)] over the classes of
       H^(r)(m-1). "direct" self-classifies without stabilizers and runs
       each plain product-sum; "blocks" rebases representatives onto the
-      lower forms, orders and validates them before any other work, and
-      reads block tables keyed by lower representative, built only for
-      pending classes. The counter counts polynomial multiplications of
-      the product-sums.
+      lower forms before they are ordered, and reads block tables keyed by
+      lower representative, built only for pending classes. The counter
+      counts polynomial multiplications of the product-sums.
 
     The fixed PIPELINE_MAX_GENS caps the Schreier generators drawn per class
     of H^(r)(m-2), which orbit partitions read; each costs a pair of half
@@ -555,10 +538,14 @@ def run_pipeline(
     (rep, size) in packed-rep order so that a position is a checkpoint id,
     and those stabilizer_gens(cid, rng, PIPELINE_MAX_GENS) calls, which may
     return no generators; any other source of lower classes must meet the
-    same contract.
+    same contract. seed seeds those draws and nothing else: the merged
+    blocks, and so every output, do not depend on which generators are
+    drawn.
 
     A checkpoint directory whose class files name another route is refused
-    before any classification.
+    before any classification. Every checkpoint of the ordered classes is
+    then read and checked, one open per file, before any stabilizer draw
+    or block table, so a corrupt directory costs neither.
 
     The recursion peels two variables, so m >= 3 is required; use the brute
     oracle for anything smaller. The result is checked before it is
@@ -588,6 +575,17 @@ def run_pipeline(
             # "direct" reads only reps and sizes, so it samples no stabilizers.
             classes = QuotientClassification.compute(r, m1).records
         unit_total = 1 << (2 * rm_dimension(r - 1, m1))
+    if strategy == "blocks":
+        lower = QuotientClassification.compute(r, m0)
+        classes = lower.records if fourier else rebase_representatives(classes, lower)
+    ordered = _class_order(classes, r, m0 if fourier else m1)
+    finished = {}
+    if checkpoint:
+        for cid, rec in enumerate(ordered):
+            term = _read_checkpoint(checkpoint, cid, rec, 1 << m, unit_total, route)
+            if term is not None:
+                finished[cid] = term
+    pending = [cid for cid in range(len(ordered)) if cid not in finished]
     if strategy == "direct":
         contribution = partial(_class_sum_term, r0, m0, None)
     else:
@@ -595,28 +593,23 @@ def run_pipeline(
         # one of its rebased lower part. Stabilizers are drawn, in ascending
         # lower class id, only for the lower classes that a pending class
         # reads; rebasing needs only transversals.
-        lower = QuotientClassification.compute(r, m0)
         if fourier:
-            classes = list(lower.records)
-            wanted = _unfinished(classes, checkpoint)
+            wanted = pending
         else:
-            classes = _class_order(rebase_representatives(classes, lower), r, m1)
             cid_of = {rec.rep: cid for cid, rec in enumerate(lower.records)}
-            pending = _unfinished(classes, checkpoint)
-            wanted = {cid_of[decompose_top(classes[cid].rep)[0]] for cid in pending}
+            wanted = {cid_of[decompose_top(ordered[cid].rep)[0]] for cid in pending}
         tables = {}
         for cid in sorted(wanted):
             gens = lower.stabilizer_gens(cid, rng, PIPELINE_MAX_GENS)
             rec = replace(lower.records[cid], gens=gens)
             if fourier:
-                classes[cid] = rec
+                ordered[cid] = rec
             else:
                 tables[rec.rep] = _block_table(rec, r, m0)
         if not fourier:
             contribution = partial(_class_sum_term, r0, m0, tables)
-    class_m = m0 if fourier else m1
     dist = distribution_from_classes(
-        classes, r, class_m, contribution, 1 << m, unit_total, jobs, checkpoint, counter, route
+        ordered, contribution, 1 << m, finished, jobs, checkpoint, counter, route
     )
     require_reference(dist, r, m)
     return dist

@@ -242,6 +242,13 @@ def _opened(file, mode: str = "r"):
             yield fh
 
 
+def _decimal(field: str) -> int:
+    """The integer of a field of ASCII decimal digits alone; int() also takes "+1", "1_4"."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"{field!r} is not an ASCII decimal integer")
+    return int(field)
+
+
 def write_distribution(target, a: WeightEnumerator, comments=()):
     """Write "weight count" lines in decimal, nonzero entries only.
 
@@ -272,17 +279,17 @@ def read_distribution(source) -> WeightEnumerator:
                 if len(fields) == 2 and fields[0] == "n":
                     if n is not None:
                         raise ValueError("repeated '# n' header")
-                    n = int(fields[1])
+                    n = _decimal(fields[1])
                 elif fields == ["folded"]:
                     folded = True
                 continue
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"bad distribution line {line!r}")
-            w = int(fields[0])
+            w = _decimal(fields[0])
             if w in counts:
                 raise ValueError(f"duplicate weight {w}")
-            counts[w] = int(fields[1])
+            counts[w] = _decimal(fields[1])
     if n is None:
         if not counts:
             raise ValueError("no data and no '# n' header")

@@ -132,13 +132,24 @@ def expand(halves):
     return (hi[:, None] ^ lo[None, :]).ravel()
 
 
+def expand_all(tables):
+    # the full image table of every generator of a stacked (lo, hi) pair
+    return [expand(halves) for halves in zip(*tables)]
+
+
+def stacked(perms):
+    # permutations of the indices in the stacked layout _close_orbits reads:
+    # one row per permutation, with a zero column as hi
+    return np.array(perms, dtype=np.intp), np.zeros((len(perms), 1), dtype=np.intp)
+
+
 def forest_from_via(via, tables):
     # parent and generator of every index, read from the via marks through
     # inverse tables (-1 for seeds): the parent of v is the preimage of v under
     # the generator that reached it
     pgen = via.astype(np.int64) - 2
     parent = np.full(via.size, -1, dtype=np.int64)
-    for gi, table in enumerate(map(expand, tables)):
+    for gi, table in enumerate(expand_all(tables)):
         inverse = np.empty_like(table)
         inverse[table] = np.arange(table.size, dtype=table.dtype)
         hit = pgen == gi
@@ -208,10 +219,13 @@ ACTION_SPACES = [(m, d) for m in range(1, 11) for d in range(1, m + 1) if comb(m
 
 
 def assert_half_tables(space, a, e=None, basis=()):
-    # over V/W, W spanned by basis: two tables of 2**(n//2) and 2**(n - n//2)
-    # entries, n = N - len(basis), that expand to the reference's image of
-    # each coset leader, reduced
-    lo, hi = _half_tables(space, [a], e, basis)[0]
+    # over V/W, W spanned by basis: one intp row of 2**(n//2) and one of
+    # 2**(n - n//2) entries, n = N - len(basis), that expand to the
+    # reference's image of each coset leader, reduced
+    stack = _half_tables(space, [a], e, basis)
+    for half in stack:
+        assert half.dtype == np.intp and half.ndim == 2 and half.flags.c_contiguous
+    (lo,), (hi,) = stack
     n = space.nbits - len(basis)
     assert len(lo) == 2 ** (n // 2)
     assert len(lo) * len(hi) == 2**n
@@ -239,7 +253,7 @@ def test_action_table_matches_truth_table_reference():
                 translation = AffineMap.translation(m, 1 << i)
                 assert_half_tables(space, translation, e)
                 assert_half_tables(space, translation, e, basis)
-                lo, hi = _half_tables(space, [translation], e, basis)[0]
+                (lo,), (hi,) = _half_tables(space, [translation], e, basis)
                 assert np.array_equal(expand((lo, hi)), np.arange(len(lo) * len(hi)))
 
 
@@ -264,8 +278,8 @@ def test_inverse_half_tables_invert_the_gl_generators(m):
         space = HomogeneousSpace(m, d)
         identity = np.arange(space.size, dtype=np.uint32)
         for g in gl2_generators(m):
-            forward, inverse = map(
-                expand, _half_tables(space, [AffineMap(g, 0), AffineMap(g.inverse(), 0)])
+            forward, inverse = expand_all(
+                _half_tables(space, [AffineMap(g, 0), AffineMap(g.inverse(), 0)])
             )
             assert np.array_equal(inverse[forward], identity), (m, d)
             assert np.array_equal(forward[inverse], identity), (m, d)
@@ -539,6 +553,17 @@ def test_ingest_refuses_class_ids_out_of_file_order(cid):
         ingest_classification(io.StringIO("\n".join(broken)))
 
 
+@pytest.mark.parametrize("bad", ["1_4", "+1", "\u0663"], ids=["underscore", "sign", "arabic"])
+def test_ingest_refuses_integers_int_would_take(bad):
+    # '# d', '# m' and the size are ASCII decimal digits alone
+    lines = two_class_file()
+    assert lines[1:4] == ["# d 2", "# m 3", "class 0 rep 0 size 1"]
+    for at, field in ((1, "# d "), (2, "# m "), (3, "class 0 rep 0 size ")):
+        broken = lines[:at] + [field + bad] + lines[at + 1 :]
+        with pytest.raises(ValueError, match="not an ASCII decimal integer"):
+            ingest_classification(io.StringIO("\n".join(broken)))
+
+
 @pytest.mark.parametrize("key", ["d", "m"])
 def test_ingest_refuses_a_repeated_header(key):
     lines = two_class_file()
@@ -665,10 +690,10 @@ def assert_same_closure(tables, size, involutive=()):
     plain = _close_orbits(tables, size)
     for a, b in zip((block_of, first, sizes, via), plain, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for table, flag in zip(map(expand, tables), involutive):
+    for table, flag in zip(expand_all(tables), involutive):
         if flag:
             assert np.array_equal(table[table], np.arange(size))
-    want = reference_close_orbits([expand(t) for t in tables], size)
+    want = reference_close_orbits(expand_all(tables), size)
     assert np.array_equal(block_of, want[0])
     # the narrowest unsigned type that holds every block id
     assert block_of.dtype == np.min_scalar_type(len(want[1]) - 1)
@@ -730,7 +755,7 @@ def test_closure_matches_reference_on_orbit_partition_tables(monkeypatch, r, m0)
         assert_same_closure(tables, size, involutive)
     flagged = 0
     for tables, size, involutive in quotient_closures(monkeypatch, r, m0):
-        assert len(involutive) == len(tables)
+        assert len(involutive) == len(tables[0])
         flagged += sum(involutive)
         assert_same_closure(tables, size, involutive)
     assert flagged > 0
@@ -800,7 +825,7 @@ def test_stabilizer_linear_parts_map_w_e_into_itself(r, m0):
     ks = []
     for rec in classify_quotient(r, m0, random.Random(0), max_gens=PIPELINE_MAX_GENS):
         translations = [AffineMap.translation(m0, 1 << i) for i in range(m0)]
-        consts = [int(lo[0]) for lo, _ in _half_tables(space, translations, rec.rep)]
+        consts = _half_tables(space, translations, rec.rep)[0][:, 0].tolist()
         basis = quotient_partition(rec.rep, (), r - 2, m0).basis
         k = span_rank(consts)
         assert len(basis) == k == span_rank([*consts, *basis])
@@ -837,6 +862,31 @@ def test_quotient_partition_rejects_a_map_outside_the_stabilizer():
             quotient_partition(e, [gen], 1, 4)
         with pytest.raises(ValueError, match="does not stabilize"):
             orbit_partition(e, [gen], 1, 4)
+
+
+def test_quotient_partition_checks_its_generators_in_one_call(monkeypatch):
+    # every generator goes to one gf2.stabilizer_check call before any table
+    # is built; _half_tables itself checks nothing, so it builds the tables
+    # of a map that moves e
+    import rmenum.classify as classify
+
+    rec = classify_quotient(3, 6, random.Random(0), max_gens=PIPELINE_MAX_GENS)[2]
+    calls = []
+    check = classify.stabilizer_check
+
+    def spy(e, *maps):
+        calls.append((e, maps))
+        return check(e, *maps)
+
+    monkeypatch.setattr(classify, "stabilizer_check", spy)
+    quotient_partition(rec.rep, rec.gens, 1, 6)
+    assert calls == [(rec.rep, rec.gens)]
+    e = parse_anf("123", 4)
+    cyclic = AffineMap(Gf2Matrix(4, (0b1000, 0b0001, 0b0010, 0b0100)), 0)
+    assert not check(e, cyclic)
+    lo, hi = _half_tables(HomogeneousSpace(4, 2), [cyclic], e)
+    assert lo.shape == (1, 8) and hi.shape == (1, 8)
+    assert len(calls) == 1
 
 
 def test_quotient_index_and_leader():
@@ -903,10 +953,8 @@ def test_closure_matches_reference_on_random_permutations():
     for size in (1, 2, 7, 64, 1000):
         for ngens in (1, 2, 3):
             for max_cycle in (2, 5, size):
-                tables = [
-                    (random_cycles_permutation(size, max_cycle, rng), [0]) for _ in range(ngens)
-                ]
-                assert_same_closure(tables, size)
+                perms = [random_cycles_permutation(size, max_cycle, rng) for _ in range(ngens)]
+                assert_same_closure(stacked(perms), size)
 
 
 def test_closure_forest_is_one_byte_per_index():
@@ -924,10 +972,8 @@ def test_closure_forest_is_one_byte_per_index():
 def test_closure_with_more_generators_than_a_byte_marks():
     # 2 + 299 does not fit in a uint8 mark, so via widens to uint16
     rng = random.Random(11)
-    tables = [
-        (random_cycles_permutation(64, rng.choice((2, 3, 64)), rng), [0]) for _ in range(300)
-    ]
-    via = assert_same_closure(tables, 64)[3]
+    perms = [random_cycles_permutation(64, rng.choice((2, 3, 64)), rng) for _ in range(300)]
+    via = assert_same_closure(stacked(perms), 64)[3]
     assert via.dtype == np.uint16
     assert int(via.max()) > 255
 
@@ -940,7 +986,7 @@ def test_closure_rejects_a_table_that_is_not_a_permutation():
     identity = np.arange(4, dtype=np.uint32)
     for tables in ([spread, other], [spread, other] + [identity] * 300):
         with pytest.raises(ValueError, match="not a permutation"):
-            _close_orbits([(table, [0]) for table in tables], 4)
+            _close_orbits(stacked(tables), 4)
 
 
 FOREST_SPACES = [(2, 6), (3, 5), (4, 6)]
@@ -955,7 +1001,7 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
     cls = QuotientClassification.compute(d, m)
     tables = gl_tables(cls)
     parent, pgen = forest_from_via(cls._via, tables)
-    tables = [expand(t) for t in tables]
+    tables = expand_all(tables)
     identity = Gf2Matrix.identity(m)
     involutive = [g @ g == identity for g in cls.gens]
     assert involutive == [True, False]  # the transvection and the cyclic shift
@@ -984,7 +1030,7 @@ def test_preimage_walk_returns_the_reference_parent(d, m):
     # class seed down to v, one preimage lookup per node, and the reference
     # forest's parents give that path
     cls = QuotientClassification.compute(d, m)
-    tables = [expand(t) for t in gl_tables(cls)]
+    tables = expand_all(gl_tables(cls))
     _, _, parent, _ = reference_close_orbits(tables, cls.space.size)
     seeds = {cls.space.index_of(rec.rep) for rec in cls.records}
     assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
@@ -1037,7 +1083,7 @@ def reference_schreier_sample(cls, cid, rng, max_gens):
     members = np.flatnonzero(cls.class_of == cid)
     if members.size == 1:
         return tuple(AffineMap(g, 0) for g in cls.gens[:max_gens])
-    images = [expand(halves) for halves in gl_tables(cls)]
+    images = expand_all(gl_tables(cls))
     identity = Gf2Matrix.identity(cls.m)
     out, seen = [], set()
     for _ in range(max_gens * 8):
@@ -1081,10 +1127,10 @@ def test_closure_widens_the_block_map_past_255_blocks():
     # 1024 singletons need block ids up to 1023: block_of starts as uint8 and
     # widens to uint16 at the 257th block; 2**16 + 1 singletons need uint32
     identity = np.arange(1024, dtype=np.uint32)
-    block_of = assert_same_closure([(identity, [0])], 1024)[0]
+    block_of = assert_same_closure(stacked([identity]), 1024)[0]
     assert block_of.dtype == np.uint16 and np.array_equal(block_of, identity)
     size = (1 << 16) + 1
-    block_of, first, sizes, _ = _close_orbits([(np.arange(size, dtype=np.uint32), [0])], size)
+    block_of, first, sizes, _ = _close_orbits(stacked([np.arange(size)]), size)
     assert block_of.dtype == np.uint32 and np.array_equal(block_of, np.arange(size))
     assert np.array_equal(first, np.arange(size)) and (sizes == 1).all()
 

@@ -222,6 +222,18 @@ def test_dualcheck_refuses_a_short_row(tmp_path, capsys, row, fields):
     assert err.count("\n") == 1
 
 
+def test_strict_integers_are_errors_not_tracebacks(tmp_path, capsys):
+    # int() would read "1_4" as 14 and "0_3" as 3
+    dist = tmp_path / "r13.txt"
+    dist.write_text("# n 8\n0 1\n4 1_4\n8 1\n")
+    code, _, err = run(capsys, "verify", "--dist", str(dist), "--r", "1", "--m", "3")
+    assert code == 2 and err == "error: '1_4' is not an ASCII decimal integer\n"
+    classes = tmp_path / "classes.txt"
+    classes.write_text("# d 2\n# m 3\nclass 0 rep 0 size 0_3\n")
+    code, _, err = run(capsys, "pipeline", "--r", "2", "--m", "4", "--classes", str(classes))
+    assert code == 2 and err == "error: '0_3' is not an ASCII decimal integer\n"
+
+
 def test_pipeline_jobs_byte_identical(tmp_path, capsys):
     files = []
     for jobs in ("1", "3"):

@@ -9,6 +9,7 @@ from rmenum.fixtures import (
     load_dual_transitions,
     load_partition_sizes,
     load_reference_distribution,
+    parse_dual_transitions,
 )
 from rmenum.gf2 import top_image
 from rmenum.oracle import min_weight_count, validate_reference
@@ -89,3 +90,33 @@ def test_check_dual_transitions_lines():
     lines = check_dual_transitions()
     assert len(lines) == 12
     assert all(line.startswith("PASS") for line in lines)
+
+
+NOT_DECIMAL = ["1_4", "+1", "\u0663"]
+NOT_DECIMAL_IDS = ["underscore", "sign", "arabic"]
+
+
+def first_data_line(text):
+    return next(ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#"))
+
+
+@pytest.mark.parametrize("bad", NOT_DECIMAL, ids=NOT_DECIMAL_IDS)
+def test_partition_sizes_refuse_integers_int_would_take(monkeypatch, bad):
+    # both block counts are ASCII decimal digits alone
+    text = data_text(fixtures.PARTITION_SIZES)
+    line = first_data_line(text)
+    anf, raw, merged = line.split()
+    for broken in (f"{anf} {bad} {merged}", f"{anf} {raw} {bad}"):
+        monkeypatch.setattr(fixtures, "data_text", lambda name: text.replace(line, broken, 1))
+        with pytest.raises(ValueError, match="not an ASCII decimal integer"):
+            load_partition_sizes()
+
+
+@pytest.mark.parametrize("bad", NOT_DECIMAL, ids=NOT_DECIMAL_IDS)
+def test_dual_transitions_refuse_integers_int_would_take(bad):
+    # the count is ASCII decimal digits alone
+    text = data_text(fixtures.DUAL_TRANSITIONS)
+    line = first_data_line(text)
+    broken = " ".join([bad, *line.split()[1:]])
+    with pytest.raises(ValueError, match="not an ASCII decimal integer"):
+        parse_dual_transitions(text.replace(line, broken, 1))

@@ -162,10 +162,19 @@ def test_blocks_requires_aligned_enums():
         coset_enum_blocks(parse_anf("1", 3), part, [])
 
 
-def test_distribution_from_classes_validates_sizes():
+def test_run_pipeline_validates_class_sizes_before_the_sum(monkeypatch):
+    # _class_order checks the sizes once, in run_pipeline, before the class
+    # sum is entered, on both strategies
+    import rmenum.pipeline as pipeline
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the class sum ran over classes that do not sum")
+
+    monkeypatch.setattr(pipeline, "distribution_from_classes", forbidden)
     short = classify_quotient(2, 4)[:-1]
-    with pytest.raises(ValueError, match="sum to"):
-        distribution_from_classes(short, 2, 4, lambda rec: ([0] * 33, 0), 32, 1)
+    for strategy in ("blocks", "direct"):
+        with pytest.raises(ValueError, match="sum to"):
+            run_pipeline(2, 5, classes=short, strategy=strategy)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -180,7 +189,7 @@ def test_jobs_below_one_is_rejected_before_any_work(monkeypatch, jobs):
     monkeypatch.setattr(QuotientClassification, "compute", staticmethod(forbidden))
     monkeypatch.setattr(pipeline, "_class_order", forbidden)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        distribution_from_classes(classes, 2, 4, forbidden, 32, 1, jobs=jobs)
+        distribution_from_classes(classes, forbidden, 32, {}, jobs=jobs)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_pipeline(3, 6, jobs=jobs)
 
@@ -323,6 +332,81 @@ def test_partial_resume_builds_only_the_pending_lower_form(monkeypatch, tmp_path
     assert built == [lower]
     assert counter.count > 0
     assert victim.read_text() == whole
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "self"])
+def test_corrupt_checkpoints_are_refused_before_any_draw_or_table(monkeypatch, tmp_path, given):
+    # one class missing, another cut short: every checkpoint is read and
+    # checked before the pending class's stabilizers are drawn or its table built
+    import rmenum.pipeline as pipeline
+
+    ckpt = tmp_path / "ckpt"
+    classes = resume_classes(given)
+    run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
+    (ckpt / "class_00002.txt").unlink()
+    cut = ckpt / "class_00000.txt"
+    cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:-1]))
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    draw = QuotientClassification.stabilizer_gens
+    monkeypatch.setattr(QuotientClassification, "stabilizer_gens", spy("draw", draw))
+    monkeypatch.setattr(pipeline, "_block_table", spy("table", pipeline._block_table))
+    with pytest.raises(ValueError, match="totals"):
+        run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
+    assert calls == []
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "self"])
+def test_resume_opens_each_checkpoint_at_most_twice(monkeypatch, tmp_path, given):
+    # once for the route scan, once for the header and body of the read
+    import builtins
+
+    ckpt = tmp_path / "ckpt"
+    classes = resume_classes(given)
+    want = run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
+    files = sorted(str(path) for path in ckpt.iterdir())
+    opened = dict.fromkeys(files, 0)
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in opened:
+            opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    counter = MulCounter()
+    assert run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt), counter=counter) == want
+    monkeypatch.undo()
+    assert counter.count == 0
+    assert all(1 <= n <= 2 for n in opened.values()), opened
+
+
+SEED_CODES = [(3, 7), (2, 8)]
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "self"])
+@pytest.mark.parametrize("r, m", SEED_CODES, ids=[f"r{r}m{m}" for r, m in SEED_CODES])
+def test_outputs_do_not_depend_on_the_seed(tmp_path, r, m, given):
+    # the seed picks which Schreier generators are drawn, and the merged
+    # blocks do not depend on them: same distribution, count, label and
+    # checkpoint bytes at seeds 0, 1 and 2, for given classes drawn from the
+    # same seed too
+    outputs = set()
+    for seed in (0, 1, 2):
+        classes = classify_quotient(r, m - 1, random.Random(seed)) if given else None
+        ckpt = tmp_path / f"seed{seed}"
+        counter = MulCounter()
+        dist = run_pipeline(r, m, classes=classes, seed=seed, checkpoint=str(ckpt), counter=counter)
+        files = tuple(path.read_bytes() for path in sorted(ckpt.iterdir()))
+        outputs.add((dist.coeffs, counter.count, counter.label, files))
+    assert len(outputs) == 1
 
 
 def test_pipeline_checkpoint_rejects_foreign_files(tmp_path):

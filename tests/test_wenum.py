@@ -159,6 +159,14 @@ def test_read_errors():
         read_distribution(io.StringIO("# n 8\n# folded\n3 1\n5 2\n"))
 
 
+@pytest.mark.parametrize("bad", ["1_4", "+1", "\u0663"], ids=["underscore", "sign", "arabic"])
+def test_read_refuses_integers_int_would_take(bad):
+    # the weight, the count and '# n' are ASCII decimal digits alone
+    for text in (f"# n 8\n0 1\n4 {bad}\n", f"# n 8\n0 1\n{bad} 14\n", f"# n {bad}\n0 1\n"):
+        with pytest.raises(ValueError, match="not an ASCII decimal integer"):
+            read_distribution(io.StringIO(text))
+
+
 def test_read_refuses_a_repeated_weight_whose_first_count_is_zero():
     with pytest.raises(ValueError, match="duplicate weight 2"):
         read_distribution(io.StringIO("# n 4\n0 1\n2 0\n2 6\n4 1\n"))
