@@ -223,7 +223,8 @@ def attach_top(e: Anf, f: Anf) -> Anf:
 def parse_anf(s: str, m: int | None = None) -> Anf:
     """Parse '+'-separated monomial strings like "1237+4567"; "0" is the zero function.
 
-    Each digit is a variable index 1..9, so the notation covers m <= 9.
+    Each digit is a variable index 1..9, an ASCII digit alone (str.isdigit
+    also takes "²" and "٣"), so the notation covers m <= 9.
     """
     s = s.strip()
     if not s:
@@ -234,7 +235,7 @@ def parse_anf(s: str, m: int | None = None) -> Anf:
     top = 0
     for part in s.split("+"):
         part = part.strip()
-        if not part or not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ValueError(f"bad monomial {part!r}")
         mask = 0
         for ch in part:

@@ -3,11 +3,12 @@
 Subcommands cover the whole workflow: brute-force distributions, single
 coset enumerators, quotient classification, the doubling pipeline, file
 verification, exact form equivalence, and the shipped dual-transition
-check. Output files are bit-identical across reruns and across --jobs
-values. classify --seed picks the stabilizer generators it writes;
-pipeline --seed only picks which Schreier generators are drawn, and no
-output depends on it, but the "# seed" header line records it. equiv
-draws nothing and takes no --seed.
+check. Output files are bit-identical across reruns and across pipeline
+--jobs values; brute sweeps in one process and takes no --jobs. classify
+--seed picks the stabilizer generators it writes; pipeline --seed only
+picks which Schreier generators are drawn, and no output depends on it,
+but the "# seed" header line records it. equiv draws nothing and takes no
+--seed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _emit_distribution(dist, out, comments):
 
 def _cmd_brute(args) -> int:
     # brute_force_distribution raises unless the total is 2**dim
-    dist = brute_force_distribution(args.r, args.m, jobs=args.jobs)
+    dist = brute_force_distribution(args.r, args.m)
     _emit_distribution(dist, args.out, [f"R({args.r},{args.m})"])
     print(f"total {dist.total()} = 2^{rm_dimension(args.r, args.m)} ok")
     return 0
@@ -129,11 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("brute", help="enumerate every codeword of R(r,m)")
+    p = sub.add_parser(
+        "brute", help="enumerate every codeword of R(r,m) in one serial sweep (dim <= 28, m <= 16)"
+    )
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", help="distribution file (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_brute)
 
     p = sub.add_parser("coset", help="weight enumerator of anf + R(r,m)")

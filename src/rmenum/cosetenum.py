@@ -7,10 +7,11 @@ complement, where R' is the span of the dim - 1 non-constant basis tables;
 the engine sweeps only R' and folds each histogram by complement,
 hist[w] = h'[w] + h'[n - w]. Words are packed numpy rows: 64-bit lanes,
 or for m <= 5 one word in the narrowest unsigned dtype that holds it. The
-span of the low (at most 16) tables of R' is laid out once as a block of
-words by XOR-doubling, and the Gray sequence over the high tables is cut
-into segments, each adding one XOR offset, looked up in the half spans of
-the high tables, to the representatives. One loop serves every sweep:
+span of the low tables of R' (at most 16, and no more than keep the block
+within 512 KB) is laid out once as a block of words by XOR-doubling, and
+the Gray sequence over the high tables is cut into segments, each adding
+one XOR offset, looked up in the half spans of the high tables, to the
+representatives. One loop serves every sweep:
 representatives go in groups, and each group sweeps its segments a batch
 at a time into buffers reused for every batch. A short sweep groups many
 representatives into one batch, whose weights are binned with each
@@ -21,21 +22,20 @@ row. A batch call amortises one sweep over many representatives, which
 is how the product-sum recursion consumes whole families of cosets at
 once; callers that build many cosets pass their packed words as one
 array. The brute-force oracle is the same sweep of the zero
-representative. With jobs workers, the segments are split into
-contiguous ranges, one per worker, and the histograms summed. A sweep of
-more than the fixed DEFAULT_CAP = 2**30 codewords refuses to start.
+representative. Every sweep runs in the calling process. A sweep of more
+than the fixed DEFAULT_CAP = 2**30 codewords, or of words longer than
+2**MAX_M bits, refuses to start.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from math import comb
 
 import numpy as np
 
 from .boolfn import (
+    MAX_M,
     Anf,
     TruthTable,
     monomial_table,
@@ -46,11 +46,12 @@ from .boolfn import (
 from .wenum import WeightEnumerator
 
 DEFAULT_CAP = 1 << 30
-# Swept tables spanned by the in-memory block; the rest index segments.
+# Swept tables spanned by the in-memory block, at most; the rest index segments.
 _LOW_BITS = 16
-# Bytes of swept words per batch, the size of the reused word buffer: two
-# full blocks of uint32 words, one of 64-bit words, or a group of reps
-# over all the segments of a shorter sweep (whose int64 keys fit it too).
+# Bytes of swept words per batch, the size of the reused word buffer and
+# the most one block takes: two full blocks of uint32 words, one of 64-bit
+# words, or a group of reps over all the segments of a shorter sweep
+# (whose int64 keys fit it too).
 _BATCH_BYTES = 1 << 19
 
 
@@ -124,29 +125,25 @@ def _packed_reps(reps, m: int) -> np.ndarray:
     return reps
 
 
-def _segments(r: int, m: int) -> int:
-    """Gray segments of a full sweep of R(r,m): its dim - 1 swept tables past the block."""
-    return 1 << max(0, rm_dimension(r, m) - 1 - _LOW_BITS)
-
-
-def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """Weight histograms of each rep + R(r,m) over Gray segments lo..hi-1.
+def _gray_histograms(reps: np.ndarray, r: int, m: int) -> np.ndarray:
+    """Weight histograms of each rep + R(r,m), by one whole Gray sweep.
 
     reps are packed words, shaped like packed_words' output. Returns an
     int64 array of shape (len(reps), 2**m + 1). Only the non-constant basis
     tables are swept (rm_basis_masks puts the all-ones table, mask 0,
     first); each swept word also stands for its complement, so the
     histograms are folded as hists + hists[:, ::-1] and count 2**dim words
-    per rep over a full sweep. The low (at most _LOW_BITS) tables span the
-    block, and segment s covers the block XORed with the high tables
-    selected by the bits of gray(s), looked up in their half spans; a full
-    sweep is segments 0.._segments(r, m)-1, and any split of that range
-    sums to the same histograms.
+    per rep. The low tables span the block: at most _LOW_BITS of them, and
+    no more than keep its words within _BATCH_BYTES, so a block holds 2**16
+    words up to m = 6 and 2**6 words of 8 KB at m = 16. Segment s covers
+    the block XORed with the high tables selected by the bits of gray(s),
+    looked up in their half spans, and the sweep runs over all
+    len(high_lo) * len(high_hi) segments.
 
     Words narrower than 64 bits (m <= 5) are swept in the narrowest
     unsigned dtype that holds them. A batch holds batch =
     _BATCH_BYTES // block.nbytes (at least 1) swept blocks. Reps go in
-    groups of as many as sweep all hi - lo segments in one batch whose
+    groups of as many as sweep all the segments in one batch whose
     words and whose int64 keys each fit _BATCH_BYTES, or one rep, and each
     group sweeps its segments batch at a time into word, popcount and
     weight buffers reused for every batch. So a sweep of few segments takes
@@ -163,16 +160,18 @@ def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.n
     dtype = np.min_scalar_type((1 << min(n, 64)) - 1)
     tables = packed_tables(rm_basis_masks(r, m)[1:], m).astype(dtype)
     lanes = tables.shape[1]
-    nlow = min(len(tables), _LOW_BITS)
+    fit = (_BATCH_BYTES // (lanes * tables.itemsize)).bit_length() - 1
+    nlow = min(len(tables), _LOW_BITS, fit)
     # lane-major, so the lanes of a word's popcount are summed as planes
     block = np.ascontiguousarray(xor_span_array(np.zeros(lanes, dtype=dtype), tables[:nlow]).T)
     size = block.shape[1]
     high_lo, high_hi = xor_half_spans(np.zeros(lanes, dtype=dtype), tables[nlow:])
+    nseg = len(high_lo) * len(high_hi)
     mask, shift = len(high_lo) - 1, len(high_lo).bit_length() - 1
     batch = max(1, _BATCH_BYTES // block.nbytes)
     # a grouped batch holds at most _BATCH_BYTES of words and of int64 keys
-    group = max(1, _BATCH_BYTES // max(block.nbytes, 8 * size) // max(1, hi - lo))
-    rows = min(group, len(reps)) * min(batch, max(0, hi - lo))
+    group = max(1, _BATCH_BYTES // max(block.nbytes, 8 * size) // nseg)
+    rows = min(group, len(reps)) * min(batch, nseg)
     # only a one-rep group bins byte pairs: every group when group is 1, else
     # a last group of one rep
     paired = m <= 7 and size > 1 and (group == 1 or len(reps) % group == 1)
@@ -193,12 +192,10 @@ def _gray_histograms(reps: np.ndarray, r: int, m: int, lo: int, hi: int) -> np.n
     for g0 in range(0, len(words), group):
         part = words[g0 : g0 + group]
         g = len(part)
-        for s0 in range(lo, hi, batch):
-            seg = np.arange(s0, min(s0 + batch, hi))
+        for s0 in range(0, nseg, batch):
+            seg = np.arange(s0, min(s0 + batch, nseg))
             gray = seg ^ (seg >> 1)
-            # a segment past the span wraps round, so a wrong segment count
-            # sweeps words twice and fails the totals check
-            offsets = high_lo[gray & mask] ^ high_hi.take(gray >> shift, axis=0, mode="wrap")
+            offsets = high_lo[gray & mask] ^ high_hi[gray >> shift]
             k = g * len(seg)
             np.bitwise_xor((part[:, None] ^ offsets).reshape(k, lanes, 1), block, out=buf[:k])
             np.bitwise_count(buf[:k], out=popcounts[:k])
@@ -237,38 +234,27 @@ def batch_coset_enumerators(reps, r: int, m: int) -> list[WeightEnumerator]:
     array of the wrong shape or dtype, or with a bit set at or past 2**m,
     raises ValueError before any sweep. The result list is aligned with reps.
     """
-    n = 1 << m
-    return [WeightEnumerator(n, h) for h in coset_histograms(reps, r, m).tolist()]
+    return [WeightEnumerator(1 << m, h) for h in coset_histograms(reps, r, m).tolist()]
 
 
-def coset_histograms(reps, r: int, m: int, jobs: int = 1) -> np.ndarray:
+def coset_histograms(reps, r: int, m: int) -> np.ndarray:
     """The sweep of batch_coset_enumerators as int64 rows, one per rep, of 2**m + 1 counts.
 
     reps takes the same forms as in batch_coset_enumerators. For callers
     that pack the rows straight into big ints rather than building a
-    WeightEnumerator per coset. With jobs > 1 the Gray segments are cut
-    into min(jobs, segments) contiguous ranges, one per worker, each
-    holding a full len(reps) x (2**m + 1) array; the summed rows do not
-    depend on jobs. ValueError is raised before any sweep past DEFAULT_CAP
-    or for jobs < 1, and after it unless every row totals 2**dim.
+    WeightEnumerator per coset. ValueError is raised before any rep is
+    packed for m outside 0..MAX_M, before any sweep past DEFAULT_CAP, and
+    after it unless every row totals 2**dim.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not 0 <= m <= MAX_M:
+        raise ValueError(f"m={m} out of range 0..{MAX_M}")
     dim = rm_dimension(r, m)
     if 1 << dim > DEFAULT_CAP:
         raise ValueError(f"2**{dim} codewords exceed the cap of {DEFAULT_CAP}")
     packed = _packed_reps(reps, m)
     if not len(packed):
         return np.zeros((0, (1 << m) + 1), dtype=np.int64)
-    nseg = _segments(r, m)
-    jobs = min(jobs, nseg)
-    if jobs <= 1:
-        hists = _gray_histograms(packed, r, m, 0, nseg)
-    else:
-        bounds = [nseg * k // jobs for k in range(jobs + 1)]
-        sweep = partial(_gray_histograms, packed, r, m)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hists = sum(pool.map(sweep, bounds[:-1], bounds[1:]))
+    hists = _gray_histograms(packed, r, m)
     if (hists.sum(axis=1) != 1 << dim).any():
         raise ValueError(f"a coset histogram of R({r},{m}) does not total 2**{dim}")
     return hists

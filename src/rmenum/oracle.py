@@ -1,10 +1,10 @@
 """Brute-force ground truth for small parameters.
 
 brute_force_distribution enumerates every codeword of R(r,m): it is
-cosetenum.coset_histograms of the zero word, so it runs the same Gray
-sweep engine as every coset batch, with the same split of its segments
-across jobs workers; a dimension past the fixed DEFAULT_DIM_CAP = 28
-refuses to start. It shares no code with the doubling
+cosetenum.coset_histograms of the zero word, so it runs the same serial
+Gray sweep engine as every coset batch; a dimension past the fixed
+DEFAULT_DIM_CAP = 28, or m past boolfn.MAX_M = 16, refuses to start. It
+shares no code with the doubling
 recursion, classification or product-sums, so the two routes can be
 compared coefficient for coefficient. The engine sweeps half the code and
 folds by complement, which uses only that the all-ones word lies in
@@ -25,17 +25,17 @@ from .wenum import ValidationReport, WeightEnumerator, read_distribution, valida
 DEFAULT_DIM_CAP = 28
 
 
-def brute_force_distribution(r: int, m: int, jobs: int = 1) -> WeightEnumerator:
+def brute_force_distribution(r: int, m: int) -> WeightEnumerator:
     """Exact W[z; R(r,m)] by enumerating all 2**dim codewords.
 
-    coset_histograms of the zero word, its segments split across jobs
-    workers; dim DEFAULT_DIM_CAP runs, a larger dim raises. The result must
-    pass validate_reference, or ValueError is raised.
+    coset_histograms of the zero word, which refuses m outside 0..MAX_M;
+    dim DEFAULT_DIM_CAP runs, a larger dim raises. The result must pass
+    validate_reference, or ValueError is raised.
     """
     dim = rm_dimension(r, m)
     if dim > DEFAULT_DIM_CAP:
         raise ValueError(f"dim R({r},{m}) = {dim} exceeds the cap of {DEFAULT_DIM_CAP}")
-    counts = coset_histograms([0], r, m, jobs=jobs)
+    counts = coset_histograms([0], r, m)
     dist = WeightEnumerator(1 << m, counts[0].tolist())
     require_reference(dist, r, m)
     return dist

@@ -133,6 +133,10 @@ def test_parse_anf_errors():
         parse_anf("102", 3)
     with pytest.raises(ValueError):
         parse_anf("14", 3)  # x4 does not exist on 3 vars
+    # str.isdigit takes these, and int() reads "\u0663" as 3 and fails on "\u00b2"
+    for bad in ("1\u0663", "\u00b2"):
+        with pytest.raises(ValueError, match="bad monomial"):
+            parse_anf(bad, 4)
 
 
 def test_homogeneous_space_indexing():

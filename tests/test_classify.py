@@ -564,6 +564,17 @@ def test_ingest_refuses_integers_int_would_take(bad):
             ingest_classification(io.StringIO("\n".join(broken)))
 
 
+def test_ingest_refuses_a_non_ascii_digit_in_a_rep():
+    # H^(1)(3) has the classes 0 and x1; "\u0661" (Arabic-Indic one) once
+    # ingested as x1
+    buf = io.StringIO()
+    write_classification(buf, classify_quotient(1, 3, max_gens=0), 1, 3)
+    assert "class 1 rep 1 size 7" in buf.getvalue()
+    broken = buf.getvalue().replace("rep 1 ", "rep \u0661 ")
+    with pytest.raises(ValueError, match="bad monomial"):
+        ingest_classification(io.StringIO(broken))
+
+
 @pytest.mark.parametrize("key", ["d", "m"])
 def test_ingest_refuses_a_repeated_header(key):
     lines = two_class_file()

@@ -36,11 +36,20 @@ def test_brute_cap_error(capsys):
     assert "exceeds the cap" in stderr
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_brute_rejects_jobs_below_one(capsys, jobs):
-    code, _, stderr = run(capsys, "brute", "--r", "2", "--m", "5", "--jobs", jobs)
+def test_brute_takes_no_jobs(capsys):
+    # the sweep is serial; argparse refuses the option itself
+    with pytest.raises(SystemExit) as exc:
+        main(["brute", "--r", "2", "--m", "5", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["17", "40"])
+def test_brute_refuses_m_past_max_m(capsys, m):
+    # --m 40 once asked for a 2**40-bit int and died with a MemoryError traceback
+    code, _, stderr = run(capsys, "brute", "--r", "0", "--m", m)
     assert code == 2
-    assert f"error: jobs must be at least 1, got {jobs}" in stderr
+    assert stderr == f"error: m={m} out of range 0..16\n"
 
 
 def test_coset_prints_polynomials(capsys):

@@ -1,15 +1,20 @@
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
 from rmenum import cosetenum
-from rmenum.boolfn import TruthTable, monomial_table, parse_anf, truth_table_from_anf
+from rmenum.boolfn import (
+    TruthTable,
+    monomial_table,
+    parse_anf,
+    truth_table_from_anf,
+    xor_half_spans,
+)
 from rmenum.cosetenum import (
     _LOW_BITS,
-    _gray_histograms,
-    _segments,
     batch_coset_enumerators,
     coset_enumerator,
     coset_histograms,
@@ -89,27 +94,13 @@ def test_histograms_are_palindromic():
         assert (hists == hists[:, ::-1]).all()
 
 
-def test_segment_split_sums_to_full_sweep():
-    rng = random.Random(43)
-    for r, m in [(3, 5), (2, 6)]:
-        nseg = _segments(r, m)
-        assert nseg == 1 << (rm_dimension(r, m) - 1 - _LOW_BITS)
-        k = nseg // 2 - 1
-        assert k % 2 == 1
-        reps = packed_words([rng.getrandbits(1 << m) for _ in range(2)], m)
-        full = _gray_histograms(reps, r, m, 0, nseg)
-        split = _gray_histograms(reps, r, m, 0, k) + _gray_histograms(reps, r, m, k, nseg)
-        assert (split == full).all()
-
-
 def test_engine_matches_slow_reference_at_every_width(monkeypatch):
     # words of 1..8 bits (uint8), 16 (uint16), 32 (uint32), then 1, 2 and 4
     # 64-bit lanes, weights up to 256 at m = 8; one rep, six reps and the
     # all-ones rep. A low block of 3, 5 or 8 tables gives most codes several
     # segments, and batches here hold 3 segments of 2**m = 256 bits (more of
     # narrower words), so reps go alone or in small groups and longer sweeps
-    # end on a partial batch; each is also split into two sweeps at an odd
-    # segment
+    # end on a partial batch
     rng = random.Random(47)
     for m in range(9):
         n = 1 << m
@@ -118,19 +109,12 @@ def test_engine_matches_slow_reference_at_every_width(monkeypatch):
                 continue
             reps = [rng.getrandbits(n) for _ in range(5)] + [(1 << n) - 1]
             want = [list(slow_coset_enumerator(rep, r, m).coeffs) for rep in reps]
-            packed = packed_words(reps, m)
             for low_bits in (_LOW_BITS, 3, 5, 8):
                 with monkeypatch.context() as mp:
                     mp.setattr(cosetenum, "_LOW_BITS", low_bits)
                     mp.setattr(cosetenum, "_BATCH_BYTES", 3 << (low_bits + 5))
                     assert coset_histograms(reps[:1], r, m).tolist() == want[:1]
                     assert coset_histograms(reps, r, m).tolist() == want
-                    nseg = _segments(r, m)
-                    if nseg > 2:
-                        k = nseg // 2 - 1 | 1
-                        split = _gray_histograms(packed, r, m, 0, k)
-                        split += _gray_histograms(packed, r, m, k, nseg)
-                        assert split.tolist() == want
 
 
 @pytest.mark.parametrize("nseg", [2, 4])
@@ -148,20 +132,27 @@ def test_batches_group_reps_and_split_one_rep(monkeypatch, m, nseg):
     low = m - (nseg.bit_length() - 1)
     reps = [rng.getrandbits(n) for _ in range(6)] + [(1 << n) - 1]
     want = [list(slow_coset_enumerator(rep, 1, m).coeffs) for rep in reps]
+    segments = []
+
+    def half_spans(base, rows):
+        lo, hi = xor_half_spans(base, rows)
+        segments.append(len(lo) * len(hi))
+        return lo, hi
+
+    monkeypatch.setattr(cosetenum, "xor_half_spans", half_spans)
     monkeypatch.setattr(cosetenum, "_LOW_BITS", low)
-    assert _segments(1, m) == nseg
     words = (1 << low) * max(1, n // 8)
     keys = (1 << low) * 8
     for batch_bytes in ((3 * nseg + 1) * max(words, keys), max(1, nseg - 1) * words):
         monkeypatch.setattr(cosetenum, "_BATCH_BYTES", batch_bytes)
         assert coset_histograms(reps, 1, m).tolist() == want
+    assert segments == [nseg, nseg]
 
 
 def test_histograms_check_their_totals(monkeypatch):
-    # a segment count one table too large sweeps every word twice
-    monkeypatch.setattr(
-        cosetenum, "_segments", lambda r, m: 1 << max(0, rm_dimension(r, m) - _LOW_BITS)
-    )
+    # a basis table listed twice sweeps every word twice
+    masks = cosetenum.rm_basis_masks
+    monkeypatch.setattr(cosetenum, "rm_basis_masks", lambda r, m: masks(r, m) + masks(r, m)[-1:])
     with pytest.raises(ValueError, match="does not total 2\\*\\*22"):
         coset_histograms([0, 1], 2, 6)
 
@@ -192,27 +183,16 @@ def test_histograms_are_the_batch_rows():
     assert coset_histograms([], 2, 5).shape == (0, 33)
 
 
-def test_batch_jobs_invariance():
-    # R(2,6) has 32 Gray segments: three workers sweep 10, 11 and 11 of them
-    rng = random.Random(29)
-    reps = [rng.getrandbits(64) for _ in range(6)]
-    assert _segments(2, 6) == 32
-    a = coset_histograms(reps, 2, 6, jobs=1)
-    b = coset_histograms(reps, 2, 6, jobs=3)
-    assert (a == b).all()
-
-
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_packed_words_give_the_rows_of_their_ints(jobs):
-    # R(2,6) splits 32 segments across workers; R(1,5) packs 32-bit words
-    # into one lane and R(1,8) 256-bit words into four
+def test_packed_words_give_the_rows_of_their_ints():
+    # R(2,6) sweeps 32 segments; R(1,5) packs 32-bit words into one lane and
+    # R(1,8) 256-bit words into four
     rng = random.Random(53)
     for r, m in [(2, 6), (1, 5), (1, 8)]:
         n = 1 << m
         reps = [rng.getrandbits(n) for _ in range(4)] + [(1 << n) - 1]
         packed = packed_words(reps, m)
-        want = coset_histograms(reps, r, m, jobs=jobs)
-        assert (coset_histograms(packed, r, m, jobs=jobs) == want).all()
+        want = coset_histograms(reps, r, m)
+        assert (coset_histograms(packed, r, m) == want).all()
         got = batch_coset_enumerators(packed, r, m)
         assert got == batch_coset_enumerators(reps, r, m)
         assert [list(enum.coeffs) for enum in got] == want.tolist()
@@ -242,15 +222,40 @@ def test_packed_words_are_checked_before_any_sweep(monkeypatch):
         coset_histograms(np.array([[2]], dtype="<u8"), 0, 0)
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_coset_histograms_rejects_jobs_below_one(monkeypatch, jobs):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a sweep ran before the jobs check")
+def test_sweeps_take_no_jobs():
+    # every sweep is serial and takes no worker count
+    with pytest.raises(TypeError, match="jobs"):
+        coset_histograms([0], 2, 5, jobs=1)
 
+
+@pytest.mark.parametrize("m", [-1, 17, 40])
+def test_m_past_max_m_is_refused_before_packing(monkeypatch, m):
+    # R(0,40) is under the codeword cap (dim 1), but its one 2**40-bit word
+    # would be packed into 2**37 bytes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reps were packed before the m check")
+
+    monkeypatch.setattr(cosetenum, "_packed_reps", forbidden)
     monkeypatch.setattr(cosetenum, "_gray_histograms", forbidden)
-    for reps in ([0], []):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            coset_histograms(reps, 2, 5, jobs=jobs)
+    with pytest.raises(ValueError, match=f"m={m} out of range 0..16"):
+        coset_histograms([0], 0, m)
+    with pytest.raises(ValueError, match=f"m={m} out of range 0..16"):
+        coset_enumerator(0, 0, m)
+
+
+def test_wide_words_sweep_a_block_within_the_batch_bytes():
+    # a block of all 14 swept tables of R(1,14) would hold 2**14 words of
+    # 2 KB, 32 MB, and as much again of batch buffer; the block is cut to
+    # 2**8 words, 512 KB (_BATCH_BYTES), so the sweep stays within a few MB
+    tracemalloc.start()
+    try:
+        got = coset_enumerator(0, 1, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = 1 << 14
+    assert got == WeightEnumerator.from_pairs(n, [(0, 1), (n // 2, 2 * n - 2), (n, 1)])
+    assert peak < 8 << 20
 
 
 def test_affine_invariance():

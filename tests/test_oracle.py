@@ -4,7 +4,7 @@ from math import comb, prod
 import pytest
 
 from rmenum import cosetenum, oracle
-from rmenum.cosetenum import _LOW_BITS, coset_enumerator, rm_dimension
+from rmenum.cosetenum import coset_enumerator, rm_dimension
 from rmenum.oracle import (
     brute_force_distribution,
     divisibility_exponent,
@@ -42,22 +42,18 @@ def test_r25_min_weight():
     assert dist.coeffs[8] == min_weight_count(2, 5) == 620
 
 
-def test_jobs_invariance():
-    assert brute_force_distribution(2, 5, jobs=4) == brute_force_distribution(2, 5)
-
-
-def test_jobs_split_segments():
-    # dim R(3,5) = 26 gives 512 sweep segments of its 25 swept tables, split over the workers
-    assert brute_force_distribution(3, 5, jobs=2) == brute_force_distribution(3, 5)
+def test_brute_takes_no_jobs():
+    # the sweep is serial: brute force takes no worker count
+    with pytest.raises(TypeError, match="jobs"):
+        brute_force_distribution(2, 5, jobs=1)
 
 
 def test_result_is_checked(monkeypatch):
-    # a segment count one table too large sweeps every word twice: the sweep's
-    # own histogram total check raises
+    # a basis table listed twice sweeps every word twice: the sweep's own
+    # histogram total check raises
     with monkeypatch.context() as patch:
-        patch.setattr(
-            cosetenum, "_segments", lambda r, m: 1 << max(0, rm_dimension(r, m) - _LOW_BITS)
-        )
+        masks = cosetenum.rm_basis_masks
+        patch.setattr(cosetenum, "rm_basis_masks", lambda r, m: masks(r, m) + masks(r, m)[-1:])
         with pytest.raises(ValueError, match="does not total 2\\*\\*22"):
             brute_force_distribution(2, 6)
     # doubled counts past the sweep fail the reference checks

@@ -237,19 +237,6 @@ def test_pipeline_jobs_invariance():
     assert run_pipeline(2, 6, jobs=3) == run_pipeline(2, 6)
 
 
-def test_lower_block_sweeps_open_no_pool(monkeypatch, tmp_path):
-    import rmenum.cosetenum as cosetenum
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a lower-class sweep opened a process pool")
-
-    # --jobs parallelises the class loop only; every coset sweep stays serial
-    monkeypatch.setattr(cosetenum, "ProcessPoolExecutor", no_pool)
-    want = run_pipeline(3, 6)
-    assert run_pipeline(3, 6, jobs=2) == want
-    assert run_pipeline(3, 6, jobs=2, checkpoint=str(tmp_path / "ckpt")) == want
-
-
 def test_pipeline_checkpoint_resume(tmp_path):
     ckpt = tmp_path / "ckpt"
     first = MulCounter()
