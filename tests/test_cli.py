@@ -44,6 +44,17 @@ def test_brute_takes_no_jobs(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_brute_rejects_jobs_below_one(capsys, jobs):
+    # values once refused by the jobs check are now refused with the option
+    with pytest.raises(SystemExit) as exc:
+        main(["brute", "--r", "2", "--m", "5", "--jobs", jobs])
+    assert exc.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"unrecognized arguments: --jobs {jobs}" in stderr
+    assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("m", ["17", "40"])
 def test_brute_refuses_m_past_max_m(capsys, m):
     # --m 40 once asked for a 2**40-bit int and died with a MemoryError traceback

@@ -183,13 +183,14 @@ def test_histograms_are_the_batch_rows():
     assert coset_histograms([], 2, 5).shape == (0, 33)
 
 
-def test_packed_words_give_the_rows_of_their_ints():
-    # R(2,6) sweeps 32 segments; R(1,5) packs 32-bit words into one lane and
-    # R(1,8) 256-bit words into four
-    rng = random.Random(53)
+@pytest.mark.parametrize("nreps", [1, 3])
+def test_packed_words_give_the_rows_of_their_ints(nreps):
+    # nreps random words and the all-ones word; R(2,6) sweeps 32 segments;
+    # R(1,5) packs 32-bit words into one lane and R(1,8) 256-bit words into four
+    rng = random.Random(53 + nreps)
     for r, m in [(2, 6), (1, 5), (1, 8)]:
         n = 1 << m
-        reps = [rng.getrandbits(n) for _ in range(4)] + [(1 << n) - 1]
+        reps = [rng.getrandbits(n) for _ in range(nreps)] + [(1 << n) - 1]
         packed = packed_words(reps, m)
         want = coset_histograms(reps, r, m)
         assert (coset_histograms(packed, r, m) == want).all()
@@ -226,6 +227,18 @@ def test_sweeps_take_no_jobs():
     # every sweep is serial and takes no worker count
     with pytest.raises(TypeError, match="jobs"):
         coset_histograms([0], 2, 5, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_coset_histograms_rejects_jobs_below_one(monkeypatch, jobs):
+    # values once refused by the jobs check are now refused with the keyword
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran before the keyword was refused")
+
+    monkeypatch.setattr(cosetenum, "_gray_histograms", forbidden)
+    for reps in ([0], []):
+        with pytest.raises(TypeError, match="jobs"):
+            coset_histograms(reps, 2, 5, jobs=jobs)
 
 
 @pytest.mark.parametrize("m", [-1, 17, 40])
