@@ -78,13 +78,13 @@ attempts are drawn up front and only their members read, in one scan of
 the class map; a sampler that stops early rewinds the rng and redraws
 the attempts it used. The parent of v is the unique preimage of v under
 gens[via[v] - 2], one lookup in the half tables of that generator's
-inverse. Transversals are walked as memoised tuples of packed rows, and
-the Schreier element t_y @ s @ t_ys^-1 is formed and deduplicated on
-rows; a Gf2Matrix and an AffineMap are built only for the generators
-emitted. The sampler skips an attempt y -> ys by generator s that
+inverse. The sampler skips an attempt y -> ys by generator s that
 retraces a BFS tree edge (via[ys] == 2 + s), or the reverse edge of an
-involution (via[y] == 2 + s), before any transversal walk: its Schreier
-element is the identity.
+involution (via[y] == 2 + s): its Schreier element is the identity.
+Every other y and ys of the class climbs the forest in one numpy walk,
+which builds t_y^T and t_ys^-1 by one gather per step, and every t_y @ s
+@ t_ys^-1 is formed at once and deduplicated on packed rows; a Gf2Matrix
+and an AffineMap are built only for the generators emitted.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ from .boolfn import (
     parse_anf,
     xor_half_spans,
     xor_span,
+    xor_span_array,
 )
 from .gf2 import (
     AffineMap,
     Gf2Matrix,
     _echelon,
-    _inverse_rows,
-    _product_rows,
+    _row_products,
     as_affine,
     stabilizer_check,
     substitute,
@@ -473,20 +473,23 @@ class QuotientClassification:
     can be written as (class representative) acted on by an explicit
     matrix, which is what representative rebasing needs. A node's parent
     is its preimage under the generator that reached it: one lookup in the
-    half tables of that generator's inverse. Representatives are the least
-    packed index of each class; classes are numbered in representative
-    order, and class_of[idx] is the class of index idx, in the narrowest
-    unsigned type that holds the class count (uint8 for every space under
-    the cap today). Per index the object keeps 1 byte of via plus class_of,
-    and no member list. compute is the closure alone, and its records carry
-    no generators. Stabilizer generators are drawn per class by
+    half tables of that generator's inverse, which _walk makes for many
+    nodes at once. Representatives are the least packed index of each
+    class; classes are numbered in representative order, and class_of[idx]
+    is the class of index idx, in the narrowest unsigned type that holds
+    the class count (uint8 for every space under the cap today). Per index
+    the object keeps 1 byte of via plus class_of, and no member list.
+    compute is the closure alone, and its records carry no generators.
+    Stabilizer generators are drawn per class by
     stabilizer_gens: classify_quotient calls it for every class in class
     order, and a caller that needs only some stabilizers calls it for
     those. A draw reads only the drawn members of its class (see
     _members_at), so no member array is built.
     """
 
-    def __init__(self, d, m, space, class_of, via, halves, gens, involutive, first, sizes):
+    def __init__(
+        self, d, m, space, class_of, via, halves, gens, inverses, involutive, first, sizes
+    ):
         self.d = d
         self.m = m
         self.space = space
@@ -497,20 +500,34 @@ class QuotientClassification:
         self._via = via
         self._first = first
         self.gens = gens
-        # A zero-copy view, and list forms of the stacked half tables (the
-        # generators' rows, then their inverses') that index to plain ints
-        # for the transversal walk and the Schreier draws.
-        self._via_view = memoryview(via)
+        self._involutive = np.array(involutive, dtype=bool)
+        ngens = len(gens)
+        # halves stacks the half tables of the gens, the identity and the
+        # inverses. _walk reads one table: the identity's and the inverses'
+        # half tables (lo halves, then hi halves), then linear tables of 2**m
+        # entries, whose entry x is the XOR of a matrix's rows at the set bits
+        # of x (the rows of A go to the rows of A @ matrix), of the identity
+        # and every gens[gi]^T, then of the identity and every gens[gi]^-1.
+        # Via marks 0 and 1 read the identity slots, so a walker at its seed
+        # stays there, and mark 2 + gi reads slot 1 + gi; offsets[:, mark]
+        # holds the starts of a mark's lo half, hi half and linear table (once
+        # per row). The rows of an inverted walker, like the entries of its
+        # linear tables, carry the offset self._inverted.
+        self._halves = lo, hi = halves
         self._shift = space.nbits // 2
         self._mask = (1 << self._shift) - 1
-        rows = list(zip(*(half.tolist() for half in halves)))
-        self._tables, self._inverses = rows[: len(gens)], rows[len(gens) :]
-        # lin[x] is the XOR of g.rows at the set bits of x, so the rows of
-        # A @ g are tuple(map(lin.__getitem__, A.rows)).
-        self._lin = [xor_span(g.rows) for g in gens]
-        self._identity_rows = Gf2Matrix.identity(m).rows
-        self._involutive = involutive
-        self._memo = {}
+        self._inverted = (1 + ngens) << m
+        identity = Gf2Matrix.identity(m)
+        mats = [identity, *(g.transpose() for g in gens), identity, *inverses]
+        rows = np.array([a.rows for a in mats], dtype=np.intp)
+        lin = xor_span_array(np.repeat([0, self._inverted], 1 + ngens), rows.T).T
+        up_lo, up_hi = lo[ngens:].ravel(), hi[ngens:].ravel()
+        self._table = np.concatenate([up_lo, up_hi, lin.ravel()])
+        slot = np.maximum(np.arange(2 + ngens) - 1, 0)
+        at_lin = up_lo.size + up_hi.size + (slot << m)
+        starts = [slot * lo.shape[1], up_lo.size + slot * hi.shape[1]]
+        self._offsets = np.array(starts + [at_lin] * m)
+        self._identity_rows, self._transposes = rows[0], rows[1 : 1 + ngens]
 
     @staticmethod
     def compute(d: int, m: int) -> "QuotientClassification":
@@ -521,33 +538,32 @@ class QuotientClassification:
                 f"C({m},{d}) = {space.nbits} index bits exceed the cap of {MAX_INDEX_BITS}"
             )
         gens = gl2_generators(m)
-        maps = [AffineMap(g, 0) for g in gens]
-        lo, hi = _half_tables(space, maps + [AffineMap(g.inverse(), 0) for g in gens])
-        involutive = [_is_involution(a) for a in maps]
+        inverses = [g.inverse() for g in gens]
+        maps = [AffineMap(g, 0) for g in (*gens, Gf2Matrix.identity(m), *inverses)]
+        lo, hi = _half_tables(space, maps)
+        involutive = [_is_involution(a) for a in maps[: len(gens)]]
         class_of, first, sizes, via = _close_orbits(
             (lo[: len(gens)], hi[: len(gens)]), space.size, involutive
         )
         return QuotientClassification(
-            d, m, space, class_of, via, (lo, hi), gens, involutive, first, sizes
+            d, m, space, class_of, via, (lo, hi), gens, inverses, involutive, first, sizes
         )
 
     def stabilizer_gens(self, cid: int, rng: random.Random, max_gens: int) -> tuple:
         """Up to max_gens Schreier generators of the stabilizer of class cid's representative.
 
         The draws come from rng, so the generators of a class depend on the
-        classes sampled before it from the same rng. The transversal memo is
-        cleared afterwards, so it never holds more than one class's walks.
-        The drawn members come from one scan of the class map (see
+        classes sampled before it from the same rng. All the walks of a
+        class are one _walk call, and nothing is kept between classes. The
+        drawn members come from one scan of the class map (see
         _members_at); a class of one member and max_gens 0 scan nothing.
         """
         _check_max_gens(max_gens)
         if max_gens == 0:
             return ()
-        gens = self._schreier_sample(self.records[cid].rep, cid, rng, max_gens)
-        self._memo.clear()
-        return tuple(gens)
+        return tuple(self._schreier_sample(self.records[cid].rep, cid, rng, max_gens))
 
-    def _members_at(self, cid: int, ranks: list[int]) -> list[int]:
+    def _members_at(self, cid: int, ranks: list[int]) -> np.ndarray:
         """The k-th least member of class cid for each k in ranks, in the order of ranks.
 
         The class map is scanned from the class seed, its least member, in
@@ -558,7 +574,7 @@ class QuotientClassification:
         ranks = np.array(ranks, dtype=np.int64)
         order = np.argsort(ranks, kind="stable")
         wanted = ranks[order]
-        members = np.empty(ranks.size, dtype=np.int64)
+        members = np.empty(ranks.size, dtype=np.intp)
         size, start = self.records[cid].size, int(self._first[cid])
         found = done = 0
         while done < ranks.size and found < size:
@@ -569,43 +585,44 @@ class QuotientClassification:
             start += _MEMBER_CHUNK
         if done < ranks.size:
             raise ValueError(f"class {cid} has {found} members, rank {wanted[-1]} asked")
-        return members.tolist()
+        return members
 
     def transversal(self, idx: int) -> Gf2Matrix:
-        """Matrix carrying the class representative of idx onto idx (see _rows)."""
-        return Gf2Matrix(self.m, self._rows(int(idx)))
+        """Matrix carrying the class representative of idx onto idx (see _walk)."""
+        transposed, _ = self._walk([int(idx)], ())
+        return Gf2Matrix(self.m, tuple(transposed[0].tolist())).transpose()
 
-    def _rows(self, idx: int) -> tuple[int, ...]:
-        """Packed rows of the transversal of idx, memoised for every node on its path.
+    def _walk(self, transposed, inverted) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of t_v^T for each v in transposed and of t_v^-1 for each v in inverted.
 
-        The transversal is the product of the edge generators on the BFS
-        path from the class seed to idx, in seed-to-idx order; the path is
-        read back from the via marks, one lookup per node in the half
-        tables of the inverse of the generator that reached it, up to the
-        seed or the first memoised node. Each step down maps packed rows
-        through the generator's linear table. stabilizer_gens clears the
-        memo after each class; other calls keep their entries, at most one
-        per index.
+        t_v, the transversal of v, is the product of the edge generators on
+        the BFS path from the class seed to v, in seed-to-v order: with e1
+        ... ek the edges from v up to its seed, t_v = g_ek ... g_e1, so
+        t_v^T = g_e1^T ... g_ek^T and t_v^-1 = g_e1^-1 ... g_ek^-1 both grow
+        by right multiplication in walk order. All walkers climb together,
+        one take per step: it maps each walker's rows through the linear
+        table of its edge's generator, transposed or inverted, and moves it
+        to its parent, the preimage under that generator. An identity slot
+        keeps a walker at its seed, and the walk stops when every walker is
+        there. Returns two int arrays of packed rows, shape (len, m).
         """
-        memo, via = self._memo, self._via_view
-        inverses, mask, shift = self._inverses, self._mask, self._shift
-        path = []
-        node = idx
-        rows = memo.get(node)
-        while rows is None:
-            mark = via[node]
-            if mark < 2:
-                rows = self._identity_rows
+        nodes = np.array([*transposed, *inverted], dtype=np.intp)
+        # a column per walker: the lo and hi parts of its node, then its rows
+        state = np.empty((2 + self.m, nodes.size), dtype=np.intp)
+        state[2:] = self._identity_rows[:, None]
+        state[2:, len(transposed) :] += self._inverted
+        via, table, offsets = self._via, self._table, self._offsets
+        while True:
+            at = offsets.take(via[nodes], axis=1)
+            if not np.count_nonzero(at[0]):
                 break
-            path.append(node)
-            lo, hi = inverses[mark - 2]
-            node = lo[node & mask] ^ hi[node >> shift]
-            rows = memo.get(node)
-        lin = self._lin
-        for node in reversed(path):
-            rows = tuple(map(lin[via[node] - 2].__getitem__, rows))
-            memo[node] = rows
-        return rows
+            np.bitwise_and(nodes, self._mask, out=state[0])
+            np.right_shift(nodes, self._shift, out=state[1])
+            state += at
+            state = table.take(state)
+            nodes = state[0] ^ state[1]
+        rows = state[2:].T & ((1 << self.m) - 1)
+        return rows[: len(transposed)], rows[len(transposed) :]
 
     def _schreier_sample(self, rep, cid, rng, max_gens):
         size = self.records[cid].size
@@ -616,9 +633,9 @@ class QuotientClassification:
             return out[:max_gens]
         # Each attempt draws rng.randrange(size), then rng.randrange(len(gens)).
         # All max_gens * 8 attempts are drawn up front, so only their members
-        # are read; a loop that stops early rewinds rng and redraws the
+        # are read; a sampler that stops early rewinds rng and redraws the
         # attempts it used, so rng ends where one draw per attempt leaves it.
-        ngens, budget = len(self.gens), max_gens * 8
+        ngens, budget, m = len(self.gens), max_gens * 8, self.m
         # a copy holds the state in 2.5 KB, where getstate() is a tuple of 625 ints
         saved = random.Random()
         saved.setstate(rng.getstate())
@@ -626,40 +643,30 @@ class QuotientClassification:
         for _ in range(budget):
             ranks.append(rng.randrange(size))
             picks.append(rng.randrange(ngens))
-        members = self._members_at(cid, ranks)
-        tables, lin, involutive = self._tables, self._lin, self._involutive
-        via, mask, shift, m = self._via_view, self._mask, self._shift, self.m
-        out = []
-        seen = set()
-        used = 0
-        for y, si in zip(members, picks):
-            if len(out) == max_gens:
-                break
-            used += 1
-            lo, hi = tables[si]
-            ys = lo[y & mask] ^ hi[y >> shift]
-            # sigma = t_y @ gens[si] @ t_ys^-1, on packed rows; a matrix and a
-            # map are built only for an emitted one. It is the identity, which
-            # is never emitted, when y -> ys is a BFS tree edge (t_ys = t_y @
-            # gens[si]) or the reverse of one by an involution (t_y = t_ys @
-            # gens[si]); those attempts end before any transversal walk. Since
-            # gens[si] acts as a permutation and sends y to ys, via[ys] == 2 +
-            # si says the edge is y -> ys, and for an involution via[y] == 2 +
-            # si says it is ys -> y. Any other identity attempt ends when
-            # t_y @ gens[si] equals t_ys, before the inverse is formed.
-            if via[ys] == 2 + si or (involutive[si] and via[y] == 2 + si):
-                continue
-            moved = tuple(map(lin[si].__getitem__, self._rows(y)))
-            t_ys = self._rows(ys)
-            if moved == t_ys:
-                continue
-            sigma = _product_rows(moved, _inverse_rows(t_ys, m))
-            if sigma in seen:
-                continue
-            seen.add(sigma)
-            out.append(AffineMap(Gf2Matrix(m, sigma), 0))
+        y, si = self._members_at(cid, ranks), np.array(picks)
+        lo, hi = self._halves
+        ys = lo[si, y & self._mask] ^ hi[si, y >> self._shift]
+        # sigma = t_y @ gens[si] @ t_ys^-1 is the identity, which is never
+        # emitted, when y -> ys is a BFS tree edge (t_ys = t_y @ gens[si]) or
+        # the reverse of one by an involution (t_y = t_ys @ gens[si]): gens[si]
+        # acts as a permutation and sends y to ys, so via[ys] == 2 + si says the
+        # edge is y -> ys, and for an involution via[y] == 2 + si says it is
+        # ys -> y. The other attempts are walked together, and their sigmas
+        # formed at once; a repeated (y, si) repeats its sigma.
+        mark = si + 2
+        skip = (self._via[ys] == mark) | (self._involutive[si] & (self._via[y] == mark))
+        live = np.flatnonzero(~skip)
+        transposed, inverted = self._walk(y[live], ys[live])
+        # t_y @ (gens[si] @ t_ys^-1), each left factor given by its transpose
+        sigma = _row_products(transposed, _row_products(self._transposes[si[live]], inverted))
+        # the first max_gens distinct sigmas other than the identity, in draw order
+        keys = np.ascontiguousarray(sigma).view(np.dtype((np.void, sigma.itemsize * m))).ravel()
+        firsts = np.sort(np.unique(keys, return_index=True)[1])
+        firsts = firsts[(sigma[firsts] != self._identity_rows).any(axis=1)][:max_gens]
+        out = [AffineMap(Gf2Matrix(m, tuple(row)), 0) for row in sigma[firsts].tolist()]
         if not stabilizer_check(rep, *out):
             raise AssertionError("Schreier element failed the stabilizer check")
+        used = int(live[firsts[-1]]) + 1 if len(out) == max_gens else budget
         if used < budget:
             rng.setstate(saved.getstate())
             for _ in range(used):

@@ -93,6 +93,16 @@ def _inverse_rows(rows, m: int) -> tuple[int, ...]:
     return tuple([w & low for w in reversed(basis)])
 
 
+def _row_products(transposed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of A_i @ B_i from the rows of every A_i^T and of every B_i, int arrays (n, m).
+
+    Row k of A @ B is the XOR of the rows j of B whose row j of A^T has bit k.
+    """
+    bits = np.arange(rows.shape[-1])
+    chosen = (transposed[:, None, :] >> bits[:, None]) & 1
+    return np.bitwise_xor.reduce(chosen * rows[:, None, :], axis=-1)
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     m: int

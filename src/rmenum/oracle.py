@@ -19,6 +19,7 @@ duality (wenum.macwilliams).
 
 from __future__ import annotations
 
+from .boolfn import MAX_M
 from .cosetenum import coset_histograms, rm_dimension
 from .wenum import ValidationReport, WeightEnumerator, read_distribution, validate_code_enumerator
 
@@ -28,10 +29,12 @@ DEFAULT_DIM_CAP = 28
 def brute_force_distribution(r: int, m: int) -> WeightEnumerator:
     """Exact W[z; R(r,m)] by enumerating all 2**dim codewords.
 
-    coset_histograms of the zero word, which refuses m outside 0..MAX_M;
-    dim DEFAULT_DIM_CAP runs, a larger dim raises. The result must pass
-    validate_reference, or ValueError is raised.
+    coset_histograms of the zero word. m outside 0..MAX_M is refused
+    first; dim DEFAULT_DIM_CAP runs, a larger dim raises. The result must
+    pass validate_reference, or ValueError is raised.
     """
+    if not 0 <= m <= MAX_M:
+        raise ValueError(f"m={m} out of range 0..{MAX_M}")
     dim = rm_dimension(r, m)
     if dim > DEFAULT_DIM_CAP:
         raise ValueError(f"dim R({r},{m}) = {dim} exceeds the cap of {DEFAULT_DIM_CAP}")

@@ -53,7 +53,6 @@ import glob
 import io
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from math import comb
@@ -87,7 +86,7 @@ from .cosetenum import (
     packed_words,
     rm_dimension,
 )
-from .gf2 import AffineMap, top_image
+from .gf2 import AffineMap, Gf2Matrix, top_image
 from .oracle import require_reference
 from .wenum import (
     WeightEnumerator,
@@ -346,11 +345,12 @@ def distribution_from_classes(
         os.makedirs(checkpoint, exist_ok=True)
     pending = [cid for cid in range(len(classes)) if cid not in contributions]
     parallel = jobs > 1 and len(pending) > 1
-    pool_cm = (
-        ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        if parallel
-        else contextlib.nullcontext()
-    )
+    pool_cm = contextlib.nullcontext()
+    if parallel:
+        # imported here: multiprocessing adds about 1.5 MB to every import
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_cm = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
     with pool_cm as pool:
         mapper = pool.map if parallel else map
         results = mapper(contribution, [classes[cid] for cid in pending])
@@ -370,18 +370,20 @@ def rebase_representatives(classes, lookup: QuotientClassification) -> list[Clas
     Each representative splits as e' + f' x over the top variable; the
     inverse of lookup's transversal at e' is a substitution A of the lower
     variables carrying e' onto the representative of its class. The
+    inverses of all the classes come from one walk of lookup's forest. The
     rebased representative is target + ([f' o A] top part) x, an equal-size
     member of the same class, so its coset enumerator is unchanged. A
     representative's transversal is the identity, so a class whose e' is
     already a representative comes back unchanged. Stabilizer gens are
     dropped: they belonged to the old representative.
     """
+    splits = [decompose_top(rec.rep) for rec in classes]
+    indices = [lookup.space.index_of(e1) for e1, _ in splits]
+    _, inverses = lookup._walk((), indices)
     out = []
-    for rec in classes:
-        e1, f1 = decompose_top(rec.rep)
-        idx = lookup.space.index_of(e1)
+    for rec, (e1, f1), idx, rows in zip(classes, splits, indices, inverses.tolist()):
         target = lookup.records[int(lookup.class_of[idx])].rep
-        a = AffineMap(lookup.transversal(idx).inverse(), 0)
+        a = AffineMap(Gf2Matrix(lookup.m, tuple(rows)), 0)
         if top_image(e1, a) != target:
             raise AssertionError("transversal failed to carry e onto its target")
         out.append(ClassRecord(rep=attach_top(target, top_image(f1, a)), size=rec.size, gens=()))

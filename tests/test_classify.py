@@ -180,16 +180,25 @@ def reference_transversal(cls, idx, parent, pgen):
 
 
 def test_transversal_property():
+    # one walk from every index gives every transversal, transposed, and its
+    # inverse: each is the product of the edge generators along the
+    # reference forest and carries the class representative onto its index;
+    # transversal reads the same walk for one index
     for d in (2, 3):
         cls = QuotientClassification.compute(d, 5)
         parent, pgen = forest_from_via(cls._via, gl_tables(cls))
-        for idx in range(cls.space.size):
-            cid = int(cls.class_of[idx])
-            rep = cls.records[cid].rep
-            mat = cls.transversal(idx)
-            assert mat == reference_transversal(cls, idx, parent, pgen)
+        indices = range(cls.space.size)
+        transposed, inverted = cls._walk(indices, indices)
+        identity = Gf2Matrix.identity(cls.m)
+        for idx, t_rows, inv_rows in zip(indices, transposed.tolist(), inverted.tolist()):
+            mat = reference_transversal(cls, idx, parent, pgen)
+            assert Gf2Matrix(cls.m, tuple(t_rows)) == mat.transpose()
+            assert Gf2Matrix(cls.m, tuple(inv_rows)) @ mat == identity
+            rep = cls.records[int(cls.class_of[idx])].rep
             moved = homogeneous_part(transform_anf(rep, AffineMap(mat, 0)), d)
             assert cls.space.index_of(moved) == idx
+        for idx in (*(cls.space.index_of(rec.rep) for rec in cls.records), cls.space.size - 1):
+            assert cls.transversal(idx) == reference_transversal(cls, idx, parent, pgen)
 
 
 def test_representatives_are_least_members():
@@ -595,17 +604,21 @@ def test_classification_is_seed_deterministic():
 
 
 @pytest.mark.parametrize(
-    "d, m, digest",
+    "d, m, seed, digest",
     [
-        (3, 6, "6c094962fac17002e1dae0273f4c45b11fa3c9a2958ee20073609508864f1a58"),
-        (2, 7, "2da5d70e2c03a1cfc878aaa7d7b039ba34a0f9d8320945ca4b7e127d4645fb15"),
+        (3, 6, 1, "6c094962fac17002e1dae0273f4c45b11fa3c9a2958ee20073609508864f1a58"),
+        (2, 7, 1, "2da5d70e2c03a1cfc878aaa7d7b039ba34a0f9d8320945ca4b7e127d4645fb15"),
+        (3, 6, 0, "f37560f334df81812b8602884e5cc5c90e6c94a2df8b1b6d8464c9831483fe76"),
+        (3, 6, 7, "28c5974076474564c5fca972aebf3d44ae88a3e07a3e135af093a42d809ac71f"),
+        (2, 7, 0, "b1264278241e0cba1240bb0cda923d951dc0b91df4355c9359a0447e485a5030"),
+        (2, 7, 7, "7b89983b7ffe03ed326403b1e71c77240761219c73a3a6bc454ee203cb21ed22"),
     ],
-    ids=["d3m6", "d2m7"],
+    ids=["d3m6", "d2m7", "d3m6s0", "d3m6s7", "d2m7s0", "d2m7s7"],
 )
-def test_classification_file_is_pinned(d, m, digest):
+def test_classification_file_is_pinned(d, m, seed, digest):
     # pins classes, sizes, representatives, generators and the RNG stream
     buf = io.StringIO()
-    write_classification(buf, classify_quotient(d, m, random.Random(1)), d, m, seed=1)
+    write_classification(buf, classify_quotient(d, m, random.Random(seed)), d, m, seed=seed)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
@@ -1003,12 +1016,23 @@ def test_closure_rejects_a_table_that_is_not_a_permutation():
 FOREST_SPACES = [(2, 6), (3, 5), (4, 6)]
 
 
+def left_products(g, rows):
+    # rows of g @ X for every X, given as packed rows of shape (n, m)
+    out = np.zeros_like(rows)
+    for k, row in enumerate(g.rows):
+        for j in range(g.m):
+            if row >> j & 1:
+                out[:, k] ^= rows[:, j]
+    return out
+
+
 @pytest.mark.parametrize("d, m", FOREST_SPACES)
 def test_parent_forest_edges_are_schreier_identities(d, m):
     # _schreier_sample skips an attempt y -> ys by gens[si] as the identity when
     # it is a tree edge (via[ys] == 2 + si), or the reverse edge of an
     # involution (via[y] == 2 + si); both rest on
-    # t_v = t_parent(v) @ gens[via[v] - 2]
+    # t_v = t_parent(v) @ gens[via[v] - 2], checked on the transposes of one
+    # walk from every index: t_v^T = g^T @ t_parent(v)^T
     cls = QuotientClassification.compute(d, m)
     tables = gl_tables(cls)
     parent, pgen = forest_from_via(cls._via, tables)
@@ -1021,38 +1045,47 @@ def test_parent_forest_edges_are_schreier_identities(d, m):
     assert np.array_equal(parent, want[2]) and np.array_equal(pgen, want[3])
     first = [cls.space.index_of(rec.rep) for rec in cls.records]
     assert_reference_blocks(first, [rec.size for rec in cls.records], want[1])
-    seeds = set(first)
-    for v in range(cls.space.size):
-        if v in seeds:
-            assert cls._via[v] == 1
-            continue
-        p, gi = int(parent[v]), int(pgen[v])
-        assert int(tables[gi][p]) == v
-        g = cls.gens[gi]
-        assert cls.transversal(v) == cls.transversal(p) @ g
+    seeds = pgen < 0
+    assert np.array_equal(np.flatnonzero(seeds), sorted(first))
+    assert (cls._via[seeds] == 1).all()
+    transposed, _ = cls._walk(range(cls.space.size), ())
+    assert (transposed[seeds] == Gf2Matrix.identity(m).rows).all()
+    for gi, g in enumerate(cls.gens):
+        edge = np.flatnonzero(pgen == gi)
+        p = parent[edge]
+        assert np.array_equal(tables[gi][p], edge)
+        g_t = g.transpose()
+        assert np.array_equal(transposed[edge], left_products(g_t, transposed[p]))
         if involutive[gi]:
-            assert int(tables[gi][v]) == p
-            assert cls.transversal(p) == cls.transversal(v) @ g
+            assert np.array_equal(tables[gi][edge], p)
+            assert np.array_equal(transposed[p], left_products(g_t, transposed[edge]))
 
 
 @pytest.mark.parametrize("d, m", FOREST_SPACES)
 def test_preimage_walk_returns_the_reference_parent(d, m):
-    # from an empty memo, the walk of _rows memoises exactly the path from the
-    # class seed down to v, one preimage lookup per node, and the reference
-    # forest's parents give that path
+    # one walk from every index: the via marks read at step k are those of
+    # each walker's k-th ancestor in the forest forest_from_via reads through
+    # expanded inverse tables, or of its class seed once it is there, and
+    # the walk stops at the first step that finds every walker at its seed
     cls = QuotientClassification.compute(d, m)
-    tables = expand_all(gl_tables(cls))
-    _, _, parent, _ = reference_close_orbits(tables, cls.space.size)
+    parent, _ = forest_from_via(cls._via, gl_tables(cls))
     seeds = {cls.space.index_of(rec.rep) for rec in cls.records}
-    assert seeds == {v for v in range(cls.space.size) if parent[v] < 0}
-    for v in range(cls.space.size):
-        path, node = [], v
-        while parent[node] >= 0:
-            path.append(node)
-            node = int(parent[node])
-        cls._memo.clear()
-        cls.transversal(v)
-        assert list(cls._memo) == path[::-1]
+    assert seeds == set(np.flatnonzero(parent < 0).tolist())
+    steps = []
+
+    class Recording(np.ndarray):
+        def __getitem__(self, nodes):
+            steps.append(np.array(nodes))
+            return np.asarray(self)[nodes]
+
+    cls._via = cls._via.view(Recording)
+    cls._walk(range(cls.space.size), ())
+    want = np.arange(cls.space.size)
+    for k, nodes in enumerate(steps):
+        assert np.array_equal(nodes, want)
+        climbing = parent[want] >= 0
+        assert climbing.any() == (k < len(steps) - 1)
+        want = np.where(climbing, parent[want], want)
 
 
 @pytest.mark.parametrize("d, m", [(2, 4), (3, 5), (2, 6), (3, 6)])
@@ -1082,19 +1115,21 @@ def test_class_members_on_demand_equal_the_class_map(monkeypatch, d, m, window):
             ranks += [rng.randrange(n) for _ in range(400)]
         rng.shuffle(ranks)
         ranks += ranks[:3]
-        assert cls._members_at(cid, ranks) == want[ranks].tolist()
+        assert cls._members_at(cid, ranks).tolist() == want[ranks].tolist()
         with pytest.raises(ValueError, match="members, rank"):
             cls._members_at(cid, [0, n])
 
 
-def reference_schreier_sample(cls, cid, rng, max_gens):
+def reference_schreier_sample(cls, forest, cid, rng, max_gens):
     # draws straight from rng over the members listed from the class map, and
     # keeps each Schreier element t_y @ g @ t_ys^-1 that is neither the
-    # identity nor one drawn before
+    # identity nor one drawn before; forest is (images, parent, pgen), and
+    # the transversals are reference products along it, with each inverse
+    # checked
     members = np.flatnonzero(cls.class_of == cid)
     if members.size == 1:
         return tuple(AffineMap(g, 0) for g in cls.gens[:max_gens])
-    images = expand_all(gl_tables(cls))
+    images, parent, pgen = forest
     identity = Gf2Matrix.identity(cls.m)
     out, seen = [], set()
     for _ in range(max_gens * 8):
@@ -1103,7 +1138,10 @@ def reference_schreier_sample(cls, cid, rng, max_gens):
         y = int(members[rng.randrange(members.size)])
         si = rng.randrange(len(cls.gens))
         ys = int(images[si][y])
-        sigma = cls.transversal(y) @ cls.gens[si] @ cls.transversal(ys).inverse()
+        t_ys = reference_transversal(cls, ys, parent, pgen)
+        t_ys_inverse = t_ys.inverse()
+        assert t_ys_inverse @ t_ys == identity
+        sigma = reference_transversal(cls, y, parent, pgen) @ cls.gens[si] @ t_ys_inverse
         if sigma != identity and sigma.rows not in seen:
             seen.add(sigma.rows)
             out.append(AffineMap(sigma, 0))
@@ -1127,9 +1165,11 @@ def test_replayed_draws_give_the_generators_of_the_listed_members(d, m, max_gens
     # afterwards must be those of a sampler that draws from the rng itself
     # over the listed members
     cls = QuotientClassification.compute(d, m)
+    tables = gl_tables(cls)
+    forest = (expand_all(tables), *forest_from_via(cls._via, tables))
     rng, ref_rng = random.Random(3), random.Random(3)
     for cid in range(len(cls.records)):
-        want = reference_schreier_sample(cls, cid, ref_rng, max_gens)
+        want = reference_schreier_sample(cls, forest, cid, ref_rng, max_gens)
         assert cls.stabilizer_gens(cid, rng, max_gens) == want
         assert rng.getstate() == ref_rng.getstate()
 

@@ -63,6 +63,14 @@ def test_brute_refuses_m_past_max_m(capsys, m):
     assert stderr == f"error: m={m} out of range 0..16\n"
 
 
+def test_brute_refuses_a_negative_m_by_name(capsys):
+    # --m -1 once printed "error: n must be a non-negative integer"
+    code, _, stderr = run(capsys, "brute", "--r", "0", "--m", "-1")
+    assert code == 2
+    assert stderr == "error: m=-1 out of range 0..16\n"
+    assert "Traceback" not in stderr
+
+
 def test_coset_prints_polynomials(capsys):
     code, stdout, _ = run(capsys, "coset", "--anf", "0", "--r", "1", "--m", "3")
     assert code == 0

@@ -48,6 +48,19 @@ def test_brute_takes_no_jobs():
         brute_force_distribution(2, 5, jobs=1)
 
 
+@pytest.mark.parametrize("m", [-1, 17])
+def test_m_out_of_range_is_refused_by_name(monkeypatch, m):
+    # m = -1 once failed in rm_dimension with "n must be a non-negative
+    # integer", which does not name m; m is checked before the dimension
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dimension or a sweep ran before the m check")
+
+    monkeypatch.setattr(oracle, "rm_dimension", forbidden)
+    monkeypatch.setattr(oracle, "coset_histograms", forbidden)
+    with pytest.raises(ValueError, match=f"^m={m} out of range 0..16$"):
+        brute_force_distribution(0, m)
+
+
 def test_result_is_checked(monkeypatch):
     # a basis table listed twice sweeps every word twice: the sweep's own
     # histogram total check raises

@@ -1,12 +1,18 @@
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rmenum
 
 from rmenum.boolfn import (
     HomogeneousSpace,
@@ -235,6 +241,18 @@ def test_pipeline_accepts_classification_records_and_files(tmp_path):
 
 def test_pipeline_jobs_invariance():
     assert run_pipeline(2, 6, jobs=3) == run_pipeline(2, 6)
+
+
+def test_import_loads_no_process_pool():
+    # only a run with jobs > 1 opens a pool; importing the package, in a
+    # fresh process, loads neither concurrent.futures nor multiprocessing,
+    # which add about 1.5 MB
+    code = "import sys, rmenum; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+    code += "('concurrent', 'multiprocessing')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(rmenum.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_pipeline_checkpoint_resume(tmp_path):
