@@ -16,7 +16,6 @@ from rmenum.classify import classify_quotient, merge_by_enumerator, orbit_partit
 from rmenum.cosetenum import coset_enumerator, coset_histograms
 from rmenum.oracle import brute_force_distribution
 from rmenum.pipeline import MulCounter, coset_enum_blocks, coset_enum_split, run_pipeline
-from rmenum.wenum import WeightEnumerator
 
 rng = random.Random(5)
 
@@ -37,13 +36,12 @@ space = HomogeneousSpace(5, 2)
 # one int64 count row per orbit block, merged by their bytes
 rows = coset_histograms([rec.rep ^ space.anf_of(int(g)) for g in part.first], 1, 5)
 merged, mrows = merge_by_enumerator(part, [rows])
-menums = [WeightEnumerator(32, h) for h in mrows.tolist()]
 print(f"  {space.size} inner forms -> {part.block_count} orbit blocks"
       f" -> {merged.block_count} distinct enumerators")
 f = space.anf_of(rng.randrange(space.size))
 c_split, c_blocks = MulCounter(), MulCounter()
 a = coset_enum_split(rec.rep, f, 1, 5, counter=c_split)
-b = coset_enum_blocks(f, merged, menums, counter=c_blocks)
+b = coset_enum_blocks(f, merged, mrows, counter=c_blocks)
 print(f"  equal results: {a == b};"
       f" multiplications {c_split.count} direct vs {c_blocks.count} blocked")
 

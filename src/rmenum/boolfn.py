@@ -125,14 +125,6 @@ def _low_masks(m: int) -> tuple[int, ...]:
     return tuple(full ^ variable_table(i + 1, m) for i in range(m))
 
 
-def xor_span(vectors) -> list[int]:
-    """Entry x is the XOR of the vectors at the set bits of x (XOR-doubling)."""
-    span = [0]
-    for v in vectors:
-        span += [s ^ v for s in span]
-    return span
-
-
 def xor_span_array(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Entry x is base XOR the rows at the set bits of x, as one array (XOR-doubling).
 

@@ -102,13 +102,13 @@ from .boolfn import (
     mobius_transform,
     parse_anf,
     xor_half_spans,
-    xor_span,
     xor_span_array,
 )
 from .gf2 import (
     AffineMap,
     Gf2Matrix,
     _echelon,
+    _product_rows,
     _row_products,
     as_affine,
     stabilizer_check,
@@ -230,8 +230,8 @@ def _is_involution(a: AffineMap) -> bool:
     such an element is an involution of its index space; _close_orbits
     trusts a flag only from here, never from a table.
     """
-    lin = xor_span(a.matrix.rows)
-    return a.shift == 0 and [lin[row] for row in a.matrix.rows] == [1 << k for k in range(a.m)]
+    rows = a.matrix.rows
+    return a.shift == 0 and _product_rows(rows, rows) == Gf2Matrix.identity(a.m).rows
 
 
 def _level_images(frontier, lo, hi, mask: int, shift: int, skip):
@@ -448,8 +448,8 @@ def merge_by_enumerator(partition: Partition, chunks) -> tuple[Partition, np.nda
     chunks yields int64 row arrays aligned with the blocks of partition, cut
     anywhere. One dict across chunks keys rows by their bytes and numbers
     groups by first occurrence; as blocks are numbered by least index, so
-    are the merged ones. Returns the merged partition and its int64 rows, the
-    distinct polynomials the product-sum step really needs.
+    are the merged ones. Returns the merged partition and its int64 rows,
+    the distinct polynomials that the product-sums pack into big ints.
     """
     gid, ids = {}, [np.empty(0, dtype=np.int32)]
     for chunk in chunks:

@@ -59,6 +59,14 @@ def rm_dimension(r: int, m: int) -> int:
     return sum(comb(m, d) for d in range(r + 1))
 
 
+def capped_dimension(r: int, m: int) -> int:
+    """dim R(r,m); ValueError past DEFAULT_CAP codewords, read at call time."""
+    dim = rm_dimension(r, m)
+    if 1 << dim > DEFAULT_CAP:
+        raise ValueError(f"2**{dim} codewords exceed the cap of {DEFAULT_CAP}")
+    return dim
+
+
 def rm_basis_masks(r: int, m: int) -> list[int]:
     """Monomial masks of degree <= r, by degree then lexicographic order."""
     if not 0 <= r <= m:
@@ -248,9 +256,7 @@ def coset_histograms(reps, r: int, m: int) -> np.ndarray:
     """
     if not 0 <= m <= MAX_M:
         raise ValueError(f"m={m} out of range 0..{MAX_M}")
-    dim = rm_dimension(r, m)
-    if 1 << dim > DEFAULT_CAP:
-        raise ValueError(f"2**{dim} codewords exceed the cap of {DEFAULT_CAP}")
+    dim = capped_dimension(r, m)
     packed = _packed_reps(reps, m)
     if not len(packed):
         return np.zeros((0, (1 << m) + 1), dtype=np.int64)

@@ -81,6 +81,7 @@ from .classify import (
     quotient_partition,
 )
 from .cosetenum import (
+    capped_dimension,
     coset_histograms,
     packed_tables,
     packed_words,
@@ -93,7 +94,6 @@ from .wenum import (
     _digit_width,
     _kronecker_pack,
     _kronecker_unpack,
-    _pack_coeffs,
     read_distribution,
     square,
     write_distribution,
@@ -163,25 +163,25 @@ def coset_enum_split(
 def coset_enum_blocks(
     f: Anf,
     partition: Partition,
-    block_enums,
+    counts: np.ndarray,
     counter: MulCounter | None = None,
 ) -> WeightEnumerator:
     """Same value as coset_enum_split, using one multiplication per block.
 
     partition must be the (merged) orbit partition above e = partition.e,
-    of V itself or of V/W for W = span(partition.basis), and block_enums
-    its per-block coset enumerators; all g in a block share their factor,
-    so the inner factor of block b is the sum, over the g of b, of the
-    factor of the block holding g+f. Over V/W the sum over g runs over
-    coset indices s: g+f lies in the coset of s xor the index of f, and
-    each s stands for the 2**k members of its coset, k = len(basis). The
-    enumerators are packed into big ints once, the inner sums are
-    accumulated packed, and each block costs one big-int product, so the
-    multiplication count equals the block count.
+    of V itself or of V/W for W = span(partition.basis), and counts its
+    int64 count rows as merge_by_enumerator returns them; all g in a block
+    share their factor, so the inner factor of block b is the sum, over the
+    g of b, of the factor of the block holding g+f. Over V/W the sum over g
+    runs over coset indices s: g+f lies in the coset of s xor the index of
+    f, and each s stands for the 2**k members of its coset, k = len(basis).
+    The rows are packed into big ints once, the inner sums are accumulated
+    packed, and each block costs one big-int product, so the multiplication
+    count equals the block count. Misshapen or negative rows raise ValueError.
     """
     nblocks = partition.block_count
-    if len(block_enums) != nblocks:
-        raise ValueError("one enumerator per block required")
+    if counts.shape != (nblocks, (1 << partition.m) + 1):
+        raise ValueError("need one row of 2**m + 1 counts per block")
     space = HomogeneousSpace(partition.m, partition.d)
     f_idx = quotient_index(partition.basis, space.index_of(f))
     block_of = partition.block_of.astype(np.int64)
@@ -192,9 +192,9 @@ def coset_enum_blocks(
     )
     rows, cols = np.divmod(keys, nblocks)
     pairs = list(zip(rows.tolist(), cols.tolist(), (ks << len(partition.basis)).tolist()))
-    totals = [enum.total() for enum in block_enums]
+    totals = [sum(row) for row in counts.tolist()]
     width = _digit_width(sum(totals[b] * k * totals[c] for b, c, k in pairs))
-    packed = [_pack_coeffs(enum.coeffs, width) for enum in block_enums]
+    packed = _kronecker_pack(counts, width)
     inner = [0] * nblocks
     for b, c, k in pairs:
         inner[b] += k * packed[c]
@@ -210,16 +210,14 @@ def _class_sum_term(r: int, m: int, tables, rec: ClassRecord):
 
     With tables None the coset enumerator is the plain product-sum over
     H^(r+1)(m); otherwise the rep must be rebased so that its lower part
-    keys one of the block tables.
+    keys a block table, whose count rows coset_enum_blocks packs.
     """
     e, f = decompose_top(rec.rep)
     counter = MulCounter()
     if tables is None:
         enum = coset_enum_split(e, f, r, m, counter=counter)
     elif e in tables:
-        partition, rows = tables[e]
-        enums = [WeightEnumerator(1 << m, row) for row in rows.tolist()]
-        enum = coset_enum_blocks(f, partition, enums, counter=counter)
+        enum = coset_enum_blocks(f, *tables[e], counter=counter)
     else:
         raise ValueError(f"representative {format_anf(rec.rep)} was not rebased onto a known form")
     return square(enum).scale(rec.size).coeffs, counter.count
@@ -399,7 +397,7 @@ def _block_table(rec: ClassRecord, r: int, m0: int):
     The least V index of each raw block's least coset is swept, _SWEEP_CHUNK
     of them per sweep, and a chunk's rows are merged before the next is
     swept: the 2**18 singleton blocks above x1x2x3 in 7 variables take 0.75 s
-    and 10.6 MB traced (0.8 s, 21.4 MB at 2**12). No pool is opened.
+    and 10.6 MB traced.
     """
     r0 = r - 2
     part = quotient_partition(rec.rep, rec.gens, r0, m0)
@@ -530,7 +528,8 @@ def run_pipeline(
     rows are swept in chunks of _SWEEP_CHUNK and merged by their bytes
     (merge_by_enumerator), so distributions, checkpoints and counts do not
     depend on it; 0 would give singleton partitions of V/W_e.
-    A sweep past the fixed cosetenum.DEFAULT_CAP refuses to start. Both
+    A run whose sweeps of R(r-2, m-2) cosets pass the fixed
+    cosetenum.DEFAULT_CAP is refused before any classification. Both
     "blocks" routes classify H^(r)(m-2) with QuotientClassification.compute,
     which draws no stabilizers, then draw into new records, in ascending
     class id, the generators of only the lower classes that a pending class
@@ -562,6 +561,7 @@ def run_pipeline(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     m1, m0, r0 = m - 1, m - 2, r - 2
+    capped_dimension(r0, m0)
     rng = random.Random(seed)
     fourier = strategy == "blocks" and classes is None
     route = "fourier" if fourier else None

@@ -735,6 +735,15 @@ def test_closure_matches_reference_on_gl_tables(d, m):
     tables = _half_tables(space, maps)
     involutive = [_is_involution(a) for a in maps]
     assert involutive == [True, False]  # the transvection and the cyclic shift
+    # the transvection shifted by x2, applied twice, adds x1; x1 <- x1 + x3 is
+    # its own inverse; a 3-cycle of variables is not
+    unit = Gf2Matrix.identity(m).rows
+    more = [
+        AffineMap(maps[0].matrix, 0b10),
+        AffineMap(Gf2Matrix(m, (0b101,) + unit[1:])),
+        AffineMap(Gf2Matrix(m, (0b010, 0b100, 0b001) + unit[3:])),
+    ]
+    assert [_is_involution(a) for a in more] == [False, True, False]
     assert_same_closure(tables, space.size, involutive)
 
 

@@ -129,10 +129,9 @@ def test_blocks_equal_split_with_fewer_multiplications():
     for part in (orbit_partition(e, rec.gens, 1, 5), quotient_partition(e, rec.gens, 1, 5)):
         leaders = quotient_leader(part.basis, part.first).tolist()
         rows = coset_histograms([e ^ space.anf_of(g) for g in leaders], 1, 5)
-        merged, mrows = merge_by_enumerator(part, [rows])
-        built.append((merged, [WeightEnumerator(32, h) for h in mrows.tolist()]))
-    (full, full_enums), (merged, menums) = built
-    assert len(merged.basis) == 3 and full_enums == menums
+        built.append(merge_by_enumerator(part, [rows]))
+    (full, full_rows), (merged, mrows) = built
+    assert len(merged.basis) == 3 and np.array_equal(full_rows, mrows)
 
     rng = random.Random(19)
     for _ in range(4):
@@ -141,8 +140,8 @@ def test_blocks_equal_split_with_fewer_multiplications():
         c_full = MulCounter()
         c_blocks = MulCounter()
         want = coset_enum_split(e, f, 1, 5, counter=c_split)
-        assert coset_enum_blocks(f, full, full_enums, counter=c_full) == want
-        assert coset_enum_blocks(f, merged, menums, counter=c_blocks) == want
+        assert coset_enum_blocks(f, full, full_rows, counter=c_full) == want
+        assert coset_enum_blocks(f, merged, mrows, counter=c_blocks) == want
         assert c_blocks.count == c_full.count == merged.block_count < c_split.count
 
 
@@ -153,19 +152,34 @@ def test_blocks_on_singleton_blocks_equal_split():
     size = space.size
     part = Partition(e, 2, 4, np.arange(size, dtype=np.int32), np.arange(size, dtype=np.uint32))
     rows = coset_histograms([e ^ space.anf_of(g) for g in range(size)], 1, 4)
-    enums = [WeightEnumerator(16, h) for h in rows.tolist()]
     rng = random.Random(37)
     for _ in range(4):
         f = HomogeneousSpace(4, 2).anf_of(rng.randrange(64))
         counter = MulCounter()
-        assert coset_enum_blocks(f, part, enums, counter=counter) == coset_enum_split(e, f, 1, 4)
+        assert coset_enum_blocks(f, part, rows, counter=counter) == coset_enum_split(e, f, 1, 4)
         assert counter.count == 64
 
 
 def test_blocks_requires_aligned_enums():
+    # 8 singleton blocks over H^(1)(3), each a row of 9 counts: too few rows,
+    # rows of the wrong length and a negative count are refused before any
+    # product is counted
     part = orbit_partition(parse_anf("0", 3), [], 0, 3)
-    with pytest.raises(ValueError, match="per block"):
-        coset_enum_blocks(parse_anf("1", 3), part, [])
+    f = parse_anf("1", 3)
+    rows = coset_histograms([HomogeneousSpace(3, 1).anf_of(g) for g in range(8)], 0, 3)
+    want = coset_enum_split(parse_anf("0", 3), f, 0, 3)
+    assert coset_enum_blocks(f, part, rows) == want
+    negative = rows.copy()
+    negative[3, 0] = -1
+    for bad, match in (
+        (rows[:7], "per block"),
+        (rows[:, :8], "per block"),
+        (negative, "negative"),
+    ):
+        counter = MulCounter()
+        with pytest.raises(ValueError, match=match):
+            coset_enum_blocks(f, part, bad, counter=counter)
+        assert counter.count == 0
 
 
 def test_run_pipeline_validates_class_sizes_before_the_sum(monkeypatch):
@@ -868,6 +882,11 @@ def test_fourier_route_refuses_oversized_runs_before_classifying(monkeypatch):
     for r, m in ((4, 9), (5, 9)):
         with pytest.raises(ValueError, match="cap"):
             run_pipeline(r, m)
+    # every route sweeps cosets of R(r-2, m-2): 2**99 words for R(6,9), and
+    # 2**42 for direct R(5,8), whose own classification is of H^(5)(7)
+    for r, m, strategy, dim in ((6, 9, "blocks", 99), (5, 8, "direct", 42)):
+        with pytest.raises(ValueError, match=f"2\\*\\*{dim} codewords exceed the cap"):
+            run_pipeline(r, m, strategy=strategy)
 
 
 def test_direct_route_refuses_an_oversized_product_sum_space(monkeypatch):
