@@ -116,7 +116,7 @@ from .gf2 import (
     substituted_tables,
     top_image,
 )
-from .wenum import _decimal, _opened
+from .wenum import _decimal, _header, _opened
 
 MAX_INDEX_BITS = 25
 DEFAULT_MAX_GENS = 64
@@ -129,6 +129,16 @@ _SCAN_WINDOW = 1 << 12
 # generators per class is 3 ms slower at 2**13 than at 2**15.
 _GATHER_WINDOW = 1 << 13
 _MEMBER_CHUNK = 1 << 15
+
+
+def capped_space(m: int, d: int) -> HomogeneousSpace:
+    """H^(d)(m), refused when its packed indices take more than MAX_INDEX_BITS bits."""
+    space = HomogeneousSpace(m, d)
+    if space.nbits > MAX_INDEX_BITS:
+        raise ValueError(
+            f"H^({d})({m}) has 2**{space.nbits} forms, past the cap of 2**{MAX_INDEX_BITS}"
+        )
+    return space
 
 
 def gl2_generators(m: int) -> list[Gf2Matrix]:
@@ -224,11 +234,14 @@ def _next_unassigned(via: np.ndarray, start: int) -> int:
 
 
 def _is_involution(a: AffineMap) -> bool:
-    """True when a, applied twice, is the identity map: shift 0 and M @ M = I.
+    """True when a has shift 0 and M @ M = I, so a applied twice is the identity.
 
-    The induced action on form indices is a group action, so the table of
-    such an element is an involution of its index space; _close_orbits
-    trusts a flag only from here, never from a table.
+    Sufficient, not necessary: a shifted involution (M @ M = I, M b = b, as
+    x1 <- x1 + x2 with b = x3 in m = 4) reads False, which only gives up the
+    closure's skip. Every map flagged today has shift 0: the GL generators,
+    the Schreier elements and the file generators. The induced action on
+    form indices is a group action, so a flagged element's table is an
+    involution; _close_orbits trusts a flag only from here, never a table.
     """
     rows = a.matrix.rows
     return a.shift == 0 and _product_rows(rows, rows) == Gf2Matrix.identity(a.m).rows
@@ -405,9 +418,7 @@ def quotient_partition(e: Anf, gens, r: int, m: int) -> Partition:
     """
     if e.m != m:
         raise ValueError("e has the wrong variable count")
-    space = HomogeneousSpace(m, r + 1)
-    if space.nbits > MAX_INDEX_BITS:
-        raise ValueError(f"index space of 2**{space.nbits} forms is past the supported size")
+    space = capped_space(m, r + 1)
     HomogeneousSpace(m, r + 2).index_of(e)  # refuses an e of another degree
     basis = _translation_basis(e, space)
     size = 1 << (space.nbits - len(basis))
@@ -532,11 +543,7 @@ class QuotientClassification:
     @staticmethod
     def compute(d: int, m: int) -> "QuotientClassification":
         """The GL(m,2) orbit closure of H^(d)(m); its records carry no generators."""
-        space = HomogeneousSpace(m, d)
-        if space.nbits > MAX_INDEX_BITS:
-            raise ValueError(
-                f"C({m},{d}) = {space.nbits} index bits exceed the cap of {MAX_INDEX_BITS}"
-            )
+        space = capped_space(m, d)
         gens = gl2_generators(m)
         inverses = [g.inverse() for g in gens]
         maps = [AffineMap(g, 0) for g in (*gens, Gf2Matrix.identity(m), *inverses)]
@@ -706,7 +713,7 @@ def equivalence(e1: Anf, e2: Anf) -> Gf2Matrix | None:
     .compute(d, m) decides: None means t1 and t2 lie in different classes,
     a proof of inequivalence. Otherwise A = T1^-1 @ T2, with Ti the
     transversal carrying the class representative onto ti, and A is checked
-    before it is returned. compute refuses C(m, d) > MAX_INDEX_BITS before
+    before it is returned. compute refuses a space past capped_space before
     any closure.
     """
     if e1.m != e2.m:
@@ -748,65 +755,48 @@ def write_classification(target, records, d: int, m: int, seed: int | None = Non
 def ingest_classification(source, expect_d: int | None = None, expect_m: int | None = None):
     """Parse and validate a classification file; returns (records, d, m).
 
-    Validation: header gives d and m once each, class ids run 0, 1, ... in
-    file order, sizes are positive and sum to 2**C(m,d), reps are degree-d
+    Validation: the _header gives d and m once each, each the whole rest of
+    its line, before any record is parsed; class ids run 0, 1, ... in file
+    order, sizes are positive and sum to 2**C(m,d), reps are degree-d
     homogeneous (or zero), stated gens are invertible and stabilize them.
     """
     with _opened(source) as fh:
         lines = fh.read().splitlines()
-    header: dict[str, int] = {}
-    records = []
-    current = None
-
-    def flush():
-        nonlocal current
-        if current is not None:
-            records.append(ClassRecord(rep=current[0], size=current[1], gens=tuple(current[2])))
-            current = None
-
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            flush()
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] in ("d", "m"):
-                if fields[0] in header:
-                    raise ValueError(f"repeated '# {fields[0]}' header")
-                header[fields[0]] = _decimal(fields[1])
-            continue
-        fields = line.split()
-        if fields[0] == "class":
-            flush()
-            if len(fields) != 6 or fields[2] != "rep" or fields[4] != "size":
-                raise ValueError(f"bad class line {line!r}")
-            if len(header) < 2:
-                raise ValueError("class record before '# d'/'# m' headers")
-            if fields[1] != str(len(records)):
-                raise ValueError(f"class id {fields[1]!r} out of order, expected {len(records)}")
-            rep = parse_anf(fields[3], header["m"])
-            size = _decimal(fields[5])
-            if size <= 0:
-                raise ValueError(f"class size must be positive, got {size}")
-            current = (rep, size, [])
-        elif fields[0] == "gen":
-            if current is None:
-                raise ValueError("gen line outside a class record")
-            mat = Gf2Matrix.from_text(" ".join(fields[1:]))
-            if mat.m != header["m"]:
-                raise ValueError("generator dimension differs from m")
-            current[2].append(AffineMap(mat, 0))
-        else:
-            raise ValueError(f"unrecognised line {line!r}")
-    flush()
+    header = _header(lines, ("d", "m"))
     if len(header) < 2:
         raise ValueError("missing '# d' or '# m' header")
-    d, m = header["d"], header["m"]
+    d, m = _decimal(header["d"]), _decimal(header["m"])
     if expect_d is not None and d != expect_d:
         raise ValueError(f"file classifies degree {d}, expected {expect_d}")
     if expect_m is not None and m != expect_m:
         raise ValueError(f"file is over {m} variables, expected {expect_m}")
+    entries = []
+    gens = None  # the gens of the open class record; a blank line closes it
+    for raw in lines:
+        line = raw.strip()
+        fields = line.split()
+        if not fields:
+            gens = None
+        elif fields[0] == "class":
+            if len(fields) != 6 or fields[2] != "rep" or fields[4] != "size":
+                raise ValueError(f"bad class line {line!r}")
+            if fields[1] != str(len(entries)):
+                raise ValueError(f"class id {fields[1]!r} out of order, expected {len(entries)}")
+            size = _decimal(fields[5])
+            if size <= 0:
+                raise ValueError(f"class size must be positive, got {size}")
+            gens = []
+            entries.append((parse_anf(fields[3], m), size, gens))
+        elif fields[0] == "gen":
+            if gens is None:
+                raise ValueError("gen line outside a class record")
+            mat = Gf2Matrix.from_text(" ".join(fields[1:]))
+            if mat.m != m:
+                raise ValueError("generator dimension differs from m")
+            gens.append(AffineMap(mat, 0))
+        elif not line.startswith("#"):
+            raise ValueError(f"unrecognised line {line!r}")
+    records = [ClassRecord(rep, size, tuple(gens)) for rep, size, gens in entries]
     space = HomogeneousSpace(m, d)
     total = sum(rec.size for rec in records)
     if total != space.size:

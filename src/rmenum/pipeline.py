@@ -50,12 +50,10 @@ from __future__ import annotations
 
 import contextlib
 import glob
-import io
 import os
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from math import comb
 
 import numpy as np
 
@@ -70,10 +68,10 @@ from .boolfn import (
     xor_span_array,
 )
 from .classify import (
-    MAX_INDEX_BITS,
     ClassRecord,
     Partition,
     QuotientClassification,
+    capped_space,
     ingest_classification,
     merge_by_enumerator,
     quotient_index,
@@ -92,9 +90,10 @@ from .oracle import require_reference
 from .wenum import (
     WeightEnumerator,
     _digit_width,
+    _header,
     _kronecker_pack,
     _kronecker_unpack,
-    read_distribution,
+    _read_headed,
     square,
     write_distribution,
 )
@@ -131,8 +130,8 @@ def coset_enum_split(
     of the monomial tables; the factor at g+f is then a lookup because
     adding f is XOR on packed indices. Each enumerator is packed into one
     big int once, and exactly 2**C(m,r+1) packed products are summed. A
-    space of more than MAX_INDEX_BITS index bits is refused before its span
-    is built, and so is an e over another variable count than m.
+    space past capped_space is refused before its span is built, and so is
+    an e over another variable count than m.
     """
     if e.m != m:
         raise ValueError("e has the wrong variable count")
@@ -140,11 +139,7 @@ def coset_enum_split(
         raise ValueError("e must be homogeneous of degree r+2")
     if not f.is_zero() and not f.is_homogeneous(r + 1):
         raise ValueError("f must be homogeneous of degree r+1")
-    space = HomogeneousSpace(m, r + 1)
-    if space.nbits > MAX_INDEX_BITS:
-        raise ValueError(
-            f"H^({r + 1})({m}) has 2**{space.nbits} forms, past the cap of 2**{MAX_INDEX_BITS}"
-        )
+    space = capped_space(m, r + 1)
     e_word = packed_words([truth_table_from_anf(e).bits], m)[0]
     hists = coset_histograms(xor_span_array(e_word, packed_tables(space.masks, m)), r, m)
     f_idx = space.index_of(f)
@@ -227,55 +222,49 @@ def _checkpoint_path(directory: str, cid: int) -> str:
     return os.path.join(directory, f"class_{cid:05d}.txt")
 
 
-def _check_fields(path: str, lines, wanted: dict):
-    """Raise unless the "# key value" comment lines among lines give every wanted value.
+_CHECKPOINT_KEYS = ("route", "class", "rep", "size")
 
-    A wanted value of None means the file has no line for that key.
-    """
-    header = {}
-    for line in lines:
-        line = line.strip()
-        if not line.startswith("#"):
-            continue
-        fields = line[1:].split(None, 1)
-        if len(fields) == 2:
-            header[fields[0]] = fields[1]
-    for key, want in wanted.items():
-        got = header.get(key)
+
+def _checkpoint_header(cid: int, rec: ClassRecord, route) -> dict[str, str]:
+    """The "# key value" lines after "# n" of a checkpoint: no route line when route is None."""
+    header = {"class": str(cid), "rep": format_anf(rec.rep), "size": str(rec.size)}
+    return header if route is None else {"route": route, **header}
+
+
+def _check_header(path: str, header: dict, wanted: dict):
+    """Raise unless header and wanted agree on every checkpoint key, absent ones included."""
+    for key in _CHECKPOINT_KEYS:
+        got, want = header.get(key), wanted.get(key)
         if got != want:
-            raise ValueError(
-                f"checkpoint {path} header {key!r} is {got!r}, expected {want!r}"
-            )
+            raise ValueError(f"checkpoint {path} header {key!r} is {got!r}, expected {want!r}")
 
 
 def _check_route(directory: str | None, route):
     """Refuse a checkpoint directory that holds a class file of another route.
 
-    A route of None means the files carry no route line. Runs before any
-    classification, so a foreign directory costs no work.
+    A route of None means the files carry no route line, and a second route
+    line is refused. Runs before any classification, so a foreign directory
+    costs no work.
     """
     if directory:
         for path in sorted(glob.glob(os.path.join(directory, "class_*.txt"))):
             with open(path) as fh:
-                _check_fields(path, fh, {"route": route})
+                _check_header(path, _header(fh, ("route",)), {"route": route})
 
 
 def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_total: int, route):
     """A finished class contribution, or None when the class has no checkpoint.
 
-    Headers must name this route (a route of None means no route line) and
-    this class, and the total must be rec.size times unit_total; a file
-    that fails either check raises instead of changing the result. The
-    file is opened once, for its header and its body.
+    The header must be the _checkpoint_header of this class and route, each
+    key once, and the total rec.size times unit_total; a file that fails
+    either check raises instead of changing the result. One open and one
+    parse read both.
     """
     path = _checkpoint_path(directory, cid)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        text = fh.read()
-    wanted = {"route": route, "class": str(cid), "rep": format_anf(rec.rep), "size": str(rec.size)}
-    _check_fields(path, text.splitlines(), wanted)
-    dist = read_distribution(io.StringIO(text))
+    header, dist = _read_headed(path, _CHECKPOINT_KEYS)
+    _check_header(path, header, _checkpoint_header(cid, rec, route))
     if dist.n != n:
         raise ValueError(f"checkpoint {path} has length {dist.n}, expected {n}")
     if dist.total() != rec.size * unit_total:
@@ -286,16 +275,14 @@ def _read_checkpoint(directory: str, cid: int, rec: ClassRecord, n: int, unit_to
 
 
 def _write_checkpoint(directory: str, cid: int, rec: ClassRecord, term: WeightEnumerator, route):
-    """Write to a temp file beside the checkpoint, then rename it into place.
+    """Write term headed by its _checkpoint_header to a temp file, then rename it into place.
 
     The rename is atomic, so the checkpoint name only ever holds a whole
     file; a temp file left by an interrupted write is never read.
     """
     path = _checkpoint_path(directory, cid)
-    comments = [f"class {cid}", f"rep {format_anf(rec.rep)}", f"size {rec.size}"]
-    if route is not None:
-        comments.insert(0, f"route {route}")
-    write_distribution(path + ".tmp", term, comments=comments)
+    comments = [f"{k} {v}" for k, v in _checkpoint_header(cid, rec, route).items()]
+    write_distribution(path + ".tmp", term, comments)
     os.replace(path + ".tmp", path)
 
 
@@ -429,18 +416,14 @@ def _walsh_hadamard(table: np.ndarray):
 def _fourier_terms(r: int, m: int):
     """The per-class Fourier term of R(r,m), its run constants bound, and its unit total.
 
-    Refuses a transform indexed past MAX_INDEX_BITS: block characters, like
+    Refuses a transform indexed past capped_space: block characters, like
     orbit partitions, are indexed by V/W_e, at most N = C(m-2, r-1) bits.
     A class's sum_u Ahat_u**4 totals 2**N * sum_f W^2 = 2**(4N + 4 dim
     R(r-2,m-2)), so its term totals size * unit_total. The digit width
     covers that sum and the result, 2**dim R(r,m); digit_ones has a 1 at
     the foot of every digit.
     """
-    nbits, n = comb(m - 2, r - 1), 1 << m
-    if nbits > MAX_INDEX_BITS:
-        raise ValueError(
-            f"R({r},{m}) transforms over 2**{nbits} indices, past the cap of 2**{MAX_INDEX_BITS}"
-        )
+    nbits, n = capped_space(m - 2, r - 1).nbits, 1 << m
     unit_total = 1 << (3 * nbits + 4 * rm_dimension(r - 2, m - 2))
     width = _digit_width(max(unit_total << nbits, 1 << rm_dimension(r, m)))
     digit_ones = sum(1 << (width * w) for w in range(n + 1))
@@ -512,7 +495,7 @@ def run_pipeline(
       the module docstring), each class building its own block table over
       V/W_e. The counter counts big-int squarings, two per distinct
       Ahat'_u', and its label says so (FOURIER_LABEL). A transform indexed
-      by N = C(m-2, r-1) > MAX_INDEX_BITS bits is refused before any
+      by H^(r-1)(m-2) past capped_space is refused before any
       classification.
     * Class sum (classes given as a list of ClassRecord or a file path, or
       "direct"): sum size * W^2[z; rep + R(r-1,m-1)] over the classes of

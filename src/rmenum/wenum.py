@@ -264,50 +264,60 @@ def write_distribution(target, a: WeightEnumerator, comments=()):
             fh.write(f"{w} {c}\n")
 
 
+def _header(lines, keys) -> dict[str, str]:
+    """{key: rest of the line} of the "# key ..." lines, each key in keys at most once."""
+    header = {}
+    for line in lines:
+        line = line.strip()
+        fields = line[1:].split(None, 1) if line.startswith("#") else ()
+        if fields and fields[0] in keys:
+            if fields[0] in header:
+                raise ValueError(f"repeated '# {fields[0]}' header")
+            header[fields[0]] = "".join(fields[1:])
+    return header
+
+
 def read_distribution(source) -> WeightEnumerator:
-    """Read a write_distribution file; a "# folded" one lists only the weights up to n/2."""
+    """Read a write_distribution file; a "# folded" one lists only the weights up to n/2.
+
+    Its "# n" and "# folded" lines are read by _header, so "# n 64 x" is refused.
+    """
+    return _read_headed(source)[1]
+
+
+def _read_headed(source, keys=()) -> tuple[dict[str, str], WeightEnumerator]:
+    """The _header of a distribution file for "n", "folded" and keys, and the distribution."""
     with _opened(source) as fh:
-        n = None
-        folded = False
-        counts: dict[int, int] = {}
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if len(fields) == 2 and fields[0] == "n":
-                    if n is not None:
-                        raise ValueError("repeated '# n' header")
-                    n = _decimal(fields[1])
-                elif fields == ["folded"]:
-                    folded = True
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"bad distribution line {line!r}")
-            w = _decimal(fields[0])
-            if w in counts:
-                raise ValueError(f"duplicate weight {w}")
-            counts[w] = _decimal(fields[1])
-    if n is None:
-        if not counts:
-            raise ValueError("no data and no '# n' header")
+        lines = fh.read().splitlines()
+    header = _header(lines, ("n", "folded", *keys))
+    counts: dict[int, int] = {}
+    for line in lines:
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"bad distribution line {line.strip()!r}")
+        w = _decimal(fields[0])
+        if w in counts:
+            raise ValueError(f"duplicate weight {w}")
+        counts[w] = _decimal(fields[1])
+    if "n" in header:
+        n = _decimal(header["n"])
+    elif counts:
         n = max(counts)
+    else:
+        raise ValueError("no data and no '# n' header")
     coeffs = [0] * (n + 1)
     for w, c in counts.items():
         if not 0 <= w <= n:
             raise ValueError(f"weight {w} outside 0..{n}")
         coeffs[w] = c
-    if folded:
-        for w in range(n // 2 + 1):
-            mate = n - w
-            if mate == w:
-                continue
-            if coeffs[mate] and coeffs[mate] != coeffs[w]:
-                raise ValueError(f"folded file sets weight {mate} twice")
-            coeffs[mate] = coeffs[w]
-    return WeightEnumerator(n, coeffs)
+    if header.get("folded") == "":
+        for w in range((n + 1) // 2):
+            if coeffs[n - w] not in (0, coeffs[w]):
+                raise ValueError(f"folded file sets weight {n - w} twice")
+            coeffs[n - w] = coeffs[w]
+    return header, WeightEnumerator(n, coeffs)
 
 
 def distribution_text(a: WeightEnumerator, comments=()) -> str:

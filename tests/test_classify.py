@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import io
 import random
+import re
 from dataclasses import replace
 from functools import reduce
 from itertools import product
@@ -1370,7 +1371,8 @@ def test_equivalence_refuses_a_space_past_the_cap_before_the_closure(monkeypatch
         raise AssertionError("a closure ran before the cap check")
 
     monkeypatch.setattr(classify, "_close_orbits", forbidden)
-    with pytest.raises(ValueError, match="C\\(7,3\\) = 35 index bits exceed the cap of 25"):
+    want = "H^(3)(7) has 2**35 forms, past the cap of 2**25"
+    with pytest.raises(ValueError, match=re.escape(want)):
         equivalence(parse_anf("123", 7), parse_anf("145", 7))
 
 

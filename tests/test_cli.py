@@ -219,7 +219,7 @@ def test_equiv_refuses_a_space_past_the_cap(monkeypatch, capsys):
     monkeypatch.setattr(classify, "_close_orbits", forbidden)
     code, stdout, stderr = run(capsys, "equiv", "--e1", "123", "--e2", "145", "--m", "7")
     assert code == 2 and stdout == ""
-    assert stderr == "error: C(7,3) = 35 index bits exceed the cap of 25\n"
+    assert stderr == "error: H^(3)(7) has 2**35 forms, past the cap of 2**25\n"
 
 
 @pytest.mark.parametrize("option", ["--budget", "--seed", "--progress"])

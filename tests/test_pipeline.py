@@ -353,18 +353,10 @@ def test_partial_resume_builds_only_the_pending_lower_form(monkeypatch, tmp_path
     assert victim.read_text() == whole
 
 
-@pytest.mark.parametrize("given", [True, False], ids=["given", "self"])
-def test_corrupt_checkpoints_are_refused_before_any_draw_or_table(monkeypatch, tmp_path, given):
-    # one class missing, another cut short: every checkpoint is read and
-    # checked before the pending class's stabilizers are drawn or its table built
+def spy_draws_and_tables(monkeypatch):
+    """The list that every stabilizer draw and block table of a run appends to."""
     import rmenum.pipeline as pipeline
 
-    ckpt = tmp_path / "ckpt"
-    classes = resume_classes(given)
-    run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
-    (ckpt / "class_00002.txt").unlink()
-    cut = ckpt / "class_00000.txt"
-    cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:-1]))
     calls = []
 
     def spy(name, fn):
@@ -377,8 +369,46 @@ def test_corrupt_checkpoints_are_refused_before_any_draw_or_table(monkeypatch, t
     draw = QuotientClassification.stabilizer_gens
     monkeypatch.setattr(QuotientClassification, "stabilizer_gens", spy("draw", draw))
     monkeypatch.setattr(pipeline, "_block_table", spy("table", pipeline._block_table))
+    return calls
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "self"])
+def test_corrupt_checkpoints_are_refused_before_any_draw_or_table(monkeypatch, tmp_path, given):
+    # one class missing, another cut short: every checkpoint is read and
+    # checked before the pending class's stabilizers are drawn or its table built
+    ckpt = tmp_path / "ckpt"
+    classes = resume_classes(given)
+    run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
+    (ckpt / "class_00002.txt").unlink()
+    cut = ckpt / "class_00000.txt"
+    cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:-1]))
+    calls = spy_draws_and_tables(monkeypatch)
     with pytest.raises(ValueError, match="totals"):
         run_pipeline(2, 7, classes=classes, checkpoint=str(ckpt))
+    assert calls == []
+
+
+# (route, key) for every key of _checkpoint_header: the Fourier files of
+# R(3,6) carry a route line, the class-sum files of R(2,7) over given classes
+# do not
+REPEAT_CASES = [("fourier", key) for key in ("route", "class", "rep", "size")]
+REPEAT_CASES += [("given", key) for key in ("class", "rep", "size")]
+
+
+@pytest.mark.parametrize("route, key", REPEAT_CASES, ids=[f"{r}-{k}" for r, k in REPEAT_CASES])
+def test_resume_refuses_a_repeated_checkpoint_header(monkeypatch, tmp_path, route, key):
+    # a second line for a key, even with the same value, is refused before
+    # any draw or table; it was once read as the last line for that key
+    r, m, classes = (3, 6, None) if route == "fourier" else (2, 7, resume_classes(True))
+    ckpt = tmp_path / "ckpt"
+    run_pipeline(r, m, classes=classes, checkpoint=str(ckpt))
+    victim = ckpt / "class_00000.txt"
+    lines = victim.read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key} "))
+    victim.write_text("".join(lines[: at + 1] + lines[at:]))
+    calls = spy_draws_and_tables(monkeypatch)
+    with pytest.raises(ValueError, match=f"repeated '# {key}' header"):
+        run_pipeline(r, m, classes=classes, checkpoint=str(ckpt))
     assert calls == []
 
 

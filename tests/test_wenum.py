@@ -178,6 +178,14 @@ def test_read_refuses_a_repeated_length_header():
             read_distribution(io.StringIO(f"# n 4\n# n {second}\n0 1\n4 1\n"))
 
 
+def test_read_takes_the_rest_of_the_line_as_the_header_value():
+    # "# n 4 x" once read as a comment; other comment lines are still ignored
+    with pytest.raises(ValueError, match="'4 x' is not an ASCII decimal integer"):
+        read_distribution(io.StringIO("# n 4 x\n0 1\n4 1\n"))
+    got = read_distribution(io.StringIO("# R(1,3)\n# n 8\n# seed 1\n0 1\n4 14\n8 1\n"))
+    assert got == R13
+
+
 def test_read_without_header_uses_max_weight():
     got = read_distribution(io.StringIO("0 1\n4 14\n8 1\n"))
     assert got == R13
